@@ -3,7 +3,8 @@
 Commands: cells, bounds, order, homology, validate, builtin.  Structures are
 either builtins (builtin:artin:F4, builtin:circ:G13, builtin:dual:A3) or
 paths to structure files.  Exit codes: 0 ok, 2 configuration or parse error,
-3 structure validation failure, 4 internal inconsistency.
+3 structure validation failure, 4 internal inconsistency (including a
+recursion too deep or memory exhausted).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .resolution import (
     two_cell_bounds,
 )
 from .structures import (
-    ParseError,
     builtin_structure,
     parse_structure,
     serialize_structure,
@@ -59,10 +59,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-memo", action="store_true", help="disable differential caching")
 
 
-def _ordering_for(args, struct):
-    return resolve_ordering(struct, args.order)
-
-
 def cmd_cells(args) -> int:
     struct = _load_structure(args.structure)
     lines = []
@@ -78,7 +74,8 @@ def cmd_cells(args) -> int:
             else:
                 lines.append(f"{mode}: " + " ".join(str(c) for c in counts))
     else:
-        res = OrderResolution(struct, _ordering_for(args, struct), args.max_dim, memo=not args.no_memo)
+        ordering = resolve_ordering(struct, args.order)
+        res = OrderResolution(struct, ordering, args.max_dim, memo=not args.no_memo)
         counts = res.cell_counts()
         if args.format == "csv":
             lines.append("dimension,cells")
@@ -125,7 +122,7 @@ def cmd_homology(args) -> int:
     result = compute_homology(
         struct,
         system,
-        ordering=_ordering_for(args, struct),
+        ordering=resolve_ordering(struct, args.order),
         max_dim=args.max_dim,
         memo=not args.no_memo,
     )
@@ -201,18 +198,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ConsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except GaussianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except RecursionError:
+        print("internal error: recursion too deep for this structure", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

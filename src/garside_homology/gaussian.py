@@ -11,9 +11,20 @@ the word (a, b) means "a then b", so target(a) = source(b).  All divisibility
 below is on the right: g right-divides f when f = h*g for some h.  The word
 problem is solved by reversing against the lcm table; to divide h*b by an
 atom a one looks up lcm(a, b) = x*a = y*b, divides h by y atom by atom, and
-appends x.  Every operation here is a pure function of immutable data, so a
-structure can be shared freely across threads (the internal caches only ever
-insert values that any thread would recompute identically).
+appends x.
+
+Inside, words are interned as int ids in a prefix trie owned by the
+structure: ids 0..n_objects-1 are the identities, and every other node
+stores its parent, last atom, source and target, so dropping the last atom
+is a lookup.  The word kernel works on these ids: `node_quotient` (division
+by an atom) on the structure, and least divisors, canonical forms and
+canonical products per atom ordering on a `WordKernel`.  The `Word` methods
+(`quotient_atom`, `least_divisor`, `canonical_form`, ...) are adapters that
+intern their argument and spell out the result.  The caches that remain are
+all int-keyed: the trie's child table, the quotient memo, and per ordering
+the least divisors, canonical forms and canonical products.  They grow for
+the structure's lifetime and assign ids in insertion order, so a structure
+must not be used from several threads at once.
 """
 
 from __future__ import annotations
@@ -166,9 +177,11 @@ class GaussianStructure:
             for x in range(len(self.object_names))
         ]
 
-        # entry[(i, j)] with i < j is None (no common left-multiple) or a
-        # pair (comp_i, comp_j) of words with comp_i*i = comp_j*j = lcm.
-        self._entries: dict[tuple[int, int], Optional[tuple[Word, Word]]] = {}
+        # _lcm_table[a * n_atoms + b], for distinct atoms a, b at one target,
+        # is None (no common left-multiple) or the pair (comp_a, comp_b) of
+        # words with comp_a*a = comp_b*b = lcm; both orientations are stored.
+        n = self.n_atoms
+        self._lcm_table: dict[int, Optional[tuple[Word, Word]]] = {}
         for item in lcms:
             a_name, b_name, comps = item
             if a_name not in self.atom_index or b_name not in self.atom_index:
@@ -178,25 +191,22 @@ class GaussianStructure:
                 raise PreconditionError(f"lcm entry for atom {a_name!r} with itself")
             if self.atom_target[a] != self.atom_target[b]:
                 raise PreconditionError(f"lcm entry for atoms with different targets ({a_name!r}, {b_name!r})")
-            key = (min(a, b), max(a, b))
-            if key in self._entries:
+            if a * n + b in self._lcm_table:
                 raise PreconditionError(f"duplicate lcm entry for ({a_name!r}, {b_name!r})")
             if comps is None:
-                self._entries[key] = None
+                self._lcm_table[a * n + b] = self._lcm_table[b * n + a] = None
                 continue
             wa_names, wb_names = comps
             wa = self._resolve_word(wa_names, endpoint=a, context=f"LCM({a_name},{b_name})")
             wb = self._resolve_word(wb_names, endpoint=b, context=f"LCM({a_name},{b_name})")
-            if key == (a, b):
-                self._entries[key] = (wa, wb)
-            else:
-                self._entries[key] = (wb, wa)
+            self._lcm_table[a * n + b] = (wa, wb)
+            self._lcm_table[b * n + a] = (wb, wa)
 
         for x in range(len(self.object_names)):
             here = self.atoms_by_target[x]
             for i in range(len(here)):
                 for j in range(i + 1, len(here)):
-                    if (here[i], here[j]) not in self._entries:
+                    if here[i] * n + here[j] not in self._lcm_table:
                         raise PreconditionError(
                             "missing lcm entry for atoms "
                             f"({self.atom_names[here[i]]!r}, {self.atom_names[here[j]]!r})"
@@ -234,9 +244,15 @@ class GaussianStructure:
 
         self.label = label
 
-        self._quot_cache: dict[tuple[Word, int], Optional[Word]] = {}
-        # per-ordering caches: ranks tuple -> (canonical forms, least divisors)
-        self._ord_caches: dict[tuple, tuple[dict, dict]] = {}
+        # the word trie: node ids 0..n_objects-1 are the identities
+        self.n_objects = len(self.object_names)
+        self.node_parent: list[int] = [-1] * self.n_objects
+        self.node_last: list[int] = [-1] * self.n_objects
+        self.node_src: list[int] = list(range(self.n_objects))
+        self.node_tgt: list[int] = list(range(self.n_objects))
+        self._children: dict[int, int] = {}  # node * n_atoms + atom -> node
+        self._quotients: dict[int, int] = {}  # node * n_atoms + atom -> node or -1
+        self._kernels: dict[tuple, WordKernel] = {}  # ordering ranks -> kernel
         self._default_ordering = AtomOrdering.identity(self.n_atoms)
 
     def _resolve_word(self, names: Sequence[str], endpoint: int, context: str) -> Word:
@@ -297,71 +313,133 @@ class GaussianStructure:
     def default_ordering(self) -> AtomOrdering:
         return self._default_ordering
 
+    # -- interned words ------------------------------------------------------
+
+    def extend(self, node: int, atom: int) -> int:
+        """The node of node*atom; the caller guarantees composability."""
+        key = node * self.n_atoms + atom
+        child = self._children.get(key)
+        if child is None:
+            child = len(self.node_last)
+            self._children[key] = child
+            self.node_parent.append(node)
+            self.node_last.append(atom)
+            self.node_src.append(self.node_src[node])
+            self.node_tgt.append(self.atom_target[atom])
+        return child
+
+    def intern(self, w: Word) -> int:
+        """The node of a word, added to the trie if new."""
+        node = w.src
+        for a in w.atoms:
+            if self.atom_source[a] != self.node_tgt[node]:
+                raise PreconditionError(f"word {w} is not composable")
+            node = self.extend(node, a)
+        return node
+
+    def node_word(self, node: int) -> Word:
+        """Spell a node out as a Word."""
+        parent, last = self.node_parent, self.node_last
+        atoms = []
+        while node >= self.n_objects:
+            atoms.append(last[node])
+            node = parent[node]
+        atoms.reverse()
+        return Word(node, tuple(atoms))
+
+    def node_concat(self, u: int, v: int) -> int:
+        """The node of the word u followed by the word v."""
+        for a in self.node_word(v).atoms:
+            u = self.extend(u, a)
+        return u
+
     # -- division by reversing -------------------------------------------
 
     def _entry(self, a: int, b: int) -> Optional[tuple[Word, Word]]:
         """Complements (comp_a, comp_b) for distinct atoms a, b at one target."""
-        key = (a, b) if a < b else (b, a)
         try:
-            pair = self._entries[key]
+            return self._lcm_table[a * self.n_atoms + b]
         except KeyError:
             raise ConsistencyError(
                 f"no lcm entry for atoms ({self.atom_names[a]!r}, {self.atom_names[b]!r})"
             ) from None
-        if pair is None:
-            return None
-        return pair if key == (a, b) else (pair[1], pair[0])
+
+    def lcm_entries(self) -> list[tuple[int, int, Optional[tuple[Word, Word]]]]:
+        """The table as (a, b, entry) with a < b, sorted; see _entry."""
+        n = self.n_atoms
+        return sorted(
+            (key // n, key % n, pair) for key, pair in self._lcm_table.items() if key // n < key % n
+        )
+
+    def node_quotient(self, node: int, a: int) -> int:
+        """The node g with g*a = node, or -1 when a does not right-divide it.
+
+        The result is a plain witness word, not a canonical form.  Each
+        nested call divides a strictly shorter word, so the recursion is at
+        most as deep as the word is long.
+        """
+        key = node * self.n_atoms + a
+        res = self._quotients.get(key)
+        if res is not None:
+            return res
+        b = self.node_last[node]
+        if b < 0 or self.atom_target[a] != self.node_tgt[node]:
+            res = -1
+        elif a == b:
+            res = self.node_parent[node]
+        else:
+            entry = self._lcm_table[a * self.n_atoms + b]
+            if entry is None:
+                res = -1
+            else:
+                comp_a, comp_b = entry
+                res = self.node_parent[node]
+                for c in reversed(comp_b.atoms):
+                    res = self.node_quotient(res, c)
+                    if res < 0:
+                        break
+                else:
+                    for c in comp_a.atoms:
+                        res = self.extend(res, c)
+        self._quotients[key] = res
+        return res
+
+    def node_divide(self, w: int, u: int) -> int:
+        """The node g with g*u = w, or -1, dividing by the atoms of u from
+        the right."""
+        parent, last = self.node_parent, self.node_last
+        while u >= self.n_objects and w >= 0:
+            w = self.node_quotient(w, last[u])
+            u = parent[u]
+        return w
 
     def quotient_atom(self, w: Word, a: int) -> Optional[Word]:
         """The word g with g*a = w, or None when a does not right-divide w.
 
         The result is a plain witness word, not a canonical form.
         """
-        if not w.atoms:
-            return None
-        if self.atom_target[a] != self.word_target(w):
-            return None
-        key = (w, a)
-        cache = self._quot_cache
-        if key in cache:
-            return cache[key]
-        h = Word(w.src, w.atoms[:-1])
-        b = w.atoms[-1]
-        if a == b:
-            res: Optional[Word] = h
-        else:
-            entry = self._entry(a, b)
-            if entry is None:
-                res = None
-            else:
-                comp_a, comp_b = entry
-                y = self.quotient_word(h, comp_b)
-                res = None if y is None else Word(y.src, y.atoms + comp_a.atoms)
-        cache[key] = res
-        return res
+        q = self.node_quotient(self.intern(w), a)
+        return None if q < 0 else self.node_word(q)
 
     def quotient_word(self, w: Word, u: Word) -> Optional[Word]:
         """The word g with g*u = w, dividing by the atoms of u from the right."""
-        for a in reversed(u.atoms):
-            w = self.quotient_atom(w, a)
-            if w is None:
-                return None
-        return w
+        q = self.node_divide(self.intern(w), self.intern(u))
+        return None if q < 0 else self.node_word(q)
 
     def right_divides(self, a: int, f: Word) -> bool:
         """Whether some g satisfies g*a = f."""
         if self.atom_target[a] != self.word_target(f):
             raise PreconditionError("atom and word have different targets")
-        return self.quotient_atom(f, a) is not None
+        return self.node_quotient(self.intern(f), a) >= 0
 
     def left_quotient(self, f: Word, a: int, ordering: Optional[AtomOrdering] = None) -> Word:
         """The unique g with g*a = f, in canonical form."""
-        q = self.quotient_atom(f, a)
-        if q is None:
+        q = self.node_quotient(self.intern(f), a)
+        if q < 0:
             raise DivisionError(
                 f"atom {self.atom_names[a]!r} does not right-divide {self.word_names(f)}"
             )
-        return self.canonical_form(q, ordering)
+        return self.node_word(self.kernel(ordering).canonical(q))
 
     # -- lcm folds ----------------------------------------------------------
 
@@ -441,55 +519,30 @@ class GaussianStructure:
 
     # -- canonical forms ----------------------------------------------------
 
-    def _caches_for(self, ordering: AtomOrdering) -> tuple[dict, dict]:
-        caches = self._ord_caches.get(ordering.ranks)
-        if caches is None:
-            caches = ({}, {})
-            self._ord_caches[ordering.ranks] = caches
-        return caches
+    def kernel(self, ordering: Optional[AtomOrdering] = None) -> "WordKernel":
+        """The id-level least divisors and canonical forms for an ordering."""
+        ordering = ordering or self._default_ordering
+        kernel = self._kernels.get(ordering.ranks)
+        if kernel is None:
+            kernel = self._kernels[ordering.ranks] = WordKernel(self, ordering)
+        return kernel
 
     def least_divisor(self, f: Word, ordering: Optional[AtomOrdering] = None) -> int:
         """The least atom, in the ordering, right-dividing the nonempty word f."""
         if not f.atoms:
             raise PreconditionError("identity words have no atom divisors")
-        ordering = ordering or self._default_ordering
-        _, md_cache = self._caches_for(ordering)
-        if f in md_cache:
-            return md_cache[f]
-        tgt = self.word_target(f)
-        res = None
-        for a in ordering.sorted_atoms(self.atoms_by_target[tgt]):
-            if self.quotient_atom(f, a) is not None:
-                res = a
-                break
-        if res is None:
-            raise ConsistencyError(f"no atom right-divides {self.word_names(f)}")
-        md_cache[f] = res
-        return res
+        return self.kernel(ordering).least_divisor(self.intern(f))
 
     def canonical_form(self, f: Word, ordering: Optional[AtomOrdering] = None) -> Word:
         """Canonical representative: repeatedly strip the least right-divisor."""
-        ordering = ordering or self._default_ordering
-        canon_cache, _ = self._caches_for(ordering)
-        if f in canon_cache:
-            return canon_cache[f]
-        out = []
-        w = f
-        while w.atoms:
-            a = self.least_divisor(w, ordering)
-            w = self.quotient_atom(w, a)
-            out.append(a)
-        out.reverse()
-        res = Word(f.src, tuple(out))
-        canon_cache[f] = res
-        canon_cache[res] = res
-        return res
+        return self.node_word(self.kernel(ordering).canonical(self.intern(f)))
 
     def word_equal(self, f: Word, g: Word) -> bool:
         """Whether two words represent the same morphism."""
         if f.src != g.src or self.word_length(f) != self.word_length(g):
             return False
-        return self.canonical_form(f) == self.canonical_form(g)
+        canonical = self.kernel().canonical
+        return canonical(self.intern(f)) == canonical(self.intern(g))
 
     def left_divides(self, u: Word, w: Word) -> bool:
         """Whether some h satisfies u*h = w.
@@ -534,7 +587,7 @@ class GaussianStructure:
         if depth < 1:
             raise PreconditionError("depth must be positive")
         violations: list[str] = []
-        for (a, b), pair in sorted(self._entries.items()):
+        for a, b, pair in self.lcm_entries():
             names = (self.atom_names[a], self.atom_names[b])
             if pair is None:
                 continue
@@ -548,7 +601,7 @@ class GaussianStructure:
                 if not self.word_equal(wa, wb):
                     violations.append(f"LCM({names[0]},{names[1]}): sides are not equal as morphisms")
                     continue
-                if self.quotient_atom(wa, b) is None:
+                if not self.right_divides(b, wa):
                     violations.append(f"LCM({names[0]},{names[1]}): {names[1]} does not divide the lcm")
             except (ConsistencyError, RecursionError):
                 violations.append(f"LCM({names[0]},{names[1]}): word arithmetic failed on this entry")
@@ -585,3 +638,84 @@ class GaussianStructure:
             f"GaussianStructure({name}: {len(self.object_names)} object(s), "
             f"{self.n_atoms} atom(s))"
         )
+
+
+class WordKernel:
+    """Least divisors, canonical forms and canonical products of the trie
+    nodes of one structure under one atom ordering, memoized by node id.
+
+    Obtain one through GaussianStructure.kernel(ordering).
+    """
+
+    def __init__(self, struct: GaussianStructure, ordering: AtomOrdering):
+        self.struct = struct
+        # per target object, its atoms in increasing order
+        self.candidates = [ordering.sorted_atoms(atoms) for atoms in struct.atoms_by_target]
+        self._least: dict[int, int] = {}
+        self._canonical: dict[int, int] = {}
+        self._products: dict[int, int] = {}  # (g << 32) | w -> canonical node
+
+    def least_divisor(self, node: int) -> int:
+        """The least atom right-dividing a non-identity node."""
+        least = self._least.get(node)
+        if least is None:
+            struct = self.struct
+            quotient = struct.node_quotient
+            for a in self.candidates[struct.node_tgt[node]]:
+                if quotient(node, a) >= 0:
+                    least = self._least[node] = a
+                    return a
+            raise ConsistencyError(f"no atom right-divides {struct.word_names(struct.node_word(node))}")
+        return least
+
+    def canonical(self, node: int) -> int:
+        """Canonical node of the morphism: canon(f) = canon(f/a)*a with a the
+        least divisor of f.  Every node stripped on the way is cached too."""
+        canonical = self._canonical
+        res = canonical.get(node)
+        if res is not None:
+            return res
+        struct = self.struct
+        stripped = []
+        w = node
+        while res is None:
+            if w < struct.n_objects:
+                res = w
+                break
+            a = self.least_divisor(w)
+            stripped.append((w, a))
+            w = struct.node_quotient(w, a)
+            res = canonical.get(w)
+        least = self._least
+        extend = struct.extend
+        for w, a in reversed(stripped):
+            res = extend(res, a)
+            canonical[w] = canonical[res] = res
+            # the last atom of a canonical word is its least divisor
+            least[res] = a
+        return res
+
+    def product(self, g: int, w: int) -> int:
+        """Canonical node of the composite g*w: canon(g*w'*b) =
+        canon(canon(g*w')*b), memoized for every prefix w' of w."""
+        products = self._products
+        key = (g << 32) | w
+        res = products.get(key)
+        if res is not None:
+            return res
+        struct = self.struct
+        parent, last = struct.node_parent, struct.node_last
+        pending = []
+        while w >= struct.n_objects:
+            pending.append((key, last[w]))
+            w = parent[w]
+            key = (g << 32) | w
+            res = products.get(key)
+            if res is not None:
+                break
+        else:
+            res = self.canonical(g)
+        canonical, extend = self.canonical, struct.extend
+        for key, b in reversed(pending):
+            res = products[key] = canonical(extend(res, b))
+        return res

@@ -18,14 +18,8 @@ from .coefficients import (
 )
 from .gaussian import AtomOrdering, GaussianStructure
 from .linalg import HomologyGroup, homology_at
-from .resolution import CellComplex, build_complex
+from .resolution import CellComplex, build_complex, default_max_dim
 from .rings import poly_monic, poly_str, poly_valuation
-
-
-def default_max_dim(struct: GaussianStructure) -> int:
-    """Number of atoms at the busiest object, capped at 8."""
-    busiest = max((len(t) for t in struct.atoms_by_target), default=0)
-    return min(busiest, 8)
 
 
 def laurent_normalize(group: HomologyGroup) -> HomologyGroup:

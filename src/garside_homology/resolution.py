@@ -10,10 +10,20 @@ per cell; contraction and reduction are only additive, so the reduction is
 cached on the one family of elementary chains the recursion actually hits:
 complement[A] pairs coming from a cell [a, A].
 
-Chains are plain dicts mapping (coefficient word, cell) to a nonzero integer,
-with coefficient words kept canonical so that collecting terms is exact.
+Chains are plain dicts mapping (coefficient, cell) to a nonzero integer, with
+coefficients kept canonical so that collecting terms is exact.  Inside the
+recursion a coefficient is an interned word id of the structure's trie (see
+gaussian.py), so every lookup hashes an int; the public methods
+(`differential`, `contracting_*`, `reduce_chain`, `boundary_chain`, `act`)
+take and return chains keyed by `Word`, and so do `CellComplex.boundaries`.
 Treat chains as immutable values: combine them with chain_iadd into fresh
 accumulators, never mutate one you were given.
+
+The caches are per resolution: cell lcms (as canonical ids), cells by atom
+tuple, per cell the complements x with x*lcm = lcm(a, lcm) for each atom a
+(so the least divisor of f*lcm is found by dividing f, never by building
+f*lcm), differentials per cell, and the stored reductions keyed by
+(id, cell).  The word kernel's own caches live on the structure.
 """
 
 from __future__ import annotations
@@ -66,13 +76,22 @@ def chain_sub(a: Chain, b: Chain) -> Chain:
     return chain_iadd(chain_iadd({}, a), b, -1)
 
 
+def default_max_dim(struct: GaussianStructure) -> int:
+    """Number of atoms at the busiest object, capped at 8."""
+    busiest = max((len(t) for t in struct.atoms_by_target), default=0)
+    return min(busiest, 8)
+
+
 class OrderResolution:
     """The free resolution attached to a structure and an atom ordering.
 
-    All methods are deterministic functions of (structure, ordering); the
-    caches only ever hold values any caller would recompute identically, so
-    instances can be shared across threads for reading.  Set memo=False to
-    recompute everything from scratch (for cross-validation; much slower).
+    The recursion runs on interned word ids (see gaussian.py): its chains
+    map (node, cell) to a multiplicity.  The public methods take and return
+    Word-keyed chains.  All methods are deterministic functions of
+    (structure, ordering); a resolution shares its structure's word trie,
+    so it must not be used from several threads at once.  Set memo=False to
+    recompute differentials and reductions from scratch (for
+    cross-validation; much slower).
     """
 
     def __init__(
@@ -86,21 +105,32 @@ class OrderResolution:
         self.ordering = ordering if ordering is not None else struct.default_ordering()
         if len(self.ordering.ranks) != struct.n_atoms:
             raise PreconditionError("ordering does not cover the atoms")
+        self.kernel = struct.kernel(self.ordering)
         self.memo = memo
-        self._lcm_cache: dict[Cell, Word] = {}
+        self._lcm_cache: dict[Cell, int] = {}  # cell -> canonical node of its lcm
         self._cell_by_atoms: dict[tuple[int, ...], Cell] = {}
         self._diff_cache: dict[Cell, Chain] = {}
-        self._reduce_cache: dict[tuple[Word, Cell], Chain] = {}
+        self._reduce_cache: dict[tuple[int, Cell], Chain] = {}
+        self._complement_cache: dict[Cell, list[tuple[int, int]]] = {}
         if max_dim is None:
-            busiest = max((len(t) for t in struct.atoms_by_target), default=0)
-            max_dim = min(busiest, 8)
+            max_dim = default_max_dim(struct)
         self.max_dim = max_dim
         self.cells: list[list[Cell]] = self._enumerate(max_dim)
 
-    # -- cells ---------------------------------------------------------------
+    # -- Word-keyed boundary ---------------------------------------------------
 
     def _canon(self, w: Word) -> Word:
         return self.struct.canonical_form(w, self.ordering)
+
+    def _words(self, chain: Chain) -> Chain:
+        word = self.struct.node_word
+        return {(word(node), cell): m for (node, cell), m in chain.items()}
+
+    def _nodes(self, chain: Chain) -> Chain:
+        intern = self.struct.intern
+        return {(intern(w), cell): m for (w, cell), m in chain.items()}
+
+    # -- cells ---------------------------------------------------------------
 
     def zero_cell(self, obj: int) -> Cell:
         return Cell((), obj)
@@ -115,55 +145,62 @@ class OrderResolution:
             res = self.struct.left_lcm(atoms)
             if res is None:
                 raise PreconditionError("cell atoms admit no common left-multiple")
-            lcm = self._canon(res[0])
-            cell = Cell(atoms, lcm.src)
+            lcm = self.kernel.canonical(self.struct.intern(res[0]))
+            cell = Cell(atoms, self.struct.node_src[lcm])
             self._lcm_cache[cell] = lcm
             self._cell_by_atoms[atoms] = cell
         return cell
 
+    def _cell_lcm(self, cell: Cell) -> int:
+        node = self._lcm_cache.get(cell)
+        if node is None:
+            node = self._cell_lcm(self.make_cell(cell.atoms)) if cell.atoms else cell.src
+            self._lcm_cache[cell] = node
+        return node
+
     def cell_lcm(self, cell: Cell) -> Word:
-        w = self._lcm_cache.get(cell)
-        if w is None:
-            if not cell.atoms:
-                w = Word(cell.src, ())
-            else:
-                w = self.cell_lcm(self.make_cell(cell.atoms))
-            self._lcm_cache[cell] = w
-        return w
+        return self.struct.node_word(self._cell_lcm(cell))
 
     def cell_target(self, cell: Cell) -> int:
         if cell.atoms:
             return self.struct.atom_target[cell.atoms[0]]
         return cell.src
 
-    def _try_extend(self, alpha: int, cell: Cell) -> Optional[Cell]:
-        """The cell [alpha, cell] if the tuple satisfies the cell condition."""
-        lcm = self.cell_lcm(cell)
-        res = self.struct.lcm_with_atom(lcm, alpha)
-        if res is None:
-            return None
-        x, _ = res
-        joined = self._canon(Word(x.src if x.atoms else lcm.src, x.atoms + lcm.atoms))
-        if self.struct.least_divisor(joined, self.ordering) != alpha:
-            return None
-        new = Cell((alpha,) + cell.atoms, joined.src)
-        self._lcm_cache[new] = joined
-        self._cell_by_atoms[new.atoms] = new
-        return new
+    def _complements(self, cell: Cell) -> list[tuple[int, int]]:
+        """Pairs (a, x), for the atoms a at the cell's target in increasing
+        order that have a left-lcm with the cell lcm L, where x*L is that
+        lcm and x is canonical.  So a right-divides f*L exactly when x
+        right-divides f."""
+        pairs = self._complement_cache.get(cell)
+        if pairs is None:
+            struct = self.struct
+            lcm = struct.node_word(self._cell_lcm(cell))
+            pairs = []
+            for a in self.kernel.candidates[self.cell_target(cell)]:
+                res = struct.lcm_with_atom(lcm, a)
+                if res is not None:
+                    pairs.append((a, self.kernel.canonical(struct.intern(res[0]))))
+            self._complement_cache[cell] = pairs
+        return pairs
 
     def _enumerate(self, max_dim: int) -> list[list[Cell]]:
         ranks = self.ordering.ranks
+        kernel = self.kernel
         dims = [[self.zero_cell(x) for x in range(len(self.struct.object_names))]]
         for _ in range(max_dim):
             layer = []
             for cell in dims[-1]:
-                tgt = self.cell_target(cell)
-                bound = ranks[cell.atoms[0]] if cell.atoms else None
-                for alpha in self.struct.atoms_by_target[tgt]:
-                    if bound is not None and ranks[alpha] >= bound:
-                        continue
-                    new = self._try_extend(alpha, cell)
-                    if new is not None:
+                bound = ranks[cell.atoms[0]] if cell.atoms else len(ranks)
+                lcm = self._cell_lcm(cell)
+                for alpha, x in self._complements(cell):
+                    if ranks[alpha] >= bound:
+                        break
+                    # [alpha, cell] is a cell when alpha is least in x*lcm
+                    joined = kernel.canonical(self.struct.node_concat(x, lcm))
+                    if kernel.least_divisor(joined) == alpha:
+                        new = Cell((alpha,) + cell.atoms, self.struct.node_src[joined])
+                        self._lcm_cache[new] = joined
+                        self._cell_by_atoms[new.atoms] = new
                         layer.append(new)
             layer.sort(key=lambda c: tuple(ranks[a] for a in c.atoms))
             dims.append(layer)
@@ -199,53 +236,77 @@ class OrderResolution:
             return self.zero_cell(self.struct.atom_target[cell.atoms[0]])
         return self.make_cell(rest)
 
-    def act(self, g: Word, chain: Chain) -> Chain:
-        """Left action of a word on a chain (the module structure)."""
-        if not g.atoms:
+    def _act(self, g: int, chain: Chain) -> Chain:
+        if g < self.struct.n_objects:
             return chain
+        product = self.kernel.product
         out: Chain = {}
         for (w, cell), m in chain.items():
-            gw = self._canon(Word(g.src, g.atoms + w.atoms))
-            chain_iadd(out, {(gw, cell): 1}, m)
+            key = (product(g, w), cell)
+            new = out.get(key, 0) + m
+            if new:
+                out[key] = new
+            else:
+                del out[key]
         return out
 
-    def differential(self, cell: Cell) -> Chain:
-        """Boundary of a cell of dimension >= 1 (cached per cell)."""
-        if not cell.atoms:
-            raise PreconditionError("the boundary of a zero cell is the augmentation, not a chain")
+    def act(self, g: Word, chain: Chain) -> Chain:
+        """Left action of a word on a chain (the module structure)."""
+        return self._words(self._act(self.struct.intern(g), self._nodes(chain)))
+
+    def _differential(self, cell: Cell) -> Chain:
         cached = self._diff_cache.get(cell)
         if cached is not None:
             return cached
         rest = self._rest_cell(cell)
-        u = self.struct.quotient_word(self.cell_lcm(cell), self.cell_lcm(rest))
-        if u is None:
+        u = self.struct.node_divide(self._cell_lcm(cell), self._cell_lcm(rest))
+        if u < 0:
             raise ConsistencyError("cell lcm is not a multiple of its facet lcm")
-        u = self._canon(u)
+        u = self.kernel.canonical(u)
         out: Chain = {(u, rest): 1}
         chain_iadd(out, self._reduce_elem(u, rest, store=True), -1)
         if self.memo:
             self._diff_cache[cell] = out
         return out
 
-    def boundary_chain(self, chain: Chain) -> Chain:
-        """Module-linear extension of the differential to chains of dim >= 1."""
+    def differential(self, cell: Cell) -> Chain:
+        """Boundary of a cell of dimension >= 1 (cached per cell)."""
+        if not cell.atoms:
+            raise PreconditionError("the boundary of a zero cell is the augmentation, not a chain")
+        return self._words(self._differential(cell))
+
+    def _boundary_chain(self, chain: Chain) -> Chain:
         acc: Chain = {}
         for (w, cell), m in chain.items():
-            chain_iadd(acc, self.act(w, self.differential(cell)), m)
+            if not cell.atoms:
+                raise PreconditionError("the boundary of a zero cell is the augmentation, not a chain")
+            chain_iadd(acc, self._act(w, self._differential(cell)), m)
         return acc
+
+    def boundary_chain(self, chain: Chain) -> Chain:
+        """Module-linear extension of the differential to chains of dim >= 1."""
+        return self._words(self._boundary_chain(self._nodes(chain)))
 
     def augmentation(self, chain: Chain) -> int:
         """Degree-0 augmentation: every elementary 0-chain maps to 1."""
         return sum(chain.values())
 
+    def _least_over(self, f: int, cell: Cell) -> tuple[int, int, int]:
+        """(alpha, x, g) for the least atom alpha right-dividing f*lcm(cell) of
+        a cell of dimension >= 1, with x as in _complements and g*x = f."""
+        divide = self.struct.node_divide
+        for alpha, x in self._complements(cell):
+            g = divide(f, x)
+            if g >= 0:
+                return alpha, x, g
+        raise ConsistencyError("the cell's first atom does not divide its lcm")
+
     def irreducible(self, f: Word, cell: Cell) -> bool:
         if not cell.atoms:
             return not f.atoms
-        lcm = self.cell_lcm(cell)
-        flcm = Word(f.src if f.atoms else lcm.src, f.atoms + lcm.atoms)
-        return self.struct.least_divisor(flcm, self.ordering) == cell.atoms[0]
+        return self._least_over(self.struct.intern(f), cell)[0] == cell.atoms[0]
 
-    def _reduce_elem(self, f: Word, cell: Cell, store: bool) -> Chain:
+    def _reduce_elem(self, f: int, cell: Cell, store: bool) -> Chain:
         """Reduction of the elementary chain f[cell]; store caches the result.
 
         Only the complement-shaped chains reached from differentials are
@@ -253,12 +314,13 @@ class OrderResolution:
         cache.
         """
         if not cell.atoms:
-            return {(Word(f.src, ()), Cell((), f.src)): 1}
+            src = self.struct.node_src[f]
+            return {(src, Cell((), src)): 1}
         key = (f, cell)
         cached = self._reduce_cache.get(key)
         if cached is not None:
             return cached
-        val = self.contracting_chain(self.act(f, self.differential(cell)))
+        val = self._contracting_chain(self._act(f, self._differential(cell)))
         if self.memo and store:
             self._reduce_cache[key] = val
         return val
@@ -266,54 +328,52 @@ class OrderResolution:
     def reduce_chain(self, chain: Chain) -> Chain:
         """The reduction map, term by term (only additive, not module-linear)."""
         acc: Chain = {}
-        for (w, cell), m in chain.items():
+        for (w, cell), m in self._nodes(chain).items():
             chain_iadd(acc, self._reduce_elem(w, cell, store=False), m)
+        return self._words(acc)
+
+    def _contracting_chain(self, chain: Chain) -> Chain:
+        acc: Chain = {}
+        for (w, cell), m in chain.items():
+            chain_iadd(acc, self._contracting_elem(w, cell), m)
         return acc
 
     def contracting_chain(self, chain: Chain) -> Chain:
         """The contracting homotopy, term by term."""
-        acc: Chain = {}
-        for (w, cell), m in chain.items():
-            chain_iadd(acc, self.contracting_elem(w, cell), m)
+        return self._words(self._contracting_chain(self._nodes(chain)))
+
+    def _contracting_elem(self, f: int, cell: Cell) -> Chain:
+        struct = self.struct
+        kernel = self.kernel
+        if not cell.atoms:
+            # degree 0: telescope f down its canonical decomposition
+            acc: Chain = {}
+            w = kernel.canonical(f)
+            while w >= struct.n_objects:
+                alpha = kernel.least_divisor(w)
+                g = kernel.canonical(struct.node_quotient(w, alpha))
+                one_cell = Cell((alpha,), struct.atom_source[alpha])
+                chain_iadd(acc, {(g, one_cell): 1})
+                w = g
+            return acc
+        alpha, x, g = self._least_over(f, cell)
+        if alpha == cell.atoms[0]:
+            return {}
+        if x < struct.n_objects:
+            raise ConsistencyError("least divisor already divides the cell lcm")
+        g = kernel.canonical(g)
+        new_cell = Cell((alpha,) + cell.atoms, struct.node_src[x])
+        if new_cell not in self._lcm_cache:
+            self._lcm_cache[new_cell] = kernel.canonical(struct.node_concat(x, self._cell_lcm(cell)))
+        acc: Chain = {(g, new_cell): 1}
+        reduced = self._reduce_elem(x, cell, store=True)
+        chain_iadd(acc, self._contracting_chain(self._act(g, reduced)))
         return acc
 
     def contracting_elem(self, f: Word, cell: Cell) -> Chain:
         """Homotopy on one elementary chain: 0 if irreducible, else the
         telescoping step through the cell extended by the least divisor."""
-        struct = self.struct
-        if not cell.atoms:
-            # degree 0: telescope f down its canonical decomposition
-            acc: Chain = {}
-            w = self._canon(f)
-            while w.atoms:
-                alpha = struct.least_divisor(w, self.ordering)
-                g = self._canon(struct.quotient_atom(w, alpha))
-                one_cell = Cell((alpha,), struct.atom_source[alpha])
-                chain_iadd(acc, {(g, one_cell): 1})
-                w = g
-            return acc
-        lcm = self.cell_lcm(cell)
-        flcm = Word(f.src if f.atoms else lcm.src, f.atoms + lcm.atoms)
-        alpha = struct.least_divisor(flcm, self.ordering)
-        if alpha == cell.atoms[0]:
-            return {}
-        res = struct.lcm_with_atom(lcm, alpha)
-        if res is None:
-            raise ConsistencyError("least divisor admits no lcm with the cell")
-        x = self._canon(res[0])
-        if not x.atoms:
-            raise ConsistencyError("least divisor already divides the cell lcm")
-        g = struct.quotient_word(f, x)
-        if g is None:
-            raise ConsistencyError("complement does not left-divide the coefficient")
-        g = self._canon(g)
-        new_cell = Cell((alpha,) + cell.atoms, x.src)
-        if new_cell not in self._lcm_cache:
-            self._lcm_cache[new_cell] = self._canon(Word(x.src, x.atoms + lcm.atoms))
-        acc: Chain = {(g, new_cell): 1}
-        reduced = self._reduce_elem(x, cell, store=True)
-        chain_iadd(acc, self.contracting_chain(self.act(g, reduced)))
-        return acc
+        return self._words(self._contracting_elem(self.struct.intern(f), cell))
 
     # -- comparisons for the termination order (used by checks) ----------------
 
@@ -335,11 +395,11 @@ class OrderResolution:
         """Raise if the composite of two differentials is nonzero anywhere."""
         for n in range(2, len(self.cells)):
             for cell in self.cells[n]:
-                composite = self.boundary_chain(self.differential(cell))
+                composite = self._boundary_chain(self._differential(cell))
                 if composite:
                     raise ConsistencyError(f"boundary of boundary is nonzero on {cell}")
         for cell in self.cells[1] if len(self.cells) > 1 else []:
-            if self.augmentation(self.differential(cell)) != 0:
+            if self.augmentation(self._differential(cell)) != 0:
                 raise ConsistencyError(f"augmented boundary is nonzero on {cell}")
 
 

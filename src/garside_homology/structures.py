@@ -410,7 +410,7 @@ def serialize_structure(struct: GaussianStructure) -> str:
                 struct.atom_length[a],
             )
         )
-    for (a, b), pair in sorted(struct._entries.items()):
+    for a, b, pair in struct.lcm_entries():
         names = (struct.atom_names[a], struct.atom_names[b])
         if pair is None:
             lines.append(f"NOLCM {names[0]} {names[1]}")

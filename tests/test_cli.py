@@ -167,3 +167,18 @@ def test_declared_order_from_file(tmp_path):
     code, out, _ = run_cli(["cells", "--structure", str(path), "--order", "identity"])
     assert code == 0
     assert out.strip() == "1 3 3 1"
+
+
+def test_escaping_recursion_error_exits_4(monkeypatch):
+    from garside_homology import cli
+
+    def too_deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "cmd_cells", too_deep)
+    code, out, err = run_cli(["cells", "--structure", "builtin:artin:A2"])
+    assert code == 4
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "recursion" in err

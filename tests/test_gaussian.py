@@ -1,8 +1,11 @@
 """Core word arithmetic checked against the raw presentations."""
 
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rewriting
 from garside_homology import (
@@ -309,3 +312,78 @@ def test_ordering_validation():
     with pytest.raises(PreconditionError):
         AtomOrdering.from_sequence([0, 2])
     assert AtomOrdering.identity(3).sorted_atoms([2, 0, 1]) == [0, 1, 2]
+
+
+# -- the interned word kernel against the rewriting oracle --------------------
+
+KERNEL_STRUCTS = {**ORACLE_STRUCTS, "B2": artin_named("B2")}
+
+
+@st.composite
+def oracle_case(draw):
+    """(presentation name, word, second word, atom order); the second word
+    is half the time a rewriting of the first, else an independent word."""
+    name = draw(st.sampled_from(sorted(KERNEL_STRUCTS)))
+    letters = rewriting.PRESENTATIONS[name][0]
+    u = draw(st.text(alphabet=letters, max_size=7))
+    if draw(st.booleans()):
+        v = "".join(draw(st.sampled_from(sorted(rewriting.closure(name, u)))))
+    else:
+        v = draw(st.text(alphabet=letters, max_size=7))
+    order = "".join(draw(st.permutations(letters)))
+    return name, u, v, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_case())
+def test_canonical_form_decides_oracle_equivalence(case):
+    name, u, v, order = case
+    struct = KERNEL_STRUCTS[name]
+    ordering = AtomOrdering.from_sequence([struct.atom_index[x] for x in order])
+    cu = struct.canonical_form(wordify(struct, u), ordering)
+    cv = struct.canonical_form(wordify(struct, v), ordering)
+    assert (cu == cv) == rewriting.equal(name, u, v)
+    assert rewriting.equal(name, "".join(struct.word_names(cu)), u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_case())
+def test_quotient_atom_matches_oracle(case):
+    name, w, _, _ = case
+    struct = KERNEL_STRUCTS[name]
+    divisors = rewriting.right_divisors(name, w)
+    for atom_name in rewriting.PRESENTATIONS[name][0]:
+        q = struct.quotient_atom(wordify(struct, w), struct.atom_index[atom_name])
+        assert (q is not None) == (atom_name in divisors)
+        if q is not None:
+            assert rewriting.equal(name, "".join(struct.word_names(q)) + atom_name, w)
+
+
+def test_e8_delta_squared_canonicalizes_within_depth_bound():
+    # every Coxeter element c of E8 has c^15 = w0 (the exponents are all
+    # odd), so c^30 spells Delta^2, 240 atoms, through two Coxeter elements.
+    # Division nests at most once per atom of the word, so 240 frames and a
+    # few for the callers must do.
+    atoms = list(range(8))
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 240 + 40)
+    try:
+        for order in (atoms, atoms[::-1]):
+            struct = artin_named("E8")  # cold caches for each ordering
+            ordering = AtomOrdering.from_sequence(order)
+            forward = struct.word(atoms * 30)
+            backward = struct.word(atoms[::-1] * 30)
+            canon = struct.canonical_form(forward, ordering)
+            assert len(canon.atoms) == 240
+            assert struct.canonical_form(backward, ordering) == canon
+            assert struct.canonical_form(canon, ordering) == canon
+            # Delta^2 is divisible by every atom, least first
+            assert struct.least_divisor(canon, ordering) == order[0]
+            assert all(struct.right_divides(a, canon) for a in atoms)
+    finally:
+        sys.setrecursionlimit(limit)

@@ -386,3 +386,89 @@ def test_dual_a3_counts():
     res = OrderResolution(struct, optimize_ordering(struct), max_dim=3)
     assert bounds.lower <= res.cell_counts()[2] <= bounds.upper
     res.check_boundary_squared()
+
+
+# -- pinned differentials ---------------------------------------------------------
+
+# Boundaries of build_complex under the auto ordering, recorded with the
+# Word-keyed kernel that preceded interned word ids.  Cell -> its boundary's
+# terms "multiplicity coefficient[cell]", sorted; "1" is the identity and
+# "[]" the zero cell.
+BOUNDARIES_AT_AUTO_ORDERING = {
+    "A3": {
+        "a": "+1 a[]  -1 1[]",
+        "b": "+1 b[]  -1 1[]",
+        "c": "+1 c[]  -1 1[]",
+        "ab": "+1 1[b]  +1 b[a]  +1 ba[b]  -1 1[a]  -1 a[b]  -1 ab[a]",
+        "ac": "+1 1[a]  +1 a[c]  -1 1[c]  -1 c[a]",
+        "bc": "+1 1[c]  +1 c[b]  +1 cb[c]  -1 1[b]  -1 b[c]  -1 bc[b]",
+        "abc": (
+            "+1 a[bc]  +1 abc[ab]  +1 b[ac]  +1 c[ab]  +1 cab[ac]  +1 cba[bc]  -1 1[ab]  "
+            "-1 1[ac]  -1 1[bc]  -1 ab[ac]  -1 ba[bc]  -1 bc[ab]  -1 bcab[ac]  -1 cb[ac]"
+        ),
+    },
+    "G13": {
+        "b": "+1 b[]  -1 1[]",
+        "a": "+1 a[]  -1 1[]",
+        "c": "+1 c[]  -1 1[]",
+        "ba": (
+            "+1 1[b]  +1 b[c]  +1 bc[a]  +1 bca[b]  +1 bcab[a]  -1 1[a]  -1 a[b]  "
+            "-1 ab[c]  -1 abc[a]  -1 abca[b]"
+        ),
+        "bc": "+1 1[c]  +1 c[a]  +1 ca[b]  +1 cab[c]  -1 1[b]  -1 b[c]  -1 bc[a]  -1 bca[b]",
+    },
+    "H3": {
+        "a": "+1 a[]  -1 1[]",
+        "b": "+1 b[]  -1 1[]",
+        "c": "+1 c[]  -1 1[]",
+        "ab": (
+            "+1 1[b]  +1 b[a]  +1 ba[b]  +1 bab[a]  +1 baba[b]  -1 1[a]  -1 a[b]  "
+            "-1 ab[a]  -1 aba[b]  -1 abab[a]"
+        ),
+        "ac": "+1 1[a]  +1 a[c]  -1 1[c]  -1 c[a]",
+        "bc": "+1 1[c]  +1 c[b]  +1 cb[c]  -1 1[b]  -1 b[c]  -1 bc[b]",
+        "abc": (
+            "+1 1[ab]  +1 1[ac]  +1 1[bc]  +1 ab[ac]  +1 abab[ac]  +1 ababcbab[ac]  "
+            "+1 abcaba[bc]  +1 abcababc[ab]  +1 abcababcabab[ac]  +1 abcababcbaba[bc]  "
+            "+1 abcbab[ac]  +1 ba[bc]  +1 baba[bc]  +1 babc[ab]  +1 babcab[ac]  "
+            "+1 babcabab[ac]  +1 babcbaba[bc]  +1 bc[ab]  +1 bcab[ac]  +1 bcabab[ac]  "
+            "+1 bcababcbab[ac]  +1 bcbaba[bc]  +1 caba[bc]  +1 cababc[ab]  "
+            "+1 cababcabab[ac]  +1 cababcbaba[bc]  +1 cb[ac]  +1 cbab[ac]  "
+            "+1 cbabcaba[bc]  +1 cbabcababc[ab]  +1 cbabcbab[ac]  -1 a[bc]  -1 aba[bc]  "
+            "-1 ababc[ab]  -1 ababcabab[ac]  -1 ababcbaba[bc]  -1 abc[ab]  -1 abcab[ac]  "
+            "-1 abcabab[ac]  -1 abcababcbab[ac]  -1 abcbaba[bc]  -1 b[ac]  -1 bab[ac]  "
+            "-1 babcaba[bc]  -1 babcababc[ab]  -1 babcababcabab[ac]  -1 babcbab[ac]  "
+            "-1 bcaba[bc]  -1 bcababc[ab]  -1 bcababcabab[ac]  -1 bcababcbaba[bc]  "
+            "-1 bcbab[ac]  -1 c[ab]  -1 cab[ac]  -1 cabab[ac]  -1 cababcbab[ac]  "
+            "-1 cba[bc]  -1 cbaba[bc]  -1 cbabc[ab]  -1 cbabcab[ac]  -1 cbabcabab[ac]  "
+            "-1 cbabcbaba[bc]"
+        ),
+    },
+}
+
+
+def spell_boundaries(struct, cx):
+    def spell(atoms):
+        return "".join(struct.atom_names[a] for a in atoms)
+
+    out = {}
+    for n in range(1, len(cx.boundaries)):
+        for cell in cx.cells[n]:
+            terms = sorted(
+                f"{m:+d} {spell(w.atoms) or '1'}[{spell(c.atoms)}]"
+                for (w, c), m in cx.boundaries[n][cell].items()
+            )
+            out[spell(cell.atoms)] = "  ".join(terms)
+    return out
+
+
+def test_differentials_match_recorded():
+    for name, struct in [
+        ("A3", artin_named("A3")),
+        ("G13", circulating_structure("G13")),
+        ("H3", artin_named("H3")),
+    ]:
+        spelled = spell_boundaries(struct, build_complex(struct, optimize_ordering(struct)))
+        expected = BOUNDARIES_AT_AUTO_ORDERING[name]
+        assert list(spelled) == list(expected), name
+        assert spelled == expected, name
