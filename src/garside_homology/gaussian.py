@@ -13,18 +13,18 @@ problem is solved by reversing against the lcm table; to divide h*b by an
 atom a one looks up lcm(a, b) = x*a = y*b, divides h by y atom by atom, and
 appends x.
 
-Inside, words are interned as int ids in a prefix trie owned by the
-structure: ids 0..n_objects-1 are the identities, and every other node
-stores its parent, last atom, source and target, so dropping the last atom
-is a lookup.  The word kernel works on these ids: `node_quotient` (division
-by an atom) on the structure, and least divisors, canonical forms and
-canonical products per atom ordering on a `WordKernel`.  The `Word` methods
-(`quotient_atom`, `least_divisor`, `canonical_form`, ...) are adapters that
-intern their argument and spell out the result.  The caches that remain are
-all int-keyed: the trie's child table, the quotient memo, and per ordering
-the least divisors, canonical forms and canonical products.  They grow for
-the structure's lifetime and assign ids in insertion order, so a structure
-must not be used from several threads at once.
+Inside, morphisms are canonical words: under an atom ordering, canon(f) =
+canon(f/a)*a with a the least atom right-dividing f.  Canonical words are
+closed under prefixes, so each ordering has a `WordKernel` holding them in a
+prefix trie of int ids, where the last atom of a node is its least divisor.
+Its two memoized primitives, `div` (divide by an atom) and `mul` (multiply by
+an atom), return canonical nodes; interning a word folds `mul` over it.  The
+`Word` methods (`quotient_atom`, `least_divisor`, `canonical_form`, ...) are
+adapters that intern their argument in `kernel(ordering)` (declaration order
+when none is given) and spell out the result, so `quotient_atom` returns the
+canonical quotient.  The kernel's trie and memos grow for the structure's
+lifetime and assign ids in insertion order, so a structure must not be used
+from several threads at once.
 """
 
 from __future__ import annotations
@@ -244,14 +244,7 @@ class GaussianStructure:
 
         self.label = label
 
-        # the word trie: node ids 0..n_objects-1 are the identities
         self.n_objects = len(self.object_names)
-        self.node_parent: list[int] = [-1] * self.n_objects
-        self.node_last: list[int] = [-1] * self.n_objects
-        self.node_src: list[int] = list(range(self.n_objects))
-        self.node_tgt: list[int] = list(range(self.n_objects))
-        self._children: dict[int, int] = {}  # node * n_atoms + atom -> node
-        self._quotients: dict[int, int] = {}  # node * n_atoms + atom -> node or -1
         self._kernels: dict[tuple, WordKernel] = {}  # ordering ranks -> kernel
         self._default_ordering = AtomOrdering.identity(self.n_atoms)
 
@@ -313,46 +306,6 @@ class GaussianStructure:
     def default_ordering(self) -> AtomOrdering:
         return self._default_ordering
 
-    # -- interned words ------------------------------------------------------
-
-    def extend(self, node: int, atom: int) -> int:
-        """The node of node*atom; the caller guarantees composability."""
-        key = node * self.n_atoms + atom
-        child = self._children.get(key)
-        if child is None:
-            child = len(self.node_last)
-            self._children[key] = child
-            self.node_parent.append(node)
-            self.node_last.append(atom)
-            self.node_src.append(self.node_src[node])
-            self.node_tgt.append(self.atom_target[atom])
-        return child
-
-    def intern(self, w: Word) -> int:
-        """The node of a word, added to the trie if new."""
-        node = w.src
-        for a in w.atoms:
-            if self.atom_source[a] != self.node_tgt[node]:
-                raise PreconditionError(f"word {w} is not composable")
-            node = self.extend(node, a)
-        return node
-
-    def node_word(self, node: int) -> Word:
-        """Spell a node out as a Word."""
-        parent, last = self.node_parent, self.node_last
-        atoms = []
-        while node >= self.n_objects:
-            atoms.append(last[node])
-            node = parent[node]
-        atoms.reverse()
-        return Word(node, tuple(atoms))
-
-    def node_concat(self, u: int, v: int) -> int:
-        """The node of the word u followed by the word v."""
-        for a in self.node_word(v).atoms:
-            u = self.extend(u, a)
-        return u
-
     # -- division by reversing -------------------------------------------
 
     def _entry(self, a: int, b: int) -> Optional[tuple[Word, Word]]:
@@ -371,75 +324,35 @@ class GaussianStructure:
             (key // n, key % n, pair) for key, pair in self._lcm_table.items() if key // n < key % n
         )
 
-    def node_quotient(self, node: int, a: int) -> int:
-        """The node g with g*a = node, or -1 when a does not right-divide it.
-
-        The result is a plain witness word, not a canonical form.  Each
-        nested call divides a strictly shorter word, so the recursion is at
-        most as deep as the word is long.
-        """
-        key = node * self.n_atoms + a
-        res = self._quotients.get(key)
-        if res is not None:
-            return res
-        b = self.node_last[node]
-        if b < 0 or self.atom_target[a] != self.node_tgt[node]:
-            res = -1
-        elif a == b:
-            res = self.node_parent[node]
-        else:
-            entry = self._lcm_table[a * self.n_atoms + b]
-            if entry is None:
-                res = -1
-            else:
-                comp_a, comp_b = entry
-                res = self.node_parent[node]
-                for c in reversed(comp_b.atoms):
-                    res = self.node_quotient(res, c)
-                    if res < 0:
-                        break
-                else:
-                    for c in comp_a.atoms:
-                        res = self.extend(res, c)
-        self._quotients[key] = res
-        return res
-
-    def node_divide(self, w: int, u: int) -> int:
-        """The node g with g*u = w, or -1, dividing by the atoms of u from
-        the right."""
-        parent, last = self.node_parent, self.node_last
-        while u >= self.n_objects and w >= 0:
-            w = self.node_quotient(w, last[u])
-            u = parent[u]
-        return w
-
     def quotient_atom(self, w: Word, a: int) -> Optional[Word]:
-        """The word g with g*a = w, or None when a does not right-divide w.
-
-        The result is a plain witness word, not a canonical form.
-        """
-        q = self.node_quotient(self.intern(w), a)
-        return None if q < 0 else self.node_word(q)
+        """The canonical word g (default ordering) with g*a = w, or None when
+        a does not right-divide w."""
+        kernel = self.kernel()
+        q = kernel.div(kernel.intern(w), a)
+        return None if q < 0 else kernel.word(q)
 
     def quotient_word(self, w: Word, u: Word) -> Optional[Word]:
-        """The word g with g*u = w, dividing by the atoms of u from the right."""
-        q = self.node_divide(self.intern(w), self.intern(u))
-        return None if q < 0 else self.node_word(q)
+        """The canonical word g (default ordering) with g*u = w, or None."""
+        kernel = self.kernel()
+        q = kernel.divide(kernel.intern(w), kernel.intern(u))
+        return None if q < 0 else kernel.word(q)
 
     def right_divides(self, a: int, f: Word) -> bool:
         """Whether some g satisfies g*a = f."""
         if self.atom_target[a] != self.word_target(f):
             raise PreconditionError("atom and word have different targets")
-        return self.node_quotient(self.intern(f), a) >= 0
+        kernel = self.kernel()
+        return kernel.div(kernel.intern(f), a) >= 0
 
     def left_quotient(self, f: Word, a: int, ordering: Optional[AtomOrdering] = None) -> Word:
         """The unique g with g*a = f, in canonical form."""
-        q = self.node_quotient(self.intern(f), a)
+        kernel = self.kernel(ordering)
+        q = kernel.div(kernel.intern(f), a)
         if q < 0:
             raise DivisionError(
                 f"atom {self.atom_names[a]!r} does not right-divide {self.word_names(f)}"
             )
-        return self.node_word(self.kernel(ordering).canonical(q))
+        return kernel.word(q)
 
     # -- lcm folds ----------------------------------------------------------
 
@@ -520,7 +433,8 @@ class GaussianStructure:
     # -- canonical forms ----------------------------------------------------
 
     def kernel(self, ordering: Optional[AtomOrdering] = None) -> "WordKernel":
-        """The id-level least divisors and canonical forms for an ordering."""
+        """The canonical words and their arithmetic under an ordering
+        (default: declaration order)."""
         ordering = ordering or self._default_ordering
         kernel = self._kernels.get(ordering.ranks)
         if kernel is None:
@@ -531,18 +445,20 @@ class GaussianStructure:
         """The least atom, in the ordering, right-dividing the nonempty word f."""
         if not f.atoms:
             raise PreconditionError("identity words have no atom divisors")
-        return self.kernel(ordering).least_divisor(self.intern(f))
+        kernel = self.kernel(ordering)
+        return kernel.last[kernel.intern(f)]
 
     def canonical_form(self, f: Word, ordering: Optional[AtomOrdering] = None) -> Word:
         """Canonical representative: repeatedly strip the least right-divisor."""
-        return self.node_word(self.kernel(ordering).canonical(self.intern(f)))
+        kernel = self.kernel(ordering)
+        return kernel.word(kernel.intern(f))
 
     def word_equal(self, f: Word, g: Word) -> bool:
         """Whether two words represent the same morphism."""
         if f.src != g.src or self.word_length(f) != self.word_length(g):
             return False
-        canonical = self.kernel().canonical
-        return canonical(self.intern(f)) == canonical(self.intern(g))
+        kernel = self.kernel()
+        return kernel.intern(f) == kernel.intern(g)
 
     def left_divides(self, u: Word, w: Word) -> bool:
         """Whether some h satisfies u*h = w.
@@ -554,25 +470,23 @@ class GaussianStructure:
         lu = self.word_length(u)
         if u.src != w.src or lu > self.word_length(w):
             return False
-        target = self.canonical_form(u)
-        seen: dict[Word, bool] = {}
-
-        def strip(wc: Word) -> bool:
-            if self.word_length(wc) == lu:
-                return wc == target
-            if wc in seen:
-                return seen[wc]
-            seen[wc] = False
-            res = False
-            for a in self.atoms_by_target[self.word_target(wc)]:
-                q = self.quotient_atom(wc, a)
-                if q is not None and strip(self.canonical_form(q)):
-                    res = True
-                    break
-            seen[wc] = res
-            return res
-
-        return strip(self.canonical_form(w))
+        kernel = self.kernel()
+        target = kernel.intern(u)
+        start = kernel.intern(w)
+        seen = {start}
+        stack = [(start, self.word_length(w))]
+        while stack:
+            node, length = stack.pop()
+            if length == lu:
+                if node == target:
+                    return True
+                continue
+            for a in self.atoms_by_target[kernel.target(node)]:
+                q = kernel.div(node, a)
+                if q >= 0 and q not in seen:
+                    seen.add(q)
+                    stack.append((q, length - self.atom_length[a]))
+        return False
 
     # -- validation ----------------------------------------------------------
 
@@ -641,72 +555,169 @@ class GaussianStructure:
 
 
 class WordKernel:
-    """Least divisors, canonical forms and canonical products of the trie
-    nodes of one structure under one atom ordering, memoized by node id.
+    """The canonical words of one structure under one atom ordering.
+
+    Canonical words are closed under prefixes, so they are interned in a
+    prefix trie: ids 0..n_objects-1 are the identities, and every other
+    node stores its parent, its last atom and its source.  A node is a
+    morphism, and its last atom is its least right-divisor.  Two memoized
+    primitives, which call each other directly, make up the arithmetic:
+    `div` divides a node by an atom and `mul` multiplies it by one, both
+    returning canonical nodes.  Each nested call works on a strictly
+    shorter morphism, so the recursion is at most as deep as the word is
+    long.
 
     Obtain one through GaussianStructure.kernel(ordering).
     """
 
     def __init__(self, struct: GaussianStructure, ordering: AtomOrdering):
         self.struct = struct
+        self.n_objects = n_obj = struct.n_objects
+        self.n_atoms = n = struct.n_atoms
+        self.ranks = ranks = ordering.ranks
         # per target object, its atoms in increasing order
         self.candidates = [ordering.sorted_atoms(atoms) for atoms in struct.atoms_by_target]
-        self._least: dict[int, int] = {}
-        self._canonical: dict[int, int] = {}
+        # _pairs[a * n + b] = (comp_a, reversed comp_b), comp_a*a = comp_b*b
+        # the left-lcm of distinct atoms a, b at one target, or None
+        self._pairs: dict[int, Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {
+            key: None if entry is None else (entry[0].atoms, entry[1].atoms[::-1])
+            for key, entry in struct._lcm_table.items()
+        }
+        # per atom b, (a, comp_a, reversed comp_b) for the atoms a below b
+        # that have a left-lcm with b, in increasing order
+        self._below: list[list[tuple]] = [
+            [
+                (a,) + self._pairs[a * n + b]
+                for a in self.candidates[struct.atom_target[b]]
+                if ranks[a] < ranks[b] and self._pairs[a * n + b] is not None
+            ]
+            for b in range(n)
+        ]
+        self.parent: list[int] = [-1] * n_obj
+        self.last: list[int] = [-1] * n_obj
+        self.src: list[int] = list(range(n_obj))
+        self._div: dict[int, int] = {}  # node * n_atoms + atom -> node or -1
+        # node * n_atoms + atom -> canonical node of the product; this is
+        # also the trie's child table, since canon(x*b) is the child of x
+        # when b is the least divisor of x*b
+        self._mul: dict[int, int] = {}
         self._products: dict[int, int] = {}  # (g << 32) | w -> canonical node
 
-    def least_divisor(self, node: int) -> int:
-        """The least atom right-dividing a non-identity node."""
-        least = self._least.get(node)
-        if least is None:
-            struct = self.struct
-            quotient = struct.node_quotient
-            for a in self.candidates[struct.node_tgt[node]]:
-                if quotient(node, a) >= 0:
-                    least = self._least[node] = a
-                    return a
-            raise ConsistencyError(f"no atom right-divides {struct.word_names(struct.node_word(node))}")
-        return least
+    def _child(self, node: int, atom: int) -> int:
+        """The trie node of node*atom, which the caller knows is canonical
+        (atom is its least divisor); added if new."""
+        key = node * self.n_atoms + atom
+        child = self._mul.get(key)
+        if child is None:
+            child = self._mul[key] = len(self.last)
+            self.parent.append(node)
+            self.last.append(atom)
+            self.src.append(self.src[node])
+        return child
 
-    def canonical(self, node: int) -> int:
-        """Canonical node of the morphism: canon(f) = canon(f/a)*a with a the
-        least divisor of f.  Every node stripped on the way is cached too."""
-        canonical = self._canonical
-        res = canonical.get(node)
+    def div(self, x: int, a: int) -> int:
+        """The canonical node g with g*a = x, or -1 when a does not
+        right-divide x.
+
+        With c the last atom of x (its least divisor), a can divide x only
+        if c <= a.  An atom a above c divides x exactly when the left-lcm
+        comp_a*a = comp_c*c does, and then x/a = (parent/comp_c)*comp_a.
+        """
+        c = self.last[x]
+        if c == a:
+            return self.parent[x]
+        if c < 0 or self.ranks[a] < self.ranks[c]:
+            return -1
+        key = x * self.n_atoms + a
+        res = self._div.get(key)
+        if res is None:
+            entry = self._pairs.get(a * self.n_atoms + c)
+            if entry is None:  # different targets, or no common multiple
+                res = -1
+            else:
+                comp_a, comp_c_rev = entry
+                res = self.parent[x]
+                div = self.div
+                for d in comp_c_rev:
+                    res = div(res, d)
+                    if res < 0:
+                        break
+                else:
+                    mul = self.mul
+                    for d in comp_a:
+                        res = mul(res, d)
+            self._div[key] = res
+        return res
+
+    def mul(self, x: int, b: int) -> int:
+        """The canonical node of x*b; the caller guarantees composability.
+
+        The least divisor of x*b is the first atom a below b whose
+        complement comp_b (comp_a*a = comp_b*b) divides x, and then
+        canon(x*b) = canon((x/comp_b)*comp_a)*a; without one it is b.
+        """
+        key = x * self.n_atoms + b
+        res = self._mul.get(key)
         if res is not None:
             return res
-        struct = self.struct
-        stripped = []
-        w = node
-        while res is None:
-            if w < struct.n_objects:
-                res = w
-                break
-            a = self.least_divisor(w)
-            stripped.append((w, a))
-            w = struct.node_quotient(w, a)
-            res = canonical.get(w)
-        least = self._least
-        extend = struct.extend
-        for w, a in reversed(stripped):
-            res = extend(res, a)
-            canonical[w] = canonical[res] = res
-            # the last atom of a canonical word is its least divisor
-            least[res] = a
-        return res
+        div = self.div
+        for a, comp_a, comp_b_rev in self._below[b]:
+            h = x
+            for d in comp_b_rev:
+                h = div(h, d)
+                if h < 0:
+                    break
+            else:
+                mul = self.mul
+                for d in comp_a:
+                    h = mul(h, d)
+                res = self._mul[key] = self._child(h, a)
+                return res
+        return self._child(x, b)
+
+    def intern(self, w: Word) -> int:
+        """The canonical node of a word."""
+        node = w.src
+        atom_source, mul = self.struct.atom_source, self.mul
+        for a in w.atoms:
+            if atom_source[a] != self.target(node):
+                raise PreconditionError(f"word {w} is not composable")
+            node = mul(node, a)
+        return node
+
+    def word(self, node: int) -> Word:
+        """Spell a node out as a Word."""
+        parent, last = self.parent, self.last
+        atoms = []
+        while node >= self.n_objects:
+            atoms.append(last[node])
+            node = parent[node]
+        atoms.reverse()
+        return Word(node, tuple(atoms))
+
+    def target(self, node: int) -> int:
+        return node if node < self.n_objects else self.struct.atom_target[self.last[node]]
+
+    def divide(self, w: int, u: int) -> int:
+        """The canonical node g with g*u = w, or -1, dividing by the atoms
+        of u from the right."""
+        parent, last, div = self.parent, self.last, self.div
+        while u >= self.n_objects and w >= 0:
+            w = div(w, last[u])
+            u = parent[u]
+        return w
 
     def product(self, g: int, w: int) -> int:
         """Canonical node of the composite g*w: canon(g*w'*b) =
-        canon(canon(g*w')*b), memoized for every prefix w' of w."""
+        mul(canon(g*w'), b), memoized for every prefix w' of w."""
         products = self._products
         key = (g << 32) | w
         res = products.get(key)
         if res is not None:
             return res
-        struct = self.struct
-        parent, last = struct.node_parent, struct.node_last
+        parent, last = self.parent, self.last
         pending = []
-        while w >= struct.n_objects:
+        while w >= self.n_objects:
             pending.append((key, last[w]))
             w = parent[w]
             key = (g << 32) | w
@@ -714,8 +725,8 @@ class WordKernel:
             if res is not None:
                 break
         else:
-            res = self.canonical(g)
-        canonical, extend = self.canonical, struct.extend
+            res = g
+        mul = self.mul
         for key, b in reversed(pending):
-            res = products[key] = canonical(extend(res, b))
+            res = products[key] = mul(res, b)
         return res

@@ -12,18 +12,20 @@ complement[A] pairs coming from a cell [a, A].
 
 Chains are plain dicts mapping (coefficient, cell) to a nonzero integer, with
 coefficients kept canonical so that collecting terms is exact.  Inside the
-recursion a coefficient is an interned word id of the structure's trie (see
-gaussian.py), so every lookup hashes an int; the public methods
+recursion a coefficient is a node of the ordering's word kernel (see
+gaussian.py): an int id that is the morphism itself, since the kernel
+interns canonical words only.  The least divisor of a node is its last atom,
+so the degree-0 contraction just walks up the trie.  The public methods
 (`differential`, `contracting_*`, `reduce_chain`, `boundary_chain`, `act`)
 take and return chains keyed by `Word`, and so do `CellComplex.boundaries`.
 Treat chains as immutable values: combine them with chain_iadd into fresh
 accumulators, never mutate one you were given.
 
-The caches are per resolution: cell lcms (as canonical ids), cells by atom
-tuple, per cell the complements x with x*lcm = lcm(a, lcm) for each atom a
-(so the least divisor of f*lcm is found by dividing f, never by building
-f*lcm), differentials per cell, and the stored reductions keyed by
-(id, cell).  The word kernel's own caches live on the structure.
+The caches are per resolution: cell lcms (as nodes), cells by atom tuple,
+per cell the complements x with x*lcm = lcm(a, lcm) for each atom a (so the
+least divisor of f*lcm is found by dividing f, never by building f*lcm),
+differentials per cell, and the stored reductions keyed by (node, cell).
+The word kernel's own caches live on the structure, one kernel per ordering.
 """
 
 from __future__ import annotations
@@ -85,13 +87,14 @@ def default_max_dim(struct: GaussianStructure) -> int:
 class OrderResolution:
     """The free resolution attached to a structure and an atom ordering.
 
-    The recursion runs on interned word ids (see gaussian.py): its chains
-    map (node, cell) to a multiplicity.  The public methods take and return
-    Word-keyed chains.  All methods are deterministic functions of
-    (structure, ordering); a resolution shares its structure's word trie,
-    so it must not be used from several threads at once.  Set memo=False to
-    recompute differentials and reductions from scratch (for
-    cross-validation; much slower).
+    The recursion runs on the canonical nodes of the ordering's word kernel
+    (see gaussian.py): its chains map (node, cell) to a multiplicity.  The
+    public methods take and return Word-keyed chains.  All methods are
+    deterministic functions of (structure, ordering); a resolution shares
+    the word kernel its structure keeps for the ordering, so it must not be
+    used from several threads at once.  Set memo=False to recompute
+    differentials and reductions from scratch (for cross-validation; much
+    slower).
     """
 
     def __init__(
@@ -123,12 +126,16 @@ class OrderResolution:
         return self.struct.canonical_form(w, self.ordering)
 
     def _words(self, chain: Chain) -> Chain:
-        word = self.struct.node_word
+        word = self.kernel.word
         return {(word(node), cell): m for (node, cell), m in chain.items()}
 
     def _nodes(self, chain: Chain) -> Chain:
-        intern = self.struct.intern
-        return {(intern(w), cell): m for (w, cell), m in chain.items()}
+        """Intern a Word-keyed chain; words spelling one morphism add up."""
+        intern = self.kernel.intern
+        out: Chain = {}
+        for (w, cell), m in chain.items():
+            chain_iadd(out, {(intern(w), cell): m})
+        return out
 
     # -- cells ---------------------------------------------------------------
 
@@ -145,8 +152,8 @@ class OrderResolution:
             res = self.struct.left_lcm(atoms)
             if res is None:
                 raise PreconditionError("cell atoms admit no common left-multiple")
-            lcm = self.kernel.canonical(self.struct.intern(res[0]))
-            cell = Cell(atoms, self.struct.node_src[lcm])
+            lcm = self.kernel.intern(res[0])
+            cell = Cell(atoms, self.kernel.src[lcm])
             self._lcm_cache[cell] = lcm
             self._cell_by_atoms[atoms] = cell
         return cell
@@ -159,7 +166,7 @@ class OrderResolution:
         return node
 
     def cell_lcm(self, cell: Cell) -> Word:
-        return self.struct.node_word(self._cell_lcm(cell))
+        return self.kernel.word(self._cell_lcm(cell))
 
     def cell_target(self, cell: Cell) -> int:
         if cell.atoms:
@@ -173,13 +180,13 @@ class OrderResolution:
         right-divides f."""
         pairs = self._complement_cache.get(cell)
         if pairs is None:
-            struct = self.struct
-            lcm = struct.node_word(self._cell_lcm(cell))
+            kernel = self.kernel
+            lcm = kernel.word(self._cell_lcm(cell))
             pairs = []
-            for a in self.kernel.candidates[self.cell_target(cell)]:
-                res = struct.lcm_with_atom(lcm, a)
+            for a in kernel.candidates[self.cell_target(cell)]:
+                res = self.struct.lcm_with_atom(lcm, a)
                 if res is not None:
-                    pairs.append((a, self.kernel.canonical(struct.intern(res[0]))))
+                    pairs.append((a, kernel.intern(res[0])))
             self._complement_cache[cell] = pairs
         return pairs
 
@@ -196,9 +203,9 @@ class OrderResolution:
                     if ranks[alpha] >= bound:
                         break
                     # [alpha, cell] is a cell when alpha is least in x*lcm
-                    joined = kernel.canonical(self.struct.node_concat(x, lcm))
-                    if kernel.least_divisor(joined) == alpha:
-                        new = Cell((alpha,) + cell.atoms, self.struct.node_src[joined])
+                    joined = kernel.product(x, lcm)
+                    if kernel.last[joined] == alpha:
+                        new = Cell((alpha,) + cell.atoms, kernel.src[joined])
                         self._lcm_cache[new] = joined
                         self._cell_by_atoms[new.atoms] = new
                         layer.append(new)
@@ -224,7 +231,7 @@ class OrderResolution:
             res = self.struct.left_lcm(atoms[i:])
             if res is None:
                 return False
-            if self.struct.least_divisor(self._canon(res[0]), self.ordering) != atoms[i]:
+            if self.struct.least_divisor(res[0], self.ordering) != atoms[i]:
                 return False
         return True
 
@@ -252,17 +259,16 @@ class OrderResolution:
 
     def act(self, g: Word, chain: Chain) -> Chain:
         """Left action of a word on a chain (the module structure)."""
-        return self._words(self._act(self.struct.intern(g), self._nodes(chain)))
+        return self._words(self._act(self.kernel.intern(g), self._nodes(chain)))
 
     def _differential(self, cell: Cell) -> Chain:
         cached = self._diff_cache.get(cell)
         if cached is not None:
             return cached
         rest = self._rest_cell(cell)
-        u = self.struct.node_divide(self._cell_lcm(cell), self._cell_lcm(rest))
+        u = self.kernel.divide(self._cell_lcm(cell), self._cell_lcm(rest))
         if u < 0:
             raise ConsistencyError("cell lcm is not a multiple of its facet lcm")
-        u = self.kernel.canonical(u)
         out: Chain = {(u, rest): 1}
         chain_iadd(out, self._reduce_elem(u, rest, store=True), -1)
         if self.memo:
@@ -294,7 +300,7 @@ class OrderResolution:
     def _least_over(self, f: int, cell: Cell) -> tuple[int, int, int]:
         """(alpha, x, g) for the least atom alpha right-dividing f*lcm(cell) of
         a cell of dimension >= 1, with x as in _complements and g*x = f."""
-        divide = self.struct.node_divide
+        divide = self.kernel.divide
         for alpha, x in self._complements(cell):
             g = divide(f, x)
             if g >= 0:
@@ -304,7 +310,7 @@ class OrderResolution:
     def irreducible(self, f: Word, cell: Cell) -> bool:
         if not cell.atoms:
             return not f.atoms
-        return self._least_over(self.struct.intern(f), cell)[0] == cell.atoms[0]
+        return self._least_over(self.kernel.intern(f), cell)[0] == cell.atoms[0]
 
     def _reduce_elem(self, f: int, cell: Cell, store: bool) -> Chain:
         """Reduction of the elementary chain f[cell]; store caches the result.
@@ -314,7 +320,7 @@ class OrderResolution:
         cache.
         """
         if not cell.atoms:
-            src = self.struct.node_src[f]
+            src = self.kernel.src[f]
             return {(src, Cell((), src)): 1}
         key = (f, cell)
         cached = self._reduce_cache.get(key)
@@ -343,28 +349,25 @@ class OrderResolution:
         return self._words(self._contracting_chain(self._nodes(chain)))
 
     def _contracting_elem(self, f: int, cell: Cell) -> Chain:
-        struct = self.struct
         kernel = self.kernel
         if not cell.atoms:
-            # degree 0: telescope f down its canonical decomposition
+            # degree 0: telescope f down its canonical decomposition, whose
+            # least divisors are the last atoms up the trie
             acc: Chain = {}
-            w = kernel.canonical(f)
-            while w >= struct.n_objects:
-                alpha = kernel.least_divisor(w)
-                g = kernel.canonical(struct.node_quotient(w, alpha))
-                one_cell = Cell((alpha,), struct.atom_source[alpha])
-                chain_iadd(acc, {(g, one_cell): 1})
-                w = g
+            parent, last, atom_source = kernel.parent, kernel.last, self.struct.atom_source
+            while f >= kernel.n_objects:
+                alpha = last[f]
+                f = parent[f]
+                acc[(f, Cell((alpha,), atom_source[alpha]))] = 1
             return acc
         alpha, x, g = self._least_over(f, cell)
         if alpha == cell.atoms[0]:
             return {}
-        if x < struct.n_objects:
+        if x < kernel.n_objects:
             raise ConsistencyError("least divisor already divides the cell lcm")
-        g = kernel.canonical(g)
-        new_cell = Cell((alpha,) + cell.atoms, struct.node_src[x])
+        new_cell = Cell((alpha,) + cell.atoms, kernel.src[x])
         if new_cell not in self._lcm_cache:
-            self._lcm_cache[new_cell] = kernel.canonical(struct.node_concat(x, self._cell_lcm(cell)))
+            self._lcm_cache[new_cell] = kernel.product(x, self._cell_lcm(cell))
         acc: Chain = {(g, new_cell): 1}
         reduced = self._reduce_elem(x, cell, store=True)
         chain_iadd(acc, self._contracting_chain(self._act(g, reduced)))
@@ -373,7 +376,7 @@ class OrderResolution:
     def contracting_elem(self, f: Word, cell: Cell) -> Chain:
         """Homotopy on one elementary chain: 0 if irreducible, else the
         telescoping step through the cell extended by the least divisor."""
-        return self._words(self._contracting_elem(self.struct.intern(f), cell))
+        return self._words(self._contracting_elem(self.kernel.intern(f), cell))
 
     # -- comparisons for the termination order (used by checks) ----------------
 
@@ -383,13 +386,14 @@ class OrderResolution:
         atoms."""
         f, a_cell = term1
         g, b_cell = term2
-        wa = self._canon(Word(f.src if f.atoms else a_cell.src, f.atoms + self.cell_lcm(a_cell).atoms))
-        wb = self._canon(Word(g.src if g.atoms else b_cell.src, g.atoms + self.cell_lcm(b_cell).atoms))
-        if self.struct.word_equal(wa, wb):
+        intern = self.kernel.intern
+        wa = intern(Word(f.src if f.atoms else a_cell.src, f.atoms + self.cell_lcm(a_cell).atoms))
+        wb = intern(Word(g.src if g.atoms else b_cell.src, g.atoms + self.cell_lcm(b_cell).atoms))
+        if wa == wb:
             if not a_cell.atoms or not b_cell.atoms:
                 return False
             return self.ordering.rank(a_cell.atoms[0]) < self.ordering.rank(b_cell.atoms[0])
-        return self.struct.left_divides(wa, wb)
+        return self.struct.left_divides(self.kernel.word(wa), self.kernel.word(wb))
 
     def check_boundary_squared(self) -> None:
         """Raise if the composite of two differentials is nonzero anywhere."""

@@ -16,10 +16,11 @@ from .gaussian import GaussianError, GaussianStructure, PreconditionError
 
 
 class ParseError(GaussianError):
-    """Structure file error, carrying the offending line number."""
+    """Structure file error, carrying the offending line number (None for
+    errors of the file as a whole, such as a missing lcm pair)."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: Optional[int], message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -296,6 +297,7 @@ def parse_structure(text: str) -> GaussianStructure:
     basepoint = None
     path_lengths: dict[str, int] = {}
     order: Optional[list[str]] = None
+    order_line = 0
     seen_objects: set[str] = set()
     seen_atoms: dict[str, tuple[str, str]] = {}
     seen_pairs: set[frozenset] = set()
@@ -361,6 +363,10 @@ def parse_structure(text: str) -> GaussianStructure:
             if pair in seen_pairs:
                 raise ParseError(lineno, f"duplicate lcm entry for ({a!r}, {b!r})")
             seen_pairs.add(pair)
+            for word, atom in zip(comps or (), (a, b)):
+                ends = [seen_atoms[x] for x in word] + [seen_atoms[atom]]
+                if any(ends[i][1] != ends[i + 1][0] for i in range(len(ends) - 1)):
+                    raise ParseError(lineno, f"LCM({a},{b}): complement does not compose with its atom")
             lcms.append((a, b, comps))
         elif kind == "BASEOBJECT":
             if len(fields) != 2 or fields[1] not in seen_objects:
@@ -374,7 +380,7 @@ def parse_structure(text: str) -> GaussianStructure:
             except ValueError:
                 raise ParseError(lineno, f"bad path length {fields[2]!r}") from None
         elif kind == "ORDER":
-            order = fields[1:]
+            order, order_line = fields[1:], lineno
             for atom in order:
                 if atom not in seen_atoms:
                     raise ParseError(lineno, f"ORDER references undeclared atom {atom!r}")
@@ -383,6 +389,8 @@ def parse_structure(text: str) -> GaussianStructure:
 
     if not header_seen:
         raise ParseError(1, "empty input; expected header 'GAUSSIAN-STRUCTURE v1'")
+    if order is not None and sorted(order) != sorted(seen_atoms):
+        raise ParseError(order_line, "ORDER must list every atom exactly once")
     try:
         return GaussianStructure(
             objects,
@@ -393,7 +401,7 @@ def parse_structure(text: str) -> GaussianStructure:
             declared_order=order,
         )
     except PreconditionError as exc:
-        raise ParseError(0, str(exc)) from exc
+        raise ParseError(None, str(exc)) from exc
 
 
 def serialize_structure(struct: GaussianStructure) -> str:

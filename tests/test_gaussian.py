@@ -16,6 +16,8 @@ from garside_homology import (
     Word,
     artin_named,
     circulating_structure,
+    parse_structure,
+    serialize_structure,
 )
 
 ORACLE_STRUCTS = {
@@ -357,6 +359,34 @@ def test_quotient_atom_matches_oracle(case):
         assert (q is not None) == (atom_name in divisors)
         if q is not None:
             assert rewriting.equal(name, "".join(struct.word_names(q)) + atom_name, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_case(), st.data())
+def test_kernel_trie_holds_canonical_words_only(case, data):
+    # every node of a kernel's trie is a canonical word: its last atom is
+    # the least right-divisor, in the kernel's ordering, of the word it
+    # spells (and so of each prefix, since the prefixes are nodes too)
+    name, u, v, order = case
+    letters = rewriting.PRESENTATIONS[name][0]
+    struct = parse_structure(serialize_structure(KERNEL_STRUCTS[name]))  # cold kernels
+    ordering = AtomOrdering.from_sequence([struct.atom_index[x] for x in order])
+    calls = data.draw(
+        st.lists(
+            st.tuples(st.booleans(), st.text(alphabet=letters, max_size=7), st.sampled_from(letters)),
+            max_size=6,
+        )
+    )
+    for canonical, w, atom_name in [(True, u, ""), (False, v, order[-1])] + calls:
+        if canonical:
+            struct.canonical_form(wordify(struct, w), ordering)
+        else:
+            struct.quotient_atom(wordify(struct, w), struct.atom_index[atom_name])
+    for kernel_order in (order, "".join(struct.atom_names)):
+        kernel = struct.kernel(AtomOrdering.from_sequence([struct.atom_index[x] for x in kernel_order]))
+        for node in range(kernel.n_objects, len(kernel.last)):
+            spelled = "".join(struct.word_names(kernel.word(node)))
+            assert spelled[-1] == rewriting.md(name, spelled, kernel_order)
 
 
 def test_e8_delta_squared_canonicalizes_within_depth_bound():

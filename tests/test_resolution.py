@@ -472,3 +472,23 @@ def test_differentials_match_recorded():
         expected = BOUNDARIES_AT_AUTO_ORDERING[name]
         assert list(spelled) == list(expected), name
         assert spelled == expected, name
+
+
+def test_orderings_on_one_structure_keep_their_own_ids():
+    # each ordering interns its canonical words in a trie of its own, so
+    # building under one ordering leaves the other's ids and results alone
+    # (the `cells --compare-orderings` path); on H3 the auto ordering is
+    # the identity, so the reversed one stands in for it
+    for name, make, second in [
+        ("G13", circulating_structure, optimize_ordering),
+        ("H3", artin_named, lambda s: AtomOrdering.from_sequence(range(s.n_atoms)[::-1])),
+    ]:
+        shared = make(name)
+        identity, other = shared.default_ordering(), second(shared)
+        assert identity != other
+        first = build_complex(shared, identity).boundaries
+        then = build_complex(shared, other).boundaries
+        assert shared.kernel(identity) is not shared.kernel(other)
+        assert first == build_complex(make(name), identity).boundaries
+        assert then == build_complex(make(name), other).boundaries
+        assert first != then

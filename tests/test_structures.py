@@ -1,5 +1,8 @@
 """Built-in generators and the interchange format."""
 
+import io
+import sys
+
 import pytest
 
 import rewriting
@@ -17,6 +20,7 @@ from garside_homology import (
     parse_structure,
     serialize_structure,
 )
+from garside_homology.cli import main
 
 
 def test_coxeter_matrix_validation():
@@ -210,3 +214,54 @@ def test_artin_generic_matrix():
     # a rank-3 matrix with an m=2 pair builds and validates
     struct = artin_structure(CoxeterMatrix([[1, 4, 2], [4, 1, 3], [2, 3, 1]]))
     assert struct.validate(depth=3).ok
+
+
+def _cli_errors(tmp_path, text):
+    """(exit code, stderr) of `cells` on a structure file."""
+    path = tmp_path / "bad.gs"
+    path.write_text(text)
+    err = io.StringIO()
+    old, sys.stderr = sys.stderr, err
+    try:
+        code = main(["cells", "--structure", str(path)])
+    finally:
+        sys.stderr = old
+    return code, err.getvalue()
+
+
+def test_parse_reports_the_lcm_line_of_a_bad_complement(tmp_path):
+    # c ends at y, so it cannot come before a or b, which start at x
+    text = (
+        "GAUSSIAN-STRUCTURE v1\n"
+        "OBJECT x\nOBJECT y\n"
+        "ATOM a x x 1\nATOM b x x 1\nATOM c x y 1\n"
+        "LCM a b COMPL c c\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    assert err.value.line == 7
+    assert str(err.value) == "line 7: LCM(a,b): complement does not compose with its atom"
+    code, stderr = _cli_errors(tmp_path, text)
+    assert code == 2
+    assert stderr == "error: line 7: LCM(a,b): complement does not compose with its atom\n"
+
+
+def test_parse_whole_file_errors_carry_no_line(tmp_path):
+    text = "GAUSSIAN-STRUCTURE v1\nOBJECT *\nATOM a * * 1\nATOM b * * 1\n"
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    assert err.value.line is None
+    assert str(err.value) == "missing lcm entry for atoms ('a', 'b')"
+    code, stderr = _cli_errors(tmp_path, text)
+    assert code == 2
+    assert stderr == "error: missing lcm entry for atoms ('a', 'b')\n"
+
+
+def test_parse_reports_the_order_line():
+    text = (
+        "GAUSSIAN-STRUCTURE v1\nOBJECT *\nATOM a * * 1\nATOM b * * 1\n"
+        "LCM a b COMPL b.a a.b\nORDER a a\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    assert err.value.line == 6
