@@ -2,7 +2,7 @@
 
 Builds the free resolution attached to an ordering of the atoms, optimizes
 the ordering to shrink the resolution, specializes it through trivial, sign
-or Laurent coefficients, and reads off homology via Smith normal forms.
+or Laurent coefficients, and reads off homology from invariant factors.
 """
 
 from .gaussian import (
@@ -35,8 +35,8 @@ from .resolution import (
     optimize_ordering,
     two_cell_bounds,
 )
-from .coefficients import CoefficientSystem, cyclotomic, make_system, specialize
-from .linalg import HomologyGroup, ScalarMatrix, SNFResult, smith_normal_form
+from .coefficients import CoefficientSystem, make_system, specialize
+from .linalg import HomologyGroup, LaurentDomain, ScalarMatrix, invariant_factors
 from .homology import HomologyResult, compute_homology, format_group
 
 __all__ = [
@@ -51,10 +51,10 @@ __all__ = [
     "GaussianStructure",
     "HomologyGroup",
     "HomologyResult",
+    "LaurentDomain",
     "OrderResolution",
     "ParseError",
     "PreconditionError",
-    "SNFResult",
     "ScalarMatrix",
     "ValidationReport",
     "Word",
@@ -65,14 +65,13 @@ __all__ = [
     "circulating_structure",
     "compute_homology",
     "coxeter_matrix",
-    "cyclotomic",
     "dual_typeA_structure",
     "format_group",
+    "invariant_factors",
     "make_system",
     "optimize_ordering",
     "parse_structure",
     "serialize_structure",
-    "smith_normal_form",
     "specialize",
     "two_cell_bounds",
 ]

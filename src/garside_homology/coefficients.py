@@ -7,9 +7,10 @@ basepoint through chosen connecting paths; only their lengths matter, so a
 structure file ships a path length per object rather than the paths.
 
 Specializing a cell complex turns each chain-valued differential into a
-matrix over integers or over Laurent polynomials; Laurent columns are scaled
-by powers of the unit t so that entries land in plain polynomials, which is
-where Smith normal forms are computed.
+matrix over the integers or over the Laurent ring F[t, t^-1] itself, whose
+elements are (valuation, polynomial) pairs (linalg.LaurentDomain); negative
+exponents need no rescaling.  The cyclotomic polynomials name the divisors
+that Laurent homology prints.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from functools import lru_cache
 from typing import Optional
 
 from .gaussian import GaussianStructure, PreconditionError, Word
-from .linalg import IntegerDomain, PolynomialDomain, ScalarMatrix
+from .linalg import IntegerDomain, LaurentDomain, ScalarMatrix
 from .resolution import CellComplex
 from .rings import (
-    LaurentPoly,
     Poly,
     PrimeField,
     Rationals,
@@ -50,7 +50,7 @@ class CoefficientSystem:
 
     def domain(self):
         if self.kind == "laurent":
-            return PolynomialDomain(self.field)
+            return LaurentDomain(self.field)
         return IntegerDomain()
 
     def describe(self) -> str:
@@ -100,23 +100,17 @@ def scalar_of(struct: GaussianStructure, system: CoefficientSystem, word: Word):
     e = word_exponent(struct, word)
     if system.kind == "sign":
         return -1 if e % 2 else 1
-    return LaurentPoly.term(system.field, e)
+    return (e, (system.field.one,))
 
 
-def specialize(
-    cell_complex: CellComplex,
-    system: CoefficientSystem,
-    clearing: str = "column",
-) -> list[Optional[ScalarMatrix]]:
+def specialize(cell_complex: CellComplex, system: CoefficientSystem) -> list[Optional[ScalarMatrix]]:
     """Matrices of the differentials over the coefficient ring.
 
     Entry (B, A) of matrix n is the sum over the terms f[B] of the boundary
-    of the n-cell A of multiplicity * scalar_of(f).  For Laurent systems,
-    columns containing negative exponents are multiplied by a power of t
-    ('column' mode; 'global' scales the whole matrix instead, 'none' demands
-    the entries be polynomial already).  Index 0 of the returned list is
-    None: degree zero has no outgoing differential here, the resolution
-    continues by the augmentation.
+    of the n-cell A of multiplicity * scalar_of(f).  A Laurent entry is
+    built once from its exponent -> multiplicity sums.  Index 0 of the
+    returned list is None: degree zero has no outgoing differential here,
+    the resolution continues by the augmentation.
     """
     struct = cell_complex.structure
     mats: list[Optional[ScalarMatrix]] = [None]
@@ -126,49 +120,21 @@ def specialize(
         rows = cell_complex.cells[n - 1]
         cols = cell_complex.cells[n]
         row_index = {cell: i for i, cell in enumerate(rows)}
-        if laurent:
-            zero = LaurentPoly.zero(system.field)
-            work = [[zero] * len(cols) for _ in rows]
-        else:
-            work = [[0] * len(cols) for _ in rows]
+        entries = [[domain.zero] * len(cols) for _ in rows]
         for j, cell in enumerate(cols):
+            sums: dict[int, dict[int, int]] = {}
             for (word, facet), mult in cell_complex.boundaries[n][cell].items():
                 i = row_index[facet]
                 if laurent:
+                    terms = sums.setdefault(i, {})
                     e = word_exponent(struct, word)
-                    term = LaurentPoly(system.field, {e: system.field.from_int(mult)})
-                    work[i][j] = work[i][j] + term
+                    terms[e] = terms.get(e, 0) + mult
                 else:
-                    work[i][j] += mult * scalar_of(struct, system, word)
-        if laurent:
-            entries = _clear_laurent(work, len(rows), len(cols), system.field, clearing)
-        else:
-            entries = work
+                    entries[i][j] += mult * scalar_of(struct, system, word)
+            for i, terms in sums.items():
+                entries[i][j] = domain.from_exponents(terms)
         mats.append(ScalarMatrix(len(rows), len(cols), entries, domain))
     return mats
-
-
-def _clear_laurent(work, n_rows, n_cols, field, clearing):
-    def column_min(j):
-        exps = [work[i][j].min_exp() for i in range(n_rows) if work[i][j].coeffs]
-        return min(exps) if exps else 0
-
-    if clearing == "column":
-        shifts = [max(0, -column_min(j)) for j in range(n_cols)]
-    elif clearing == "global":
-        overall = min((column_min(j) for j in range(n_cols)), default=0)
-        shifts = [max(0, -overall)] * n_cols
-    elif clearing == "none":
-        shifts = [0] * n_cols
-    else:
-        raise PreconditionError(f"unknown clearing mode {clearing!r}")
-    entries = []
-    for i in range(n_rows):
-        row = []
-        for j in range(n_cols):
-            row.append(work[i][j].scale(shifts[j]).to_poly())
-        entries.append(row)
-    return entries
 
 
 # -- cyclotomic polynomials ------------------------------------------------------
@@ -192,12 +158,6 @@ def cyclotomic_poly(n: int, field) -> Poly:
     if n < 1:
         raise PreconditionError("cyclotomic index must be positive")
     return poly_from_ints(field, _cyclotomic_ints(n))
-
-
-def cyclotomic(n: int, field=None) -> LaurentPoly:
-    """Laurent wrapper around cyclotomic_poly (rationals by default)."""
-    field = field or Rationals()
-    return LaurentPoly.from_poly(field, cyclotomic_poly(n, field))
 
 
 def _totient(n: int) -> int:

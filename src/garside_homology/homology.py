@@ -1,8 +1,8 @@
-"""End-to-end homology: complex, specialization, Smith normal forms.
+"""End-to-end homology: complex, specialization, invariant factors.
 
-Divisors of Laurent homology are reported modulo units of the Laurent ring:
-powers of t are stripped and the result is made monic, so (t^3 - t^2) prints
-as (t - 1).
+Divisors of Laurent homology are computed in the Laurent ring and reported
+modulo its units, the monomials c * t^k: each is the pair (0, p) with p
+monic and p(0) != 0, and prints as p, so (t^3 - t^2) prints as (t - 1).
 """
 
 from __future__ import annotations
@@ -16,22 +16,10 @@ from .coefficients import (
     format_cyclotomic,
     specialize,
 )
-from .gaussian import AtomOrdering, GaussianStructure
+from .gaussian import AtomOrdering, GaussianStructure, PreconditionError
 from .linalg import HomologyGroup, homology_at
 from .resolution import CellComplex, build_complex, default_max_dim
-from .rings import poly_monic, poly_str, poly_valuation
-
-
-def laurent_normalize(group: HomologyGroup) -> HomologyGroup:
-    """Normalize polynomial divisors by the units of the Laurent ring."""
-    field = group.domain.field
-    torsion = []
-    for d in group.torsion:
-        v = poly_valuation(d)
-        stripped = poly_monic(field, d[v:])[1]
-        if len(stripped) > 1:
-            torsion.append(stripped)
-    return HomologyGroup(group.free_rank, torsion, group.domain, group.notes)
+from .rings import poly_str
 
 
 @dataclass
@@ -48,7 +36,6 @@ def compute_homology(
     ordering: Optional[AtomOrdering] = None,
     max_dim: Optional[int] = None,
     memo: bool = True,
-    clearing: str = "column",
 ) -> HomologyResult:
     """Homology of the structure's group(oid) in degrees 0..max_dim.
 
@@ -59,17 +46,16 @@ def compute_homology(
     """
     if max_dim is None:
         max_dim = default_max_dim(struct)
+    if max_dim < 0:
+        raise PreconditionError(f"max_dim must be >= 0, got {max_dim}")
     cx = build_complex(struct, ordering, max_dim + 1, memo=memo)
-    mats = specialize(cx, system, clearing=clearing)
+    mats = specialize(cx, system)
     domain = system.domain()
     groups = []
     for n in range(max_dim + 1):
         b_out = mats[n] if 1 <= n < len(mats) else None
         b_in = mats[n + 1] if n + 1 < len(mats) else None
-        group = homology_at(b_in, b_out, len(cx.cells[n]), domain)
-        if system.kind == "laurent":
-            group = laurent_normalize(group)
-        groups.append(group)
+        groups.append(homology_at(b_in, b_out, len(cx.cells[n]), domain))
     return HomologyResult(struct, system, cx, groups)
 
 
@@ -96,7 +82,7 @@ def _format_laurent(group: HomologyGroup, system: CoefficientSystem) -> str:
         parts.append(ring)
     elif group.free_rank > 1:
         parts.append(f"{ring}^{group.free_rank}")
-    for d in group.torsion:
+    for _, d in group.torsion:
         factors = cyclotomic_factorization(d, field)
         shown = poly_str(field, d)
         if factors:
@@ -107,7 +93,7 @@ def _format_laurent(group: HomologyGroup, system: CoefficientSystem) -> str:
 
 def torsion_csv(group: HomologyGroup, system: CoefficientSystem) -> str:
     if system.kind == "laurent":
-        return "|".join(poly_str(system.field, d) for d in group.torsion)
+        return "|".join(poly_str(system.field, d) for _, d in group.torsion)
     return "|".join(str(d) for d in group.torsion)
 
 
@@ -115,7 +101,7 @@ def cyclotomic_csv(group: HomologyGroup, system: CoefficientSystem) -> str:
     if system.kind != "laurent":
         return ""
     cols = []
-    for d in group.torsion:
+    for _, d in group.torsion:
         factors = cyclotomic_factorization(d, system.field)
         cols.append(format_cyclotomic(factors) if factors else "-")
     return "|".join(cols)

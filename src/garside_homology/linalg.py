@@ -1,29 +1,29 @@
-"""Smith normal form over Euclidean domains and homology assembly.
+"""Invariant factors over Euclidean domains and homology assembly.
 
-The two supported domains are arbitrary-precision integers and univariate
-polynomials over a field (rationals or a prime field).  The normal form
-tracks both transforms and the inverse of the column transform, which is
-what the kernel/image homology computation needs; determinants of the
-transforms are accumulated alongside so unimodularity is checkable exactly.
+The two supported domains are arbitrary-precision integers and Laurent
+polynomials F[t, t^-1] over a field (rationals or a prime field).  Both are
+principal ideal domains, and the chain groups are free, so the kernel of a
+boundary is a direct summand: homology in degree n is read off the ranks of
+the two boundaries at C_n and the invariant factors of the incoming one.
+No transforms are needed, only the diagonal of the Smith normal form.
 
-Pivots are chosen of minimal Euclidean size (absolute value, degree), ties
-broken by position, to keep intermediate entries small.
+Pivots are chosen of minimal Euclidean size (absolute value; degree span,
+then coefficient height), stopping at the first unit, to keep intermediate
+entries small.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional
 
 from .gaussian import ConsistencyError, PreconditionError
 from . import rings
-from .rings import Poly, poly_monic
 
 
 class IntegerDomain:
     """Euclidean structure on arbitrary-precision integers."""
 
-    name = "Z"
     zero = 0
     one = 1
 
@@ -55,15 +55,9 @@ class IntegerDomain:
     def is_unit(self, a) -> bool:
         return a in (1, -1)
 
-    def inv_unit(self, a):
-        return a
-
-    def unit_normalize(self, a):
-        """(unit, normal) with a = unit * normal and normal >= 0."""
-        return (-1, -a) if a < 0 else (1, a)
-
-    def fmt(self, a) -> str:
-        return str(a)
+    def normal(self, a):
+        """The associate of a that is >= 0."""
+        return abs(a)
 
     def __eq__(self, other):
         return isinstance(other, IntegerDomain)
@@ -72,58 +66,99 @@ class IntegerDomain:
         return hash("Z")
 
 
-class PolynomialDomain:
-    """Euclidean structure on dense polynomials over a field."""
+class LaurentDomain:
+    """Euclidean structure on Laurent polynomials over a field.
+
+    An element is a pair (valuation, poly): the dense polynomial poly (see
+    rings) has a nonzero constant term and the element is t^valuation * poly;
+    (0, ()) is zero.  The units are the monomials c * t^k, and the Euclidean
+    size is the degree span len(poly) - 1.
+    """
 
     def __init__(self, field):
         self.field = field
-        self.name = f"{field.name}[t]"
-        self.zero: Poly = ()
-        self.one: Poly = (field.one,)
+        self.rational = isinstance(field, rings.Rationals)
+        self.zero = (0, ())
+        self.one = (0, (field.one,))
+
+    def element(self, v: int, coeffs) -> tuple:
+        """t^v * coeffs, with the low zero coefficients moved into the valuation."""
+        poly = rings.poly_trim(self.field, coeffs)
+        k = 0
+        while k < len(poly) and self.field.is_zero(poly[k]):
+            k += 1
+        if k == len(poly):
+            return self.zero
+        return (v + k, poly[k:]) if k else (v, poly)
+
+    def from_exponents(self, terms: dict) -> tuple:
+        """The element sum of m * t^e over the exponent -> integer map terms."""
+        field = self.field
+        terms = {e: field.from_int(m) for e, m in terms.items()}
+        support = [e for e, c in terms.items() if not field.is_zero(c)]
+        if not support:
+            return self.zero
+        low = min(support)
+        return (low, tuple(terms.get(e, field.zero) for e in range(low, max(support) + 1)))
 
     def is_zero(self, a) -> bool:
-        return not a
+        return not a[1]
 
     def add(self, a, b):
-        return rings.poly_add(self.field, a, b)
-
-    def sub(self, a, b):
-        return rings.poly_sub(self.field, a, b)
-
-    def mul(self, a, b):
-        return rings.poly_mul(self.field, a, b)
+        (va, pa), (vb, pb) = a, b
+        if not pa:
+            return b
+        if not pb:
+            return a
+        if va > vb:
+            (va, pa), (vb, pb) = (vb, pb), (va, pa)
+        shift = vb - va
+        out = list(pa)
+        out.extend([self.field.zero] * (shift + len(pb) - len(out)))
+        for i, c in enumerate(pb, start=shift):
+            out[i] = self.field.add(out[i], c)
+        return self.element(va, out)
 
     def neg(self, a):
-        return rings.poly_neg(self.field, a)
+        return (a[0], rings.poly_neg(self.field, a[1]))
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        if not a[1] or not b[1]:
+            return self.zero
+        return (a[0] + b[0], rings.poly_mul(self.field, a[1], b[1]))
 
     def divmod(self, a, b):
-        return rings.poly_divmod(self.field, a, b)
+        """t^va pa = t^(va-vb) q * t^vb pb + t^va r, by division of pa by pb."""
+        q, r = rings.poly_divmod(self.field, a[1], b[1])
+        return self.element(a[0] - b[0], q), self.element(a[0], r)
 
     def divides(self, a, b) -> bool:
-        return not rings.poly_divmod(self.field, b, a)[1]
+        """Whether a divides b."""
+        return not rings.poly_divmod(self.field, b[1], a[1])[1]
 
-    def size(self, a) -> int:
-        return len(a)
+    def size(self, a) -> tuple:
+        """Degree span, then over Q the bits of the coefficients' numerators
+        and denominators; the tie-break keeps rational entries from swelling."""
+        poly = a[1]
+        if not self.rational:
+            return len(poly), 0
+        return len(poly), sum(abs(c.numerator).bit_length() + c.denominator.bit_length() for c in poly)
 
     def is_unit(self, a) -> bool:
-        return len(a) == 1
+        return len(a[1]) == 1
 
-    def inv_unit(self, a):
-        return (self.field.inv(a[0]),)
-
-    def unit_normalize(self, a):
-        """(unit, normal) with a = unit * normal and normal monic."""
-        lead, monic = poly_monic(self.field, a)
-        return (lead,), monic
-
-    def fmt(self, a) -> str:
-        return rings.poly_str(self.field, a)
+    def normal(self, a):
+        """The associate of a with valuation 0 and a monic polynomial."""
+        return (0, rings.poly_monic(self.field, a[1])[1])
 
     def __eq__(self, other):
-        return isinstance(other, PolynomialDomain) and other.field == self.field
+        return isinstance(other, LaurentDomain) and other.field == self.field
 
     def __hash__(self):
-        return hash(("polydom", self.field))
+        return hash(("laurent", self.field))
 
 
 @dataclass
@@ -138,13 +173,6 @@ class ScalarMatrix:
     @classmethod
     def zero(cls, rows: int, cols: int, domain) -> "ScalarMatrix":
         return cls(rows, cols, [[domain.zero] * cols for _ in range(rows)], domain)
-
-    @classmethod
-    def identity(cls, n: int, domain) -> "ScalarMatrix":
-        m = cls.zero(n, n, domain)
-        for i in range(n):
-            m.entries[i][i] = domain.one
-        return m
 
     def copy(self) -> "ScalarMatrix":
         return ScalarMatrix(self.rows, self.cols, [row[:] for row in self.entries], self.domain)
@@ -172,164 +200,75 @@ class ScalarMatrix:
         dom = self.domain
         return all(dom.is_zero(e) for row in self.entries for e in row)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ScalarMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.domain == other.domain
-            and self.entries == other.entries
-        )
+
+def _least_entry(dom, A: list) -> Optional[tuple[int, int]]:
+    """Position of a nonzero entry of least size: the first unit, if any."""
+    best = best_size = None
+    for i, row in enumerate(A):
+        for j, e in enumerate(row):
+            if dom.is_zero(e):
+                continue
+            if dom.is_unit(e):
+                return i, j
+            size = dom.size(e)
+            if best is None or size < best_size:
+                best, best_size = (i, j), size
+    return best
 
 
-@dataclass
-class SNFResult:
-    """Diagonalization U * A * V = diag(divisors), divisors a divisibility chain.
+def invariant_factors(matrix: ScalarMatrix) -> list:
+    """The nonzero invariant factors of the matrix, unit-normalized, as a
+    divisibility chain; their count is the rank.
 
-    Divisors are unit-normalized (positive integers, monic polynomials) and
-    nonzero; rank is their count.  V_inv is the exact inverse of V, and the
-    determinants of U and V are units of the domain.
+    Each step takes a pivot of least size out of the remaining rows and
+    clears its column by row operations.  A non-unit pivot's row then needs
+    only the remainders: a column operation that clears an entry of the
+    pivot row touches no other row, as the pivot column is zero there.  A
+    remainder, in the column or the row, becomes the new pivot; so does one
+    against a remaining entry the pivot does not divide, once that entry's
+    row is added to the pivot row.  No transforms are kept.
     """
-
-    divisors: list
-    rank: int
-    U: ScalarMatrix
-    V: ScalarMatrix
-    V_inv: ScalarMatrix
-    det_U: object
-    det_V: object
-
-
-def smith_normal_form(matrix: ScalarMatrix) -> SNFResult:
     dom = matrix.domain
-    m, n = matrix.rows, matrix.cols
     A = [row[:] for row in matrix.entries]
-    U = ScalarMatrix.identity(m, dom)
-    V = ScalarMatrix.identity(n, dom)
-    Vinv = ScalarMatrix.identity(n, dom)
-    det_u = dom.one
-    det_v = dom.one
-
-    def swap_rows(i1, i2):
-        nonlocal det_u
-        if i1 == i2:
-            return
-        A[i1], A[i2] = A[i2], A[i1]
-        U.entries[i1], U.entries[i2] = U.entries[i2], U.entries[i1]
-        det_u = dom.neg(det_u)
-
-    def swap_cols(j1, j2):
-        nonlocal det_v
-        if j1 == j2:
-            return
-        for row in A:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in V.entries:
-            row[j1], row[j2] = row[j2], row[j1]
-        Vinv.entries[j1], Vinv.entries[j2] = Vinv.entries[j2], Vinv.entries[j1]
-        det_v = dom.neg(det_v)
-
-    def add_row(src, dst, factor):
-        """row[dst] += factor * row[src]"""
-        if dom.is_zero(factor):
-            return
-        Asrc, Adst = A[src], A[dst]
-        for j in range(n):
-            if not dom.is_zero(Asrc[j]):
-                Adst[j] = dom.add(Adst[j], dom.mul(factor, Asrc[j]))
-        Us, Ud = U.entries[src], U.entries[dst]
-        for j in range(m):
-            if not dom.is_zero(Us[j]):
-                Ud[j] = dom.add(Ud[j], dom.mul(factor, Us[j]))
-
-    def add_col(src, dst, factor):
-        """col[dst] += factor * col[src]; V follows, Vinv gets the inverse op."""
-        if dom.is_zero(factor):
-            return
-        for row in A:
-            if not dom.is_zero(row[src]):
-                row[dst] = dom.add(row[dst], dom.mul(factor, row[src]))
-        for row in V.entries:
-            if not dom.is_zero(row[src]):
-                row[dst] = dom.add(row[dst], dom.mul(factor, row[src]))
-        # inverse elementary op acts on rows: row[src] -= factor * row[dst]
-        Vs, Vd = Vinv.entries[src], Vinv.entries[dst]
-        for j in range(n):
-            if not dom.is_zero(Vd[j]):
-                Vs[j] = dom.sub(Vs[j], dom.mul(factor, Vd[j]))
-
-    def scale_row(i, unit):
-        nonlocal det_u
-        if unit == dom.one:
-            return
-        A[i] = [dom.mul(unit, e) for e in A[i]]
-        U.entries[i] = [dom.mul(unit, e) for e in U.entries[i]]
-        det_u = dom.mul(det_u, unit)
-
-    def find_pivot(start):
-        best = None
-        best_size = None
-        for i in range(start, m):
-            row = A[i]
-            for j in range(start, n):
-                if not dom.is_zero(row[j]):
-                    s = dom.size(row[j])
-                    if best_size is None or s < best_size:
-                        best, best_size = (i, j), s
-        return best
-
-    r = 0
-    while True:
-        pivot = find_pivot(r)
-        if pivot is None:
-            break
-        swap_rows(r, pivot[0])
-        swap_cols(r, pivot[1])
+    factors = []
+    while (pos := _least_entry(dom, A)) is not None:
+        i, j = pos
+        pivot_row = A.pop(i)
         while True:
-            # shrink the pivot against its column, then its row
-            dirty = False
-            for i in range(r + 1, m):
-                if dom.is_zero(A[i][r]):
+            p = pivot_row[j]
+            swapped = False
+            for i, row in enumerate(A):
+                if dom.is_zero(row[j]):
                     continue
-                q, rem = dom.divmod(A[i][r], A[r][r])
-                add_row(r, i, dom.neg(q))
+                q, rem = dom.divmod(row[j], p)
+                for k, c in enumerate(pivot_row):
+                    if not dom.is_zero(c):
+                        row[k] = dom.sub(row[k], dom.mul(q, c))
                 if not dom.is_zero(rem):
-                    swap_rows(r, i)
-                    dirty = True
-            if dirty:
-                continue
-            for j in range(r + 1, n):
-                if dom.is_zero(A[r][j]):
-                    continue
-                q, rem = dom.divmod(A[r][j], A[r][r])
-                add_col(r, j, dom.neg(q))
-                if not dom.is_zero(rem):
-                    swap_cols(r, j)
-                    dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the submatrix for the chain
-            offender = None
-            for i in range(r + 1, m):
-                row = A[i]
-                for j in range(r + 1, n):
-                    if not dom.is_zero(row[j]) and not dom.divides(A[r][r], row[j]):
-                        offender = i
-                        break
-                if offender is not None:
+                    A[i], pivot_row = pivot_row, row
+                    swapped = True
                     break
+            if swapped:
+                continue
+            if dom.is_unit(p):
+                break
+            for k, c in enumerate(pivot_row):
+                if k != j and not dom.is_zero(c):
+                    pivot_row[k] = dom.divmod(c, p)[1]
+            rems = [k for k, c in enumerate(pivot_row) if k != j and not dom.is_zero(c)]
+            if rems:
+                j = min(rems, key=lambda k: dom.size(pivot_row[k]))
+                continue
+            offender = next(
+                (row for row in A if any(not dom.is_zero(e) and not dom.divides(p, e) for e in row)), None
+            )
             if offender is None:
                 break
-            add_row(offender, r, dom.one)
-        unit, normal = dom.unit_normalize(A[r][r])
-        if unit != dom.one:
-            scale_row(r, dom.inv_unit(unit))
-        A[r][r] = normal
-        r += 1
-        if r == m or r == n:
-            break
-
-    divisors = [A[i][i] for i in range(r)]
-    return SNFResult(divisors, r, U, V, Vinv, det_u, det_v)
+            pivot_row = [dom.add(a, b) for a, b in zip(pivot_row, offender)]
+        factors.append(dom.normal(p))
+        for row in A:
+            del row[j]
+    return factors
 
 
 @dataclass
@@ -339,7 +278,6 @@ class HomologyGroup:
     free_rank: int
     torsion: list
     domain: object
-    notes: list = dataclass_field(default_factory=list)
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -356,7 +294,11 @@ def homology_at(
     boundary_out is the map leaving C_n (pass None in degree 0, where the
     resolution continues by the augmentation and contributes no relations),
     boundary_in the one entering from C_{n+1} (None when there are no cells
-    above).  Shapes are checked against dim_n.
+    above).  Shapes are checked against dim_n.  Over a principal ideal
+    domain the kernel of boundary_out is a direct summand of the free C_n,
+    so H_n is free of rank dim_n - rank(out) - rank(in) plus the quotients
+    by the non-unit invariant factors of boundary_in; the check that the
+    composite vanishes is what puts the image inside the kernel.
     """
     if boundary_out is None:
         boundary_out = ScalarMatrix.zero(0, dim_n, domain)
@@ -372,15 +314,7 @@ def homology_at(
     if not boundary_out.mul(boundary_in).is_zero():
         raise ConsistencyError("composite of consecutive boundaries is nonzero")
 
-    out_snf = smith_normal_form(boundary_out)
-    kernel_rank = dim_n - out_snf.rank
-    # coordinates of the incoming image in the kernel basis (columns of V
-    # past the rank): rows of V_inv * boundary_in below the rank
-    W = out_snf.V_inv.mul(boundary_in)
-    for i in range(out_snf.rank):
-        if any(not domain.is_zero(e) for e in W.entries[i]):
-            raise ConsistencyError("image does not lie in the kernel")
-    K = ScalarMatrix(kernel_rank, boundary_in.cols, W.entries[out_snf.rank :], domain)
-    k_snf = smith_normal_form(K)
-    torsion = [d for d in k_snf.divisors if not domain.is_unit(d)]
-    return HomologyGroup(kernel_rank - k_snf.rank, torsion, domain)
+    factors_in = invariant_factors(boundary_in)
+    rank_out = len(invariant_factors(boundary_out))
+    torsion = [d for d in factors_in if not domain.is_unit(d)]
+    return HomologyGroup(dim_n - rank_out - len(factors_in), torsion, domain)

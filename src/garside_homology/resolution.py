@@ -117,6 +117,8 @@ class OrderResolution:
         self._complement_cache: dict[Cell, list[tuple[int, int]]] = {}
         if max_dim is None:
             max_dim = default_max_dim(struct)
+        if max_dim < 0:
+            raise PreconditionError(f"max_dim must be >= 0, got {max_dim}")
         self.max_dim = max_dim
         self.cells: list[list[Cell]] = self._enumerate(max_dim)
 

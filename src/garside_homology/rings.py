@@ -1,9 +1,10 @@
-"""Exact scalar arithmetic: rationals, prime fields, polynomials, Laurent.
+"""Exact scalar arithmetic: rationals, prime fields, dense polynomials.
 
 Dense polynomials over a field are tuples of coefficients, constant term
 first, with no trailing zeros (the zero polynomial is the empty tuple).
-Laurent polynomials carry a finitely supported map from integer exponents to
-nonzero field elements.  Everything is exact; no floating point anywhere.
+Laurent polynomials are built on them in linalg.LaurentDomain.  Primality of
+a field's characteristic is decided by deterministic Miller-Rabin, so p is
+bounded by MR_BOUND.  Everything is exact; no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -54,14 +55,34 @@ class Rationals:
         return "Rationals()"
 
 
+# Miller-Rabin with the first thirteen primes as bases decides primality
+# for every n below MR_BOUND (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86 (2017)).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < MR_BOUND."""
     if n < 2:
         return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    for b in MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
@@ -69,6 +90,8 @@ class PrimeField:
     """The field with p elements, represented by the integers 0..p-1."""
 
     def __init__(self, p: int):
+        if p >= MR_BOUND:
+            raise PreconditionError(f"primes p >= {MR_BOUND} are not supported (primality is proven only below it)")
         if not _is_prime(p):
             raise PreconditionError(f"{p} is not prime")
         self.p = p
@@ -183,14 +206,6 @@ def poly_monic(field, a: Poly) -> tuple:
     return lead, tuple(field.mul(c, inv) for c in a)
 
 
-def poly_valuation(a: Poly) -> int:
-    """Index of the lowest nonzero coefficient (0 for the zero polynomial)."""
-    for i, c in enumerate(a):
-        if c != 0:
-            return i
-    return 0
-
-
 def poly_str(field, a: Poly, var: str = "t") -> str:
     if not a:
         return "0"
@@ -215,106 +230,3 @@ def poly_str(field, a: Poly, var: str = "t") -> str:
         else:
             parts.append(term)
     return "".join(parts)
-
-
-# -- Laurent polynomials --------------------------------------------------------
-
-
-class LaurentPoly:
-    """Finitely supported map exponent -> nonzero coefficient over a field."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs=None):
-        self.field = field
-        self.coeffs = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if not field.is_zero(c):
-                    self.coeffs[e] = c
-
-    @classmethod
-    def zero(cls, field) -> "LaurentPoly":
-        return cls(field)
-
-    @classmethod
-    def term(cls, field, exponent: int, coeff=None) -> "LaurentPoly":
-        return cls(field, {exponent: field.one if coeff is None else coeff})
-
-    @classmethod
-    def from_poly(cls, field, poly: Poly, shift: int = 0) -> "LaurentPoly":
-        return cls(field, {i + shift: c for i, c in enumerate(poly)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = self.field.add(out.get(e, self.field.zero), c)
-            if self.field.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPoly(self.field, out)
-
-    def __neg__(self):
-        return LaurentPoly(self.field, {e: self.field.neg(c) for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                s = self.field.add(out.get(e, self.field.zero), self.field.mul(c1, c2))
-                if self.field.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(self.field, out)
-
-    def scale(self, k: int) -> "LaurentPoly":
-        """Multiply by the unit t^k."""
-        return LaurentPoly(self.field, {e + k: c for e, c in self.coeffs.items()})
-
-    def min_exp(self) -> int:
-        if not self.coeffs:
-            return 0
-        return min(self.coeffs)
-
-    def to_poly(self) -> Poly:
-        """Dense coefficients; requires no negative exponents."""
-        if not self.coeffs:
-            return ()
-        if self.min_exp() < 0:
-            raise PreconditionError("Laurent polynomial has negative exponents")
-        out = [self.field.zero] * (max(self.coeffs) + 1)
-        for e, c in self.coeffs.items():
-            out[e] = c
-        return poly_trim(self.field, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field, tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.field.fmt(self.coeffs[e])
-            if e == 0:
-                parts.append(c)
-            else:
-                base = "t" if e == 1 else f"t^{e}"
-                parts.append(base if c == "1" else f"{c}*{base}")
-        return "+".join(parts).replace("+-", "-")

@@ -182,3 +182,31 @@ def test_escaping_recursion_error_exits_4(monkeypatch):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert "recursion" in err
+
+
+def test_negative_max_dim_exits_2():
+    for command in ("homology", "cells", "order"):
+        for max_dim in ("-1", "-3"):
+            code, out, err = run_cli([command, "--structure", "builtin:artin:A2", "--max-dim", max_dim])
+            assert (code, out) == (2, ""), (command, max_dim)
+            assert "max_dim" in err
+    code, out, _ = run_cli(["cells", "--structure", "builtin:artin:A2", "--max-dim", "0"])
+    assert (code, out) == (0, "1\n")
+
+
+def test_large_primes():
+    import time
+
+    from garside_homology.rings import MR_BOUND
+
+    laurent = ["homology", "--structure", "builtin:artin:A2", "--coeffs", "laurent", "--field", "Fp", "--p"]
+    start = time.monotonic()
+    code, out, _ = run_cli(laurent + [str(2**61 - 1)])
+    assert time.monotonic() - start < 0.5
+    assert code == 0
+    assert "H_1 = F2305843009213693951[t,t^-1]/(t^2+2305843009213693950*t+1 = Phi_6)" in out
+    assert run_cli(laurent + ["3215031751"])[0] == 2
+    for p in (MR_BOUND, 10**27 + 57):
+        code, out, err = run_cli(laurent + [str(p)])
+        assert (code, out) == (2, "")
+        assert str(MR_BOUND) in err

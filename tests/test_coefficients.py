@@ -1,5 +1,6 @@
-"""Coefficient systems, specialization, clearing, cyclotomic arithmetic."""
+"""Coefficient systems, specialization, prime fields, cyclotomic arithmetic."""
 
+import math
 import random
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from garside_homology import PreconditionError, Word, artin_named, circulating_structure
 from garside_homology.coefficients import (
     CoefficientSystem,
-    cyclotomic,
     cyclotomic_factorization,
     cyclotomic_poly,
     format_cyclotomic,
@@ -16,11 +16,12 @@ from garside_homology.coefficients import (
     specialize,
     word_exponent,
 )
-from garside_homology.homology import compute_homology
+from garside_homology.linalg import homology_at
 from garside_homology.resolution import build_complex
 from garside_homology.rings import (
-    LaurentPoly,
+    MR_BOUND,
     PrimeField,
+    _is_prime,
     Rationals,
     poly_divmod,
     poly_from_ints,
@@ -54,7 +55,7 @@ def test_scalar_of_basics():
     assert scalar_of(struct, make_system("sign"), one) == 1
     assert scalar_of(struct, make_system("sign"), atom) == -1
     laurent = scalar_of(struct, make_system("laurent", "Q"), atom)
-    assert laurent == LaurentPoly.term(QQ, 1)
+    assert laurent == (1, (QQ.one,))
 
 
 def test_scalar_transport(two_cycle_category):
@@ -64,7 +65,7 @@ def test_scalar_transport(two_cycle_category):
     v = s.word_from_names(["v"])  # y -> x, length 1
     uv = s.word_from_names(["u", "v"])  # loop at x, length 3
     assert word_exponent(s, u) == 2 + 0 - 3
-    assert scalar_of(s, system, u) == LaurentPoly.term(QQ, -1)
+    assert scalar_of(s, system, u) == (-1, (QQ.one,))
     assert word_exponent(s, v) == 1 + 3 - 0
     assert word_exponent(s, uv) == 3
     # sign through transport: exponents -1, 4, 3
@@ -84,13 +85,14 @@ def test_scalar_is_multiplicative():
     rng = random.Random(99)
     struct = circulating_structure("G13")
     system = make_system("laurent", "Q")
+    mul = system.domain().mul
     sign = make_system("sign")
     for _ in range(50):
         m = rng.randint(0, 4)
         u = Word(0, tuple(rng.randrange(3) for _ in range(m)))
         v = Word(0, tuple(rng.randrange(3) for _ in range(rng.randint(0, 4))))
         uv = Word(0, u.atoms + v.atoms)
-        assert scalar_of(struct, system, uv) == scalar_of(struct, system, u) * scalar_of(struct, system, v)
+        assert scalar_of(struct, system, uv) == mul(scalar_of(struct, system, u), scalar_of(struct, system, v))
         assert scalar_of(struct, sign, uv) == scalar_of(struct, sign, u) * scalar_of(struct, sign, v)
 
 
@@ -124,30 +126,49 @@ def test_specialized_products_vanish(builtins):
                 assert mats[n].mul(mats[n + 1]).is_zero(), (name, system.kind, n)
 
 
-def test_column_clearing():
-    field = QQ
-    entries = [[LaurentPoly(field, {-2: field.one, 0: field.one, 1: field.one})]]
-    from garside_homology.coefficients import _clear_laurent
-
-    cleared = _clear_laurent(entries, 1, 1, field, "column")
-    assert cleared[0][0] == poly_from_ints(field, [1, 0, 1, 1])  # exponents {0,2,3}
-    untouched = _clear_laurent([[LaurentPoly(field, {1: field.one})]], 1, 1, field, "column")
-    assert untouched[0][0] == poly_from_ints(field, [0, 1])
-    with pytest.raises(PreconditionError):
-        _clear_laurent([[LaurentPoly(field, {-1: field.one})]], 1, 1, field, "none")
-    with pytest.raises(PreconditionError):
-        _clear_laurent([], 0, 0, field, "sideways")
-
-
-def test_clearing_mode_does_not_change_homology(two_cycle_category):
+def test_specialized_laurent_entries(two_cycle_category):
+    # entries are Laurent pairs built from exponent sums: u runs x -> y and
+    # is transported to exponent -1, so its column keeps a negative valuation
+    s = two_cycle_category
+    cx = build_complex(s, max_dim=1)
     system = make_system("laurent", "Q")
-    col = compute_homology(two_cycle_category, system, clearing="column")
-    glob = compute_homology(two_cycle_category, system, clearing="global")
-    for a, b in zip(col.groups, glob.groups):
-        assert (a.free_rank, a.torsion) == (b.free_rank, b.torsion)
-    # the loop has length 3 and acts by t^3
-    assert col.groups[0].torsion == [poly_from_ints(QQ, [-1, 0, 0, 1])]
-    assert col.groups[1].is_trivial()
+    dom = system.domain()
+    m = specialize(cx, system)[1]
+    assert m.domain == dom
+    entries = sorted(e for row in m.entries for e in row)
+    assert entries == sorted([dom.from_exponents({-1: 1}), dom.from_exponents({4: 1}), (0, (-1,)), (0, (-1,))])
+    assert dom.from_exponents({-2: 1, 0: 1, 1: 1}) == (-2, poly_from_ints(QQ, [1, 0, 1, 1]))
+    assert dom.from_exponents({3: 2, 5: -2}) == (3, poly_from_ints(QQ, [2, 0, -2]))
+    # a multiplicity that vanishes in the field moves the valuation
+    f2 = make_system("laurent", "Fp", 2).domain()
+    assert f2.from_exponents({1: 2, 3: 1}) == (3, (1,))
+    assert f2.from_exponents({1: 2, 3: -4}) == f2.zero
+
+
+def test_unit_change_of_basis_does_not_change_homology(builtins):
+    # rescaling each basis cell of C_n by a unit t^k (columns of d_n times
+    # t^k, rows of d_{n+1} times t^-k) leaves every homology group unchanged
+    rng = random.Random(2718)
+    system = make_system("laurent", "Q")
+    dom = system.domain()
+    for name in ("A3", "G12", "dualA3"):
+        cx = build_complex(builtins[name])
+        mats = specialize(cx, system)
+        scaled = [None] + [m.copy() for m in mats[1:]]
+        for n, cells in enumerate(cx.cells):
+            for j in range(len(cells)):
+                k = rng.randint(-3, 3)
+                if 1 <= n < len(mats):
+                    for row in scaled[n].entries:
+                        row[j] = dom.mul(row[j], dom.from_exponents({k: 1}))
+                if n + 1 < len(mats):
+                    row = scaled[n + 1].entries[j]
+                    row[:] = [dom.mul(e, dom.from_exponents({-k: 1})) for e in row]
+        for n in range(len(cx.cells) - 1):
+            args = [(b[n + 1] if n + 1 < len(b) else None, b[n] if n >= 1 else None) for b in (mats, scaled)]
+            before, after = (homology_at(b_in, b_out, len(cx.cells[n]), dom) for b_in, b_out in args)
+            assert (before.free_rank, before.torsion) == (after.free_rank, after.torsion), (name, n)
+        assert scaled != mats
 
 
 def test_cyclotomic_small_values():
@@ -160,7 +181,6 @@ def test_cyclotomic_small_values():
     quotient, rem = poly_divmod(QQ, t6m1, divisor)
     assert not rem
     assert cyclotomic_poly(6, QQ) == quotient == poly_from_ints(QQ, [1, -1, 1])
-    assert cyclotomic(6).to_poly() == cyclotomic_poly(6, QQ)
     with pytest.raises(PreconditionError):
         cyclotomic_poly(0, QQ)
 
@@ -199,3 +219,27 @@ def test_cyclotomic_factorization():
     assert format_cyclotomic([(3, 3)]) == "Phi_3^3"
     assert format_cyclotomic([(6, 1), (12, 1)]) == "Phi_6*Phi_12"
     assert format_cyclotomic([]) == "1"
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10_000) if _is_prime(n) != trial(n)] == []
+    # a Carmichael number, the least strong pseudoprime to base 2, and the
+    # least strong pseudoprime to the bases 2, 3, 5 and 7
+    for composite in (561, 2047, 3215031751):
+        assert not _is_prime(composite)
+    assert _is_prime(2**61 - 1)
+    assert _is_prime(2**89 - 1)
+    assert not _is_prime((2**61 - 1) * (2**13 - 1))
+
+
+def test_prime_field_bound():
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(PreconditionError, match="not prime"):
+        PrimeField(3215031751)
+    with pytest.raises(PreconditionError, match=str(MR_BOUND)):
+        PrimeField(10**27 + 57)
+    with pytest.raises(PreconditionError, match=str(MR_BOUND)):
+        PrimeField(MR_BOUND)

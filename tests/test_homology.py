@@ -3,17 +3,22 @@
 from garside_homology import parse_structure
 from garside_homology.coefficients import make_system
 from garside_homology.homology import compute_homology, format_group, default_max_dim
-from garside_homology.linalg import HomologyGroup, IntegerDomain, PolynomialDomain
+from garside_homology.linalg import HomologyGroup, IntegerDomain, LaurentDomain, ScalarMatrix, homology_at
 from garside_homology.rings import Rationals, poly_from_ints
 
 QQ = Rationals()
+
+
+def laurent_divisor(ints):
+    """A Laurent divisor in normal form: valuation 0, the given polynomial."""
+    return (0, poly_from_ints(QQ, ints))
 
 
 def test_two_cycle_category_homology(two_cycle_category):
     # the enveloping groupoid is equivalent to the integers; the loop has
     # length 3, so with Laurent coefficients the generator acts by t^3
     laurent = compute_homology(two_cycle_category, make_system("laurent", "Q"))
-    assert laurent.groups[0].torsion == [poly_from_ints(QQ, [-1, 0, 0, 1])]
+    assert laurent.groups[0].torsion == [laurent_divisor([-1, 0, 0, 1])]
     assert laurent.groups[0].free_rank == 0
     assert laurent.groups[1].is_trivial()
 
@@ -44,7 +49,7 @@ def test_free_group_homology(free_monoid_rank2):
     assert [(g.free_rank, g.torsion) for g in sign.groups] == [(0, [2]), (1, []), (0, [])]
     laurent = compute_homology(free_monoid_rank2, make_system("laurent", "Q"))
     assert [(g.free_rank, g.torsion) for g in laurent.groups] == [
-        (0, [poly_from_ints(QQ, [-1, 1])]),
+        (0, [laurent_divisor([-1, 1])]),
         (1, []),
         (0, []),
     ]
@@ -64,20 +69,21 @@ def test_formatting():
     assert format_group(HomologyGroup(1, [], zz), make_system("trivial")) == "Z"
     assert format_group(HomologyGroup(2, [2, 6], zz), make_system("sign")) == "Z^2 x Z_2 x Z_6"
     system = make_system("laurent", "Q")
-    dom = PolynomialDomain(QQ)
-    group = HomologyGroup(1, [poly_from_ints(QQ, [-1, 1])], dom)
+    group = HomologyGroup(1, [laurent_divisor([-1, 1])], LaurentDomain(QQ))
     text = format_group(group, system)
     assert text == "Q[t,t^-1] (+) Q[t,t^-1]/(t-1 = Phi_1)"
 
 
 def test_laurent_normalization_strips_units():
-    from garside_homology.homology import laurent_normalize
-
-    dom = PolynomialDomain(QQ)
-    shifted = poly_from_ints(QQ, [0, 0, -1, 1])  # t^2 (t - 1)
-    unit = poly_from_ints(QQ, [0, 0, 5])  # 5 t^2
-    group = laurent_normalize(HomologyGroup(0, [unit, shifted], dom))
-    assert group.torsion == [poly_from_ints(QQ, [-1, 1])]
+    # divisors are reported modulo the units c * t^k of the Laurent ring:
+    # 5 t^2 is a unit and drops out, t^-2 (3t - 3) becomes t - 1
+    dom = LaurentDomain(QQ)
+    unit = dom.from_exponents({2: 5})
+    shifted = dom.from_exponents({-2: -3, -1: 3})
+    b_in = ScalarMatrix(2, 2, [[unit, dom.zero], [dom.zero, shifted]], dom)
+    group = homology_at(b_in, None, 2, dom)
+    assert (group.free_rank, group.torsion) == (0, [laurent_divisor([-1, 1])])
+    assert dom.normal(shifted) == laurent_divisor([-1, 1])
 
 
 def test_declared_order_is_used():
