@@ -11,20 +11,22 @@ the word (a, b) means "a then b", so target(a) = source(b).  All divisibility
 below is on the right: g right-divides f when f = h*g for some h.  The word
 problem is solved by reversing against the lcm table; to divide h*b by an
 atom a one looks up lcm(a, b) = x*a = y*b, divides h by y atom by atom, and
-appends x.
+appends x.  Left-lcms are reversed the same way: the lcm of u*c and an atom
+b is lcm(u, y)*c, with y*c = x*b the table's lcm of b and c.
 
 Inside, morphisms are canonical words: under an atom ordering, canon(f) =
 canon(f/a)*a with a the least atom right-dividing f.  Canonical words are
 closed under prefixes, so each ordering has a `WordKernel` holding them in a
 prefix trie of int ids, where the last atom of a node is its least divisor.
-Its two memoized primitives, `div` (divide by an atom) and `mul` (multiply by
-an atom), return canonical nodes; interning a word folds `mul` over it.  The
-`Word` methods (`quotient_atom`, `least_divisor`, `canonical_form`, ...) are
-adapters that intern their argument in `kernel(ordering)` (declaration order
-when none is given) and spell out the result, so `quotient_atom` returns the
-canonical quotient.  The kernel's trie and memos grow for the structure's
-lifetime and assign ids in insertion order, so a structure must not be used
-from several threads at once.
+Its three memoized primitives, `div` (divide by an atom), `mul` (multiply by
+an atom) and `lcm` (left-lcm with an atom), return canonical nodes; interning
+a word folds `mul` over it, and `join` folds `lcm` over a set of atoms.  The
+`Word` methods (`quotient_atom`, `least_divisor`, `canonical_form`,
+`left_lcm`, ...) are adapters that intern their argument in
+`kernel(ordering)` (declaration order when none is given) and spell out the
+result, so `quotient_atom` returns the canonical quotient.  The kernel's
+trie and memos grow for the structure's lifetime and assign ids in insertion
+order, so a structure must not be used from several threads at once.
 """
 
 from __future__ import annotations
@@ -121,8 +123,9 @@ class ValidationReport:
         return f"ValidationReport({status})"
 
 
-# Safety valve for lcm folds on corrupted tables: the reversing grid is
-# guaranteed to terminate only for genuinely Gaussian input.
+# Safety valve for lcm reversing on corrupted tables: it is guaranteed to
+# terminate only for genuinely Gaussian input.  A kernel counts the lcms it
+# computes (its memo misses) and gives up past this many.
 _FOLD_STEP_LIMIT = 2_000_000
 
 
@@ -295,11 +298,6 @@ class GaussianStructure:
     def word_length(self, w: Word) -> int:
         return sum(self.atom_length[a] for a in w.atoms)
 
-    def concat(self, u: Word, v: Word) -> Word:
-        if self.word_target(u) != v.src:
-            raise PreconditionError("words do not compose")
-        return Word(u.src, u.atoms + v.atoms)
-
     def word_names(self, w: Word) -> list[str]:
         return [self.atom_names[a] for a in w.atoms]
 
@@ -308,17 +306,21 @@ class GaussianStructure:
 
     # -- division by reversing -------------------------------------------
 
-    def _entry(self, a: int, b: int) -> Optional[tuple[Word, Word]]:
-        """Complements (comp_a, comp_b) for distinct atoms a, b at one target."""
-        try:
-            return self._lcm_table[a * self.n_atoms + b]
-        except KeyError:
-            raise ConsistencyError(
-                f"no lcm entry for atoms ({self.atom_names[a]!r}, {self.atom_names[b]!r})"
-            ) from None
+    def _length_violations(self) -> list[str]:
+        """One message per lcm entry whose sides comp_a*a and comp_b*b have
+        different lengths."""
+        length = self.atom_length
+        return [
+            f"LCM({self.atom_names[a]},{self.atom_names[b]}): sides have different lengths"
+            for a, b, pair in self.lcm_entries()
+            if pair is not None
+            and self.word_length(pair[0]) + length[a] != self.word_length(pair[1]) + length[b]
+        ]
 
     def lcm_entries(self) -> list[tuple[int, int, Optional[tuple[Word, Word]]]]:
-        """The table as (a, b, entry) with a < b, sorted; see _entry."""
+        """The table as (a, b, entry) with a < b, sorted; entry is None (no
+        common left-multiple) or the complements (comp_a, comp_b) with
+        comp_a*a = comp_b*b the left-lcm."""
         n = self.n_atoms
         return sorted(
             (key // n, key % n, pair) for key, pair in self._lcm_table.items() if key // n < key % n
@@ -354,59 +356,25 @@ class GaussianStructure:
             )
         return kernel.word(q)
 
-    # -- lcm folds ----------------------------------------------------------
-
-    def _lcm_word_atom(self, u: Word, b: int, fuel: list) -> Optional[tuple[Word, Word]]:
-        """(x, y) with x*u = y*b the left-lcm of u and the atom b."""
-        fuel[0] -= 1
-        if fuel[0] < 0:
-            raise ConsistencyError("lcm fold did not converge; lcm table is inconsistent")
-        if not u.atoms:
-            if self.atom_target[b] != u.src:
-                return None
-            return Word(self.atom_source[b], (b,)), Word(self.atom_source[b], ())
-        head = Word(u.src, u.atoms[:-1])
-        a = u.atoms[-1]
-        if a == b:
-            return Word(u.src, ()), head
-        entry = self._entry(a, b)
-        if entry is None:
-            return None
-        comp_a, comp_b = entry
-        sub = self._lcm_word_word(head, comp_a, fuel)
-        if sub is None:
-            return None
-        x, y = sub
-        return x, Word(y.src, y.atoms + comp_b.atoms)
-
-    def _lcm_word_word(self, u: Word, v: Word, fuel: list) -> Optional[tuple[Word, Word]]:
-        """(x, y) with x*u = y*v the left-lcm of the words u and v."""
-        if not v.atoms:
-            if self.word_target(u) != v.src:
-                return None
-            return Word(u.src, ()), u
-        head = Word(v.src, v.atoms[:-1])
-        b = v.atoms[-1]
-        first = self._lcm_word_atom(u, b, fuel)
-        if first is None:
-            return None
-        x1, y1 = first
-        rest = self._lcm_word_word(y1, head, fuel)
-        if rest is None:
-            return None
-        x2, y2 = rest
-        return Word(x2.src, x2.atoms + x1.atoms), y2
+    # -- lcms -----------------------------------------------------------------
 
     def lcm_with_atom(self, u: Word, b: int) -> Optional[tuple[Word, Word]]:
-        """Public fold entry point; see _lcm_word_atom."""
-        return self._lcm_word_atom(u, b, [_FOLD_STEP_LIMIT])
+        """(x, y) with x*u = y*b the left-lcm of u and the atom b, as
+        canonical words (declaration order); None when there is none."""
+        kernel = self.kernel()
+        node = kernel.intern(u)
+        x = kernel.lcm(node, b)
+        if x < 0:
+            return None
+        return kernel.word(x), kernel.word(kernel.exact_div(kernel.product(x, node), b))
 
     def left_lcm(self, parts: Sequence[int]) -> Optional[tuple[Word, dict[int, Word]]]:
         """Left-lcm of a nonempty family of atoms sharing one target.
 
         Returns the lcm word together with, for each atom a, the word c_a
-        with c_a*a = lcm; returns None when some required pairwise lcm is
-        missing.  Folding follows the given order of the atoms.
+        with c_a*a = lcm, all canonical (declaration order); returns None
+        when the atoms have no common left-multiple.  Folding follows the
+        given order of the atoms.
         """
         parts = list(parts)
         if not parts:
@@ -414,21 +382,11 @@ class GaussianStructure:
         tgt = self.atom_target[parts[0]]
         if any(self.atom_target[a] != tgt for a in parts):
             raise PreconditionError("atoms do not share a target")
-        first = parts[0]
-        lcm = Word(self.atom_source[first], (first,))
-        comps = {first: Word(self.atom_source[first], ())}
-        fuel = [_FOLD_STEP_LIMIT]
-        for b in parts[1:]:
-            if b in comps:
-                continue
-            res = self._lcm_word_atom(lcm, b, fuel)
-            if res is None:
-                return None
-            x, y = res
-            comps = {a: Word(x.src if x.atoms else c.src, x.atoms + c.atoms) for a, c in comps.items()}
-            comps[b] = y
-            lcm = Word(x.src if x.atoms else lcm.src, x.atoms + lcm.atoms)
-        return lcm, comps
+        kernel = self.kernel()
+        lcm = kernel.join(parts)
+        if lcm < 0:
+            return None
+        return kernel.word(lcm), {a: kernel.word(kernel.exact_div(lcm, a)) for a in parts}
 
     # -- canonical forms ----------------------------------------------------
 
@@ -495,12 +453,15 @@ class GaussianStructure:
 
         Checks entry symmetry and length homogeneity, then the consistency
         of lcm folds over all atom subsets of size up to `depth` at a common
-        target (fold order must not matter, up to word equality).  A passing
-        report is evidence, not proof, that the structure is Gaussian.
+        target: every fold order must succeed and give the same lcm.  A
+        passing report is evidence, not proof, that the structure is
+        Gaussian.
         """
         if depth < 1:
             raise PreconditionError("depth must be positive")
-        violations: list[str] = []
+        violations = self._length_violations()
+        if violations:  # the word kernel refuses such tables
+            return ValidationReport(violations)
         for a, b, pair in self.lcm_entries():
             names = (self.atom_names[a], self.atom_names[b])
             if pair is None:
@@ -508,9 +469,6 @@ class GaussianStructure:
             comp_a, comp_b = pair
             wa = Word(comp_a.src, comp_a.atoms + (a,))
             wb = Word(comp_b.src, comp_b.atoms + (b,))
-            if self.word_length(wa) != self.word_length(wb):
-                violations.append(f"LCM({names[0]},{names[1]}): sides have different lengths")
-                continue
             try:
                 if not self.word_equal(wa, wb):
                     violations.append(f"LCM({names[0]},{names[1]}): sides are not equal as morphisms")
@@ -523,27 +481,23 @@ class GaussianStructure:
         if violations:
             return ValidationReport(violations)
 
+        kernel = self.kernel()
         for x in range(len(self.object_names)):
             here = self.atoms_by_target[x]
             for size in range(2, min(depth, len(here)) + 1):
                 for subset in itertools.combinations(here, size):
-                    results = []
+                    results = []  # per rotation: the lcm node, -1, or None if failed
                     for rot in range(size):
-                        order = subset[rot:] + subset[:rot]
                         try:
-                            results.append(self.left_lcm(order))
-                        except ConsistencyError:
-                            results.append("failed")
-                    base = results[0]
-                    for other in results[1:]:
-                        if base == "failed" or other == "failed":
-                            if base != other:
-                                violations.append(f"lcm fold of {subset} failed for some orders only")
-                            continue
-                        if (base is None) != (other is None):
-                            violations.append(f"lcm fold of {subset}: existence depends on fold order")
-                        elif base is not None and not self.word_equal(base[0], other[0]):
-                            violations.append(f"lcm fold of {subset}: value depends on fold order")
+                            results.append(kernel.join(subset[rot:] + subset[:rot]))
+                        except (ConsistencyError, RecursionError):
+                            results.append(None)
+                    if None in results:
+                        violations.append(f"lcm fold of {subset} failed")
+                    elif len({r < 0 for r in results}) > 1:
+                        violations.append(f"lcm fold of {subset}: existence depends on fold order")
+                    elif len(set(results)) > 1:
+                        violations.append(f"lcm fold of {subset}: value depends on fold order")
         return ValidationReport(violations)
 
     def __repr__(self):
@@ -565,12 +519,18 @@ class WordKernel:
     `div` divides a node by an atom and `mul` multiplies it by one, both
     returning canonical nodes.  Each nested call works on a strictly
     shorter morphism, so the recursion is at most as deep as the word is
-    long.
+    long.  A third, `lcm`, reverses a node against an atom on top of them;
+    its nested calls work on strictly shorter lcms.
 
     Obtain one through GaussianStructure.kernel(ordering).
     """
 
     def __init__(self, struct: GaussianStructure, ordering: AtomOrdering):
+        # Lengths make the recursion well founded; on a table that does not
+        # preserve them, division can grow the trie without bound.
+        bad = struct._length_violations()
+        if bad:
+            raise ConsistencyError(bad[0])
         self.struct = struct
         self.n_objects = n_obj = struct.n_objects
         self.n_atoms = n = struct.n_atoms
@@ -602,6 +562,8 @@ class WordKernel:
         # when b is the least divisor of x*b
         self._mul: dict[int, int] = {}
         self._products: dict[int, int] = {}  # (g << 32) | w -> canonical node
+        self._lcm: dict[int, int] = {}  # node * n_atoms + atom -> node or -1
+        self._lcm_steps = 0  # memo misses of lcm, against _FOLD_STEP_LIMIT
 
     def _child(self, node: int, atom: int) -> int:
         """The trie node of node*atom, which the caller knows is canonical
@@ -675,6 +637,62 @@ class WordKernel:
                 return res
         return self._child(x, b)
 
+    def exact_div(self, x: int, a: int) -> int:
+        """div for an atom a that must divide x by construction."""
+        q = self.div(x, a)
+        if q < 0:
+            raise ConsistencyError("an lcm is not divisible by its atom; lcm table is inconsistent")
+        return q
+
+    def lcm(self, x: int, b: int) -> int:
+        """The canonical node p with p*x the left-lcm of x and the atom b,
+        or -1 when they have no common left-multiple.
+
+        With x = u*c for c its last atom and comp_b*b = comp_c*c the table's
+        lcm, lcm(x, b) = lcm(u, comp_c)*c.  That lcm is folded over comp_c
+        from the right: p_d*cur = lcm(cur, d), then cur = p_d*cur/d.
+        """
+        key = x * self.n_atoms + b
+        res = self._lcm.get(key)
+        if res is not None:
+            return res
+        self._lcm_steps += 1
+        if self._lcm_steps > _FOLD_STEP_LIMIT:
+            raise ConsistencyError("lcm reversing did not converge; lcm table is inconsistent")
+        if self.div(x, b) >= 0:
+            res = self.src[x]
+        elif x < self.n_objects:
+            struct = self.struct
+            res = self.mul(struct.atom_source[b], b) if struct.atom_target[b] == x else -1
+        else:
+            entry = self._pairs.get(b * self.n_atoms + self.last[x])
+            if entry is None:  # different targets, or no common multiple
+                res = -1
+            else:
+                cur, res = self.parent[x], self.src[x]
+                lcm, product, exact_div = self.lcm, self.product, self.exact_div
+                for d in entry[1]:
+                    p = lcm(cur, d)
+                    if p < 0:
+                        res = -1
+                        break
+                    cur = exact_div(product(p, cur), d)
+                    res = product(p, res)
+        self._lcm[key] = res
+        return res
+
+    def join(self, atoms: Sequence[int]) -> int:
+        """The canonical node of the left-lcm of a nonempty family of atoms
+        sharing one target, folded in the given order; -1 when none."""
+        node = self.struct.atom_target[atoms[0]]
+        lcm, product = self.lcm, self.product
+        for b in atoms:
+            p = lcm(node, b)
+            if p < 0:
+                return -1
+            node = product(p, node)
+        return node
+
     def intern(self, w: Word) -> int:
         """The canonical node of a word."""
         node = w.src
@@ -710,6 +728,8 @@ class WordKernel:
     def product(self, g: int, w: int) -> int:
         """Canonical node of the composite g*w: canon(g*w'*b) =
         mul(canon(g*w'), b), memoized for every prefix w' of w."""
+        if g < self.n_objects:
+            return w
         products = self._products
         key = (g << 32) | w
         res = products.get(key)

@@ -16,7 +16,7 @@ recursion a coefficient is a node of the ordering's word kernel (see
 gaussian.py): an int id that is the morphism itself, since the kernel
 interns canonical words only.  The least divisor of a node is its last atom,
 so the degree-0 contraction just walks up the trie.  The public methods
-(`differential`, `contracting_*`, `reduce_chain`, `boundary_chain`, `act`)
+(`differential`, `contracting_*`, `reduce_chain`, `boundary_chain`)
 take and return chains keyed by `Word`, and so do `CellComplex.boundaries`.
 Treat chains as immutable values: combine them with chain_iadd into fresh
 accumulators, never mutate one you were given.
@@ -124,9 +124,6 @@ class OrderResolution:
 
     # -- Word-keyed boundary ---------------------------------------------------
 
-    def _canon(self, w: Word) -> Word:
-        return self.struct.canonical_form(w, self.ordering)
-
     def _words(self, chain: Chain) -> Chain:
         word = self.kernel.word
         return {(word(node), cell): m for (node, cell), m in chain.items()}
@@ -151,10 +148,9 @@ class OrderResolution:
         if cell is None:
             if not atoms:
                 raise PreconditionError("zero cells need an explicit object; use zero_cell")
-            res = self.struct.left_lcm(atoms)
-            if res is None:
+            lcm = self.kernel.join(atoms)
+            if lcm < 0:
                 raise PreconditionError("cell atoms admit no common left-multiple")
-            lcm = self.kernel.intern(res[0])
             cell = Cell(atoms, self.kernel.src[lcm])
             self._lcm_cache[cell] = lcm
             self._cell_by_atoms[atoms] = cell
@@ -183,12 +179,12 @@ class OrderResolution:
         pairs = self._complement_cache.get(cell)
         if pairs is None:
             kernel = self.kernel
-            lcm = kernel.word(self._cell_lcm(cell))
+            lcm = self._cell_lcm(cell)
             pairs = []
             for a in kernel.candidates[self.cell_target(cell)]:
-                res = self.struct.lcm_with_atom(lcm, a)
-                if res is not None:
-                    pairs.append((a, kernel.intern(res[0])))
+                x = kernel.lcm(lcm, a)
+                if x >= 0:
+                    pairs.append((a, x))
             self._complement_cache[cell] = pairs
         return pairs
 
@@ -230,10 +226,8 @@ class OrderResolution:
         if any(ranks[atoms[i]] >= ranks[atoms[i + 1]] for i in range(len(atoms) - 1)):
             return False
         for i in range(len(atoms)):
-            res = self.struct.left_lcm(atoms[i:])
-            if res is None:
-                return False
-            if self.struct.least_divisor(res[0], self.ordering) != atoms[i]:
+            lcm = self.kernel.join(atoms[i:])
+            if lcm < 0 or self.kernel.last[lcm] != atoms[i]:
                 return False
         return True
 
@@ -258,10 +252,6 @@ class OrderResolution:
             else:
                 del out[key]
         return out
-
-    def act(self, g: Word, chain: Chain) -> Chain:
-        """Left action of a word on a chain (the module structure)."""
-        return self._words(self._act(self.kernel.intern(g), self._nodes(chain)))
 
     def _differential(self, cell: Cell) -> Chain:
         cached = self._diff_cache.get(cell)
@@ -450,35 +440,26 @@ class TwoCellBounds:
     upper: int
 
 
-def _pairwise_lcms(struct: GaussianStructure, atoms) -> dict[tuple[int, int], Word]:
-    out = {}
-    for a, b in itertools.combinations(atoms, 2):
-        res = struct.left_lcm([a, b])
-        if res is not None:
-            out[(a, b)] = struct.canonical_form(res[0])
-    return out
-
-
 def _lcm_statistics(struct: GaussianStructure):
     """Per object: the distinct pairwise-lcm morphisms with their divisor
     atoms and partner counts n(a, lcm)."""
+    kernel = struct.kernel()
     for x, atoms in enumerate(struct.atoms_by_target):
-        pair_lcm = _pairwise_lcms(struct, atoms)
-        distinct: list[Word] = []
-        seen = set()
-        for lcm in pair_lcm.values():
-            if lcm not in seen:
-                seen.add(lcm)
-                distinct.append(lcm)
-        distinct.sort(key=lambda w: (len(w.atoms), w.atoms, w.src))
-        for lcm in distinct:
-            divisors = [a for a in atoms if struct.quotient_atom(lcm, a) is not None]
-            counts = {a: 0 for a in divisors}
+        pair_lcm = {}
+        for a, b in itertools.combinations(atoms, 2):
+            lcm = kernel.join((a, b))
+            if lcm >= 0:
+                pair_lcm[(a, b)] = lcm
+        words = {lcm: kernel.word(lcm) for lcm in pair_lcm.values()}
+        for lcm, word in sorted(words.items(), key=lambda kv: (len(kv[1].atoms), kv[1].atoms, kv[1].src)):
+            counts = {a: 0 for a in atoms if kernel.div(lcm, a) >= 0}
             for (a, b), val in pair_lcm.items():
                 if val == lcm:
+                    if a not in counts or b not in counts:
+                        raise ConsistencyError("a pairwise lcm is not divisible by its atoms")
                     counts[a] += 1
                     counts[b] += 1
-            yield x, lcm, counts
+            yield x, word, counts
 
 
 def two_cell_bounds(struct: GaussianStructure) -> TwoCellBounds:

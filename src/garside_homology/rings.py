@@ -151,21 +151,8 @@ def poly_from_ints(field, ints) -> Poly:
     return poly_trim(field, [field.from_int(c) for c in ints])
 
 
-def poly_add(field, a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = field.add(out[i], c)
-    return poly_trim(field, out)
-
-
 def poly_neg(field, a: Poly) -> Poly:
     return tuple(field.neg(c) for c in a)
-
-
-def poly_sub(field, a: Poly, b: Poly) -> Poly:
-    return poly_add(field, a, poly_neg(field, b))
 
 
 def poly_mul(field, a: Poly, b: Poly) -> Poly:

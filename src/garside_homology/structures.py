@@ -74,12 +74,12 @@ def coxeter_matrix(name: str) -> CoxeterMatrix:
     if name in _NAMED_DIAGRAMS:
         n, edges = _NAMED_DIAGRAMS[name]
         return CoxeterMatrix.from_graph(n, edges)
-    if name.startswith("I2(") and name.endswith(")"):
+    if name.startswith("I2(") and name.endswith(")") and name[3:-1].isdigit():
         m = int(name[3:-1])
         if m < 3:
             raise PreconditionError("I2(m) needs m >= 3")
         return CoxeterMatrix.from_graph(2, {(0, 1): m})
-    kind, rank = name[0], name[1:]
+    kind, rank = name[:1], name[1:]
     if not rank.isdigit():
         raise PreconditionError(f"unknown Coxeter type {name!r}")
     n = int(rank)
@@ -458,7 +458,7 @@ def builtin_structure(spec: str) -> GaussianStructure:
     if kind == "circ":
         return circulating_structure(name)
     if kind == "dual":
-        if not name.upper().startswith("A"):
-            raise PreconditionError("only dual type-A structures are built in")
+        if not name.upper().startswith("A") or not name[1:].isdigit():
+            raise PreconditionError("only dual type-A structures, dual:A<n>, are built in")
         return dual_typeA_structure(int(name[1:]))
     raise PreconditionError(f"unknown builtin kind {kind!r}")

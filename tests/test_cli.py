@@ -2,7 +2,14 @@
 
 import io
 import sys
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from garside_homology import builtin_structure, serialize_structure
 from garside_homology.cli import main
 
 
@@ -210,3 +217,92 @@ def test_large_primes():
         code, out, err = run_cli(laurent + [str(p)])
         assert (code, out) == (2, "")
         assert str(MR_BOUND) in err
+
+
+def _table(lines):
+    return "GAUSSIAN-STRUCTURE v1\nOBJECT *\n" + "".join(f"{line}\n" for line in lines)
+
+
+def _mutated_builtin(spec, row, line):
+    lines = serialize_structure(builtin_structure(spec)).splitlines(keepends=True)
+    lines = [line + "\n" if text.startswith(row) else text for text in lines]
+    return "".join(lines)
+
+
+ABC = ["ATOM a * * 1", "ATOM b * * 1", "ATOM c * * 1"]
+# tables the commands must refuse with exit 4: lcm sides of different
+# lengths (the second makes unchecked division grow the trie without
+# bound), a pair whose lcm its atom does not divide, and a boundary that
+# leaves the enumerated cells
+INCONSISTENT_TABLES = {
+    "uneven sides": _table(
+        ABC + ["LCM a b COMPL b c.a", "LCM a c COMPL b.c a.b", "LCM b c COMPL c.a a.b"]
+    ),
+    "uneven sides, growing trie": _mutated_builtin("artin:A3", "LCM a c ", "LCM a c COMPL c a.b.c"),
+    "pair lcm not divisible": _mutated_builtin("artin:A3", "LCM a b ", "LCM a b COMPL a.b b.c"),
+    "boundary off the cells": _mutated_builtin("dual:A3", "LCM t12 t23 ", "LCM t12 t23 COMPL t23 t02"),
+}
+
+
+@pytest.mark.parametrize(
+    "table, command",
+    [
+        (table, command)
+        for table in ("uneven sides", "uneven sides, growing trie", "pair lcm not divisible")
+        for command in ("cells", "bounds", "homology")
+    ]
+    + [("boundary off the cells", "homology")],
+)
+def test_inconsistent_table_exits_4(tmp_path, table, command):
+    path = tmp_path / "bad.gs"
+    path.write_text(INCONSISTENT_TABLES[table])
+    code, out, err = run_cli([command, "--structure", str(path), "--max-dim", "3"])
+    assert (code, out) == (4, "")
+    assert err.startswith("internal inconsistency:")
+
+
+def test_validate_flags_diverging_folds(tmp_path):
+    # the affine A2~ relations: every pair has an lcm, the triple has no
+    # common multiple, and reversing it never ends
+    path = tmp_path / "affine.gs"
+    path.write_text(
+        _table(ABC + ["LCM a b COMPL a.b b.a", "LCM a c COMPL a.c c.a", "LCM b c COMPL b.c c.b"])
+    )
+    code, out, _ = run_cli(["validate", "--structure", str(path)])
+    assert code == 3
+    assert out == "violation: lcm fold of (0, 1, 2) failed\n"
+
+
+@pytest.mark.parametrize(
+    "spec", ["dual:Ax", "dual:A", "dual:", "artin:I2(x)", "artin:I2()", "artin:", "artin:A0", "circ:"]
+)
+def test_malformed_builtin_specs_exit_2(spec):
+    code, out, err = run_cli(["cells", "--structure", f"builtin:{spec}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+FUZZ_SPECS = ["artin:A3", "artin:B3", "artin:I2(5)", "circ:G7", "circ:G13", "dual:A3"]
+FUZZ_TEXTS = {spec: serialize_structure(builtin_structure(spec)) for spec in FUZZ_SPECS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_tables_end_in_documented_exit_codes(data):
+    # replace one complement word of a builtin's table by a word of the same
+    # length or of any length up to 4, and run every table-reading command
+    lines = FUZZ_TEXTS[data.draw(st.sampled_from(FUZZ_SPECS))].splitlines()
+    atoms = [line.split()[1] for line in lines if line.startswith("ATOM ")]
+    row = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("LCM ")]))
+    fields = lines[row].split()  # LCM a b COMPL word word
+    side = data.draw(st.sampled_from([4, 5]))
+    size = data.draw(st.just(len(fields[side].split("."))) | st.integers(0, 4))
+    word = data.draw(st.lists(st.sampled_from(atoms), min_size=size, max_size=size))
+    fields[side] = ".".join(word) if word else "-"
+    lines[row] = " ".join(fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.gs"
+        path.write_text("\n".join(lines) + "\n")
+        for command in ("cells", "bounds", "validate", "homology"):
+            code, _, _ = run_cli([command, "--structure", str(path), "--max-dim", "3"])
+            assert code in (0, 2, 3, 4), (command, lines[row])

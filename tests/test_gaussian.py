@@ -1,5 +1,6 @@
 """Core word arithmetic checked against the raw presentations."""
 
+import itertools
 import random
 import sys
 
@@ -225,6 +226,27 @@ def test_left_lcm_is_minimal_common_multiple():
                     assert struct.word_equal(back, lcm)
                 for multiple in rewriting.common_left_multiples(name, atoms[i], atoms[j], 6):
                     assert struct.quotient_word(wordify(struct, multiple), lcm) is not None
+
+
+def test_lcm_with_atom_matches_oracle():
+    # x*u = y*b for every word u of length <= 3 and atom b, and it
+    # right-divides every common multiple of length <= 6; the kernel of the
+    # reversed ordering agrees
+    for name in ["A2", "G7", "G12", "G13", "G15", "G22"]:
+        struct = ORACLE_STRUCTS[name]
+        atoms = rewriting.PRESENTATIONS[name][0]
+        kernel = struct.kernel(AtomOrdering.from_sequence(range(len(atoms))[::-1]))
+        for u in itertools.chain.from_iterable(itertools.product(atoms, repeat=n) for n in range(4)):
+            for b in atoms:
+                w = wordify(struct, u)
+                x, y = struct.lcm_with_atom(w, struct.atom_index[b])
+                lcm = tuple(struct.word_names(x)) + u
+                assert rewriting.equal(name, lcm, tuple(struct.word_names(y)) + (b,))
+                for multiple in rewriting.common_left_multiples(name, u, b, 6):
+                    assert rewriting.word_right_divides(name, lcm, multiple), (name, u, b)
+                node = kernel.intern(w)
+                p = kernel.lcm(node, struct.atom_index[b])
+                assert struct.word_equal(kernel.word(kernel.product(p, node)), wordify(struct, lcm))
 
 
 def test_left_lcm_absent(cospan_category):

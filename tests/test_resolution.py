@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -216,8 +217,8 @@ def test_differential_on_one_cells(builtins):
             d = res.differential(cell)
             a = cell.atoms[0]
             expected = {}
-            chain_iadd(expected, {(res._canon(Word(struct.atom_source[a], (a,))),
-                                   Cell((), struct.atom_target[a])): 1})
+            atom = struct.canonical_form(Word(struct.atom_source[a], (a,)), res.ordering)
+            chain_iadd(expected, {(atom, Cell((), struct.atom_target[a])): 1})
             chain_iadd(expected, {(Word(struct.atom_source[a], ()),
                                    Cell((), struct.atom_source[a])): 1}, -1)
             assert d == expected
@@ -270,7 +271,7 @@ def test_reduction_of_zero_chains():
     assert res.reduce_chain({(one, empty): 1}) == {(one, empty): 1}
     # any other 0-chain reduces to the class of its source object
     f = struct.word_from_names(["a", "b"])
-    assert res.reduce_chain({(res._canon(f), empty): 1}) == {(one, empty): 1}
+    assert res.reduce_chain({(struct.canonical_form(f, res.ordering), empty): 1}) == {(one, empty): 1}
 
 
 def test_homotopy_identity_bulk(builtins):
@@ -353,9 +354,9 @@ def test_specific_reducible_example():
     struct = artin_named("A2")
     res = OrderResolution(struct)
     b_cell = res.make_cell((struct.atom_index["b"],))
-    ab = res._canon(struct.word_from_names(["a", "b"]))
+    ab = struct.canonical_form(struct.word_from_names(["a", "b"]), res.ordering)
     assert res.irreducible(ab, b_cell)
-    ba = res._canon(struct.word_from_names(["b", "a"]))
+    ba = struct.canonical_form(struct.word_from_names(["b", "a"]), res.ordering)
     assert not res.irreducible(ba, b_cell)
     reduced = res.reduce_chain({(ba, b_cell): 1})
     assert reduced
@@ -492,3 +493,23 @@ def test_orderings_on_one_structure_keep_their_own_ids():
         assert first == build_complex(make(name), identity).boundaries
         assert then == build_complex(make(name), other).boundaries
         assert first != then
+
+
+def test_e8_cells_enumerate_within_depth_bound():
+    # enumeration reverses lcms of atom sets, each a divisor of E8's Delta
+    # (120 atoms), nesting once per atom at most; it takes about 115
+    # frames under the optimized ordering, so 160 leave room to spare
+    struct = artin_named("E8")
+    ordering = optimize_ordering(struct)
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 160)
+    try:
+        res = OrderResolution(struct, ordering)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.cell_counts() == [math.comb(8, k) for k in range(9)]

@@ -40,7 +40,7 @@ def test_coxeter_matrix_validation():
 
 def test_artin_relation_words():
     a2 = artin_named("A2")
-    pair = a2._entry(0, 1)
+    [(_, _, pair)] = a2.lcm_entries()
     # complement * atom reproduces the braid relation word on both sides
     side_a = Word(pair[0].src, pair[0].atoms + (0,))
     side_b = Word(pair[1].src, pair[1].atoms + (1,))
@@ -207,7 +207,7 @@ def test_comments_and_blank_lines():
 def test_nolcm_roundtrip(cospan_category):
     text = serialize_structure(cospan_category)
     assert "NOLCM p q" in text
-    assert parse_structure(text)._entry(0, 1) is None
+    assert parse_structure(text).lcm_entries() == [(0, 1, None)]
 
 
 def test_artin_generic_matrix():
