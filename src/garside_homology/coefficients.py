@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .gaussian import ConsistencyError, GaussianStructure, PreconditionError, Word
+from .gaussian import GaussianStructure, PreconditionError, Word
 from .linalg import IntegerDomain, LaurentDomain, ScalarMatrix
 from .resolution import CellComplex
 from .rings import (
@@ -112,6 +112,7 @@ def specialize(cell_complex: CellComplex, system: CoefficientSystem) -> list[Opt
     returned list is None: degree zero has no outgoing differential here,
     the resolution continues by the augmentation.
     """
+    cell_complex.check_facets()
     struct = cell_complex.structure
     mats: list[Optional[ScalarMatrix]] = [None]
     laurent = system.kind == "laurent"
@@ -124,9 +125,7 @@ def specialize(cell_complex: CellComplex, system: CoefficientSystem) -> list[Opt
         for j, cell in enumerate(cols):
             sums: dict[int, dict[int, int]] = {}
             for (word, facet), mult in cell_complex.boundaries[n][cell].items():
-                i = row_index.get(facet)
-                if i is None:
-                    raise ConsistencyError(f"the boundary of {cell} meets {facet}, which is not a cell")
+                i = row_index[facet]
                 if laurent:
                     terms = sums.setdefault(i, {})
                     e = word_exponent(struct, word)

@@ -18,9 +18,10 @@ Inside, morphisms are canonical words: under an atom ordering, canon(f) =
 canon(f/a)*a with a the least atom right-dividing f.  Canonical words are
 closed under prefixes, so each ordering has a `WordKernel` holding them in a
 prefix trie of int ids, where the last atom of a node is its least divisor.
-Its three memoized primitives, `div` (divide by an atom), `mul` (multiply by
-an atom) and `lcm` (left-lcm with an atom), return canonical nodes; interning
-a word folds `mul` over it, and `join` folds `lcm` over a set of atoms.  The
+Its three primitives, `div` (divide by an atom), `mul` (multiply by an atom)
+and `lcm` (left-lcm with an atom), return canonical nodes; `mul` and `lcm`
+are memoized, `div` is recomputed on every call.  Interning a word folds
+`mul` over it, and `join` folds `lcm` over a set of atoms.  The
 `Word` methods (`quotient_atom`, `least_divisor`, `canonical_form`,
 `left_lcm`, ...) are adapters that intern their argument in
 `kernel(ordering)` (declaration order when none is given) and spell out the
@@ -453,9 +454,11 @@ class GaussianStructure:
 
         Checks entry symmetry and length homogeneity, then the consistency
         of lcm folds over all atom subsets of size up to `depth` at a common
-        target: every fold order must succeed and give the same lcm.  A
-        passing report is evidence, not proof, that the structure is
-        Gaussian.
+        target: every fold order must succeed and give the same lcm.  When
+        the folds pass, it builds the complex under declaration order up to
+        dimension `depth` (at most `default_max_dim`) and checks that every
+        boundary stays on the enumerated cells and that d∘d = 0.  A passing
+        report is evidence, not proof, that the structure is Gaussian.
         """
         if depth < 1:
             raise PreconditionError("depth must be positive")
@@ -498,6 +501,21 @@ class GaussianStructure:
                         violations.append(f"lcm fold of {subset}: existence depends on fold order")
                     elif len(set(results)) > 1:
                         violations.append(f"lcm fold of {subset}: value depends on fold order")
+        if violations:
+            return ValidationReport(violations)
+
+        from .resolution import build_complex, default_max_dim  # resolution imports this module
+
+        dim = min(depth, default_max_dim(self))
+        try:
+            cx = build_complex(self, self._default_ordering, dim)
+        except (ConsistencyError, RecursionError) as exc:
+            return ValidationReport([f"complex to dimension {dim} failed: {exc}"])
+        for check in (cx.check_facets, cx.resolution.check_boundary_squared):
+            try:
+                check()
+            except (ConsistencyError, RecursionError) as exc:
+                violations.append(f"complex to dimension {dim}: {exc}")
         return ValidationReport(violations)
 
     def __repr__(self):
@@ -514,13 +532,15 @@ class WordKernel:
     Canonical words are closed under prefixes, so they are interned in a
     prefix trie: ids 0..n_objects-1 are the identities, and every other
     node stores its parent, its last atom and its source.  A node is a
-    morphism, and its last atom is its least right-divisor.  Two memoized
+    morphism, and its last atom is its least right-divisor.  Two
     primitives, which call each other directly, make up the arithmetic:
     `div` divides a node by an atom and `mul` multiplies it by one, both
     returning canonical nodes.  Each nested call works on a strictly
     shorter morphism, so the recursion is at most as deep as the word is
     long.  A third, `lcm`, reverses a node against an atom on top of them;
-    its nested calls work on strictly shorter lcms.
+    its nested calls work on strictly shorter lcms.  The kernel keeps two
+    memos: `_mul`, which is also the trie's child table, and `_lcm`.
+    Quotients and longer products are recomputed from them on each call.
 
     Obtain one through GaussianStructure.kernel(ordering).
     """
@@ -556,12 +576,10 @@ class WordKernel:
         self.parent: list[int] = [-1] * n_obj
         self.last: list[int] = [-1] * n_obj
         self.src: list[int] = list(range(n_obj))
-        self._div: dict[int, int] = {}  # node * n_atoms + atom -> node or -1
         # node * n_atoms + atom -> canonical node of the product; this is
         # also the trie's child table, since canon(x*b) is the child of x
         # when b is the least divisor of x*b
         self._mul: dict[int, int] = {}
-        self._products: dict[int, int] = {}  # (g << 32) | w -> canonical node
         self._lcm: dict[int, int] = {}  # node * n_atoms + atom -> node or -1
         self._lcm_steps = 0  # memo misses of lcm, against _FOLD_STEP_LIMIT
 
@@ -590,25 +608,19 @@ class WordKernel:
             return self.parent[x]
         if c < 0 or self.ranks[a] < self.ranks[c]:
             return -1
-        key = x * self.n_atoms + a
-        res = self._div.get(key)
-        if res is None:
-            entry = self._pairs.get(a * self.n_atoms + c)
-            if entry is None:  # different targets, or no common multiple
-                res = -1
-            else:
-                comp_a, comp_c_rev = entry
-                res = self.parent[x]
-                div = self.div
-                for d in comp_c_rev:
-                    res = div(res, d)
-                    if res < 0:
-                        break
-                else:
-                    mul = self.mul
-                    for d in comp_a:
-                        res = mul(res, d)
-            self._div[key] = res
+        entry = self._pairs.get(a * self.n_atoms + c)
+        if entry is None:  # different targets, or no common multiple
+            return -1
+        comp_a, comp_c_rev = entry
+        res = self.parent[x]
+        div = self.div
+        for d in comp_c_rev:
+            res = div(res, d)
+            if res < 0:
+                return -1
+        mul = self.mul
+        for d in comp_a:
+            res = mul(res, d)
         return res
 
     def mul(self, x: int, b: int) -> int:
@@ -726,27 +738,16 @@ class WordKernel:
         return w
 
     def product(self, g: int, w: int) -> int:
-        """Canonical node of the composite g*w: canon(g*w'*b) =
-        mul(canon(g*w'), b), memoized for every prefix w' of w."""
+        """Canonical node of the composite g*w: mul folded over the atoms
+        of w, read up the trie."""
         if g < self.n_objects:
             return w
-        products = self._products
-        key = (g << 32) | w
-        res = products.get(key)
-        if res is not None:
-            return res
         parent, last = self.parent, self.last
-        pending = []
+        atoms = []
         while w >= self.n_objects:
-            pending.append((key, last[w]))
+            atoms.append(last[w])
             w = parent[w]
-            key = (g << 32) | w
-            res = products.get(key)
-            if res is not None:
-                break
-        else:
-            res = g
         mul = self.mul
-        for key, b in reversed(pending):
-            res = products[key] = mul(res, b)
-        return res
+        for b in reversed(atoms):
+            g = mul(g, b)
+        return g

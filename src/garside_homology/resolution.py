@@ -21,15 +21,16 @@ take and return chains keyed by `Word`, and so do `CellComplex.boundaries`.
 Treat chains as immutable values: combine them with chain_iadd into fresh
 accumulators, never mutate one you were given.
 
-The caches are per resolution: cell lcms (as nodes), cells by atom tuple,
+The caches are per resolution: cell lcms (as nodes) keyed by atom tuple,
 per cell the complements x with x*lcm = lcm(a, lcm) for each atom a (so the
 least divisor of f*lcm is found by dividing f, never by building f*lcm),
-differentials per cell, and the stored reductions keyed by (node, cell).
-The word kernel's own caches live on the structure, one kernel per ordering.
+differentials per cell, and reductions keyed by (node, cell).  The word
+kernel's own memos live on the structure, one kernel per ordering.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -110,8 +111,7 @@ class OrderResolution:
             raise PreconditionError("ordering does not cover the atoms")
         self.kernel = struct.kernel(self.ordering)
         self.memo = memo
-        self._lcm_cache: dict[Cell, int] = {}  # cell -> canonical node of its lcm
-        self._cell_by_atoms: dict[tuple[int, ...], Cell] = {}
+        self._lcms: dict[tuple[int, ...], int] = {}  # cell atoms -> node of the cell lcm
         self._diff_cache: dict[Cell, Chain] = {}
         self._reduce_cache: dict[tuple[int, Cell], Chain] = {}
         self._complement_cache: dict[Cell, list[tuple[int, int]]] = {}
@@ -141,27 +141,25 @@ class OrderResolution:
     def zero_cell(self, obj: int) -> Cell:
         return Cell((), obj)
 
-    def make_cell(self, atoms) -> Cell:
-        """Cell object for an atom tuple (the tuple must be a genuine cell)."""
-        atoms = tuple(atoms)
-        cell = self._cell_by_atoms.get(atoms)
-        if cell is None:
-            if not atoms:
-                raise PreconditionError("zero cells need an explicit object; use zero_cell")
+    def _atoms_lcm(self, atoms: tuple[int, ...]) -> int:
+        """The node of the lcm of a nonempty cell's atoms."""
+        lcm = self._lcms.get(atoms)
+        if lcm is None:
             lcm = self.kernel.join(atoms)
             if lcm < 0:
                 raise PreconditionError("cell atoms admit no common left-multiple")
-            cell = Cell(atoms, self.kernel.src[lcm])
-            self._lcm_cache[cell] = lcm
-            self._cell_by_atoms[atoms] = cell
-        return cell
+            self._lcms[atoms] = lcm
+        return lcm
+
+    def make_cell(self, atoms) -> Cell:
+        """Cell object for an atom tuple (the tuple must be a genuine cell)."""
+        atoms = tuple(atoms)
+        if not atoms:
+            raise PreconditionError("zero cells need an explicit object; use zero_cell")
+        return Cell(atoms, self.kernel.src[self._atoms_lcm(atoms)])
 
     def _cell_lcm(self, cell: Cell) -> int:
-        node = self._lcm_cache.get(cell)
-        if node is None:
-            node = self._cell_lcm(self.make_cell(cell.atoms)) if cell.atoms else cell.src
-            self._lcm_cache[cell] = node
-        return node
+        return self._atoms_lcm(cell.atoms) if cell.atoms else cell.src
 
     def cell_lcm(self, cell: Cell) -> Word:
         return self.kernel.word(self._cell_lcm(cell))
@@ -204,8 +202,7 @@ class OrderResolution:
                     joined = kernel.product(x, lcm)
                     if kernel.last[joined] == alpha:
                         new = Cell((alpha,) + cell.atoms, kernel.src[joined])
-                        self._lcm_cache[new] = joined
-                        self._cell_by_atoms[new.atoms] = new
+                        self._lcms[new.atoms] = joined
                         layer.append(new)
             layer.sort(key=lambda c: tuple(ranks[a] for a in c.atoms))
             dims.append(layer)
@@ -262,7 +259,7 @@ class OrderResolution:
         if u < 0:
             raise ConsistencyError("cell lcm is not a multiple of its facet lcm")
         out: Chain = {(u, rest): 1}
-        chain_iadd(out, self._reduce_elem(u, rest, store=True), -1)
+        chain_iadd(out, self._reduce_elem(u, rest), -1)
         if self.memo:
             self._diff_cache[cell] = out
         return out
@@ -304,12 +301,12 @@ class OrderResolution:
             return not f.atoms
         return self._least_over(self.kernel.intern(f), cell)[0] == cell.atoms[0]
 
-    def _reduce_elem(self, f: int, cell: Cell, store: bool) -> Chain:
-        """Reduction of the elementary chain f[cell]; store caches the result.
+    def _reduce_elem(self, f: int, cell: Cell) -> Chain:
+        """Reduction of the elementary chain f[cell], cached when memo is on.
 
-        Only the complement-shaped chains reached from differentials are
-        stored; arbitrary reductions (store=False) reuse but never grow the
-        cache.
+        The recursion reduces only complement-shaped chains, reached from
+        differentials and contractions; `reduce_chain` stores the arbitrary
+        chains it is given as well.
         """
         if not cell.atoms:
             src = self.kernel.src[f]
@@ -319,7 +316,7 @@ class OrderResolution:
         if cached is not None:
             return cached
         val = self._contracting_chain(self._act(f, self._differential(cell)))
-        if self.memo and store:
+        if self.memo:
             self._reduce_cache[key] = val
         return val
 
@@ -327,7 +324,7 @@ class OrderResolution:
         """The reduction map, term by term (only additive, not module-linear)."""
         acc: Chain = {}
         for (w, cell), m in self._nodes(chain).items():
-            chain_iadd(acc, self._reduce_elem(w, cell, store=False), m)
+            chain_iadd(acc, self._reduce_elem(w, cell), m)
         return self._words(acc)
 
     def _contracting_chain(self, chain: Chain) -> Chain:
@@ -358,10 +355,10 @@ class OrderResolution:
         if x < kernel.n_objects:
             raise ConsistencyError("least divisor already divides the cell lcm")
         new_cell = Cell((alpha,) + cell.atoms, kernel.src[x])
-        if new_cell not in self._lcm_cache:
-            self._lcm_cache[new_cell] = kernel.product(x, self._cell_lcm(cell))
+        if new_cell.atoms not in self._lcms:
+            self._lcms[new_cell.atoms] = kernel.product(x, self._cell_lcm(cell))
         acc: Chain = {(g, new_cell): 1}
-        reduced = self._reduce_elem(x, cell, store=True)
+        reduced = self._reduce_elem(x, cell)
         chain_iadd(acc, self._contracting_chain(self._act(g, reduced)))
         return acc
 
@@ -411,6 +408,15 @@ class CellComplex:
 
     def cell_counts(self) -> list[int]:
         return [len(layer) for layer in self.cells]
+
+    def check_facets(self) -> None:
+        """Raise if a boundary meets a facet outside the enumerated cells."""
+        for n in range(1, len(self.cells)):
+            facets = set(self.cells[n - 1])
+            for cell, chain in self.boundaries[n].items():
+                for _, facet in chain:
+                    if facet not in facets:
+                        raise ConsistencyError(f"the boundary of {cell} meets {facet}, which is not a cell")
 
 
 def build_complex(
@@ -475,24 +481,19 @@ def two_cell_bounds(struct: GaussianStructure) -> TwoCellBounds:
     return TwoCellBounds(per_object, stats, lower, upper)
 
 
-def _has_cycle(n_atoms: int, edges: set[tuple[int, int]]) -> bool:
-    adjacency: dict[int, list[int]] = {}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-    state = {}  # 1 = in progress, 2 = done
-
-    def visit(v) -> bool:
-        state[v] = 1
-        for w in adjacency.get(v, ()):
-            mark = state.get(w)
-            if mark == 1:
-                return True
-            if mark is None and visit(w):
-                return True
-        state[v] = 2
-        return False
-
-    return any(state.get(v) is None and visit(v) for v in list(adjacency))
+def _reaches(adjacency: list[set[int]], starts, goal: int) -> bool:
+    """Whether some path in the graph leads from one of starts to goal."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        if v == goal:
+            return True
+        for w in adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
 
 
 def optimize_ordering(struct: GaussianStructure) -> AtomOrdering:
@@ -502,54 +503,41 @@ def optimize_ordering(struct: GaussianStructure) -> AtomOrdering:
     morphism as that morphism's least divisor (an edge set a < b for the
     other divisors b).  Conditions are added greedily, cheapest excess
     partner count first, as long as the accumulated relation stays acyclic;
-    ties break on the lcm's canonical word and then the atom id.  The final
-    partial order is refined to a total one by a topological sort with
+    ties break on the lcm's canonical word and then the atom id.  Edges only
+    accumulate, so a rejected condition stays rejected and one pass over the
+    sorted conditions suffices; the relation stays acyclic, so a condition
+    closes a cycle exactly when one of its targets b already reaches a.  The
+    final partial order is refined to a total one by a topological sort with
     ascending atom ids.
     """
     conditions = []
     for x, lcm, counts in _lcm_statistics(struct):
         best = min(counts.values())
         for a, n in sorted(counts.items()):
-            edges = frozenset((a, b) for b in counts if b != a)
-            conditions.append((n - best, (lcm.src, lcm.atoms), a, edges))
+            targets = [b for b in counts if b != a]
+            conditions.append((n - best, (lcm.src, lcm.atoms), a, targets))
     conditions.sort(key=lambda c: (c[0], c[1], c[2]))
 
-    chosen_edges: set[tuple[int, int]] = set()
+    adjacency: list[set[int]] = [set() for _ in range(struct.n_atoms)]
     settled: set[tuple] = set()
-    while True:
-        progress = False
-        for defect, lkey, atom, edges in conditions:
-            if lkey in settled:
-                continue
-            if not _has_cycle(struct.n_atoms, chosen_edges | edges):
-                settled.add(lkey)
-                chosen_edges |= edges
-                progress = True
-                break
-        if not progress:
-            break
+    for _, lkey, atom, targets in conditions:
+        if lkey not in settled and not _reaches(adjacency, targets, atom):
+            settled.add(lkey)
+            adjacency[atom].update(targets)
 
     indegree = [0] * struct.n_atoms
-    adjacency: dict[int, set[int]] = {a: set() for a in range(struct.n_atoms)}
-    for a, b in chosen_edges:
-        if b not in adjacency[a]:
-            adjacency[a].add(b)
+    for targets in adjacency:
+        for b in targets:
             indegree[b] += 1
-    available = sorted(a for a in range(struct.n_atoms) if indegree[a] == 0)
+    available = [a for a in range(struct.n_atoms) if indegree[a] == 0]
     order = []
     while available:
-        a = available.pop(0)
+        a = heapq.heappop(available)
         order.append(a)
-        changed = False
         for b in adjacency[a]:
             indegree[b] -= 1
             if indegree[b] == 0:
-                available.append(b)
-                changed = True
-        if changed:
-            available.sort()
-    if len(order) != struct.n_atoms:
-        raise ConsistencyError("compatible conditions formed a cycle")
+                heapq.heappush(available, b)
     return AtomOrdering.from_sequence(order)
 
 

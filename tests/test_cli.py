@@ -61,6 +61,64 @@ def test_order_command():
     assert "cells: 1 3 2 0" in out
 
 
+# the optimized ordering of each builtin, atom names from least to greatest
+OPTIMIZED_ORDERS = {
+    "artin:I2(4)": "a b",
+    "artin:I2(5)": "a b",
+    "artin:I2(6)": "a b",
+    "artin:I2(8)": "a b",
+    "artin:I2(10)": "a b",
+    "circ:G7": "a b c",
+    "circ:G11": "a b c",
+    "circ:G12": "a b c",
+    "circ:G13": "b a c",
+    "circ:G15": "a b c",
+    "circ:G19": "a b c",
+    "circ:G22": "a b c",
+    "artin:A3": "a b c",
+    "artin:B3": "a b c",
+    "artin:H3": "a b c",
+    "artin:F4": "a b c d",
+    "artin:A4": "a b c d",
+    "artin:B4": "a b c d",
+    "artin:D4": "a b c d",
+    "dual:A3": "t01 t02 t03 t12 t13 t23",
+    "artin:A1": "a",
+    "artin:A2": "a b",
+    "artin:A5": "a b c d e",
+    "artin:A6": "a b c d e f",
+    "artin:B5": "a b c d e",
+    "artin:D5": "a b c d e",
+    "artin:D6": "a b c d e f",
+    "artin:H4": "a b c d",
+    "artin:E6": "a b c d e f",
+    "artin:E7": "a b c d e f g",
+    "artin:E8": "a b c d e f g h",
+    "dual:A2": "t01 t02 t12",
+    "dual:A4": "t01 t02 t03 t04 t12 t13 t14 t23 t24 t34",
+}
+
+
+@pytest.mark.parametrize("spec", OPTIMIZED_ORDERS)
+def test_order_command_pins_optimized_ordering(spec):
+    code, out, _ = run_cli(["order", "--structure", f"builtin:{spec}", "--max-dim", "1"])
+    assert code == 0
+    assert out.splitlines()[0] == "order: " + " < ".join(OPTIMIZED_ORDERS[spec].split())
+
+
+def test_order_command_turns_down_conditions_closing_a_cycle(tmp_path):
+    # with dual A3's atoms declared in this order, the greedy search meets
+    # conditions that would close a cycle among the chosen ones
+    lines = serialize_structure(builtin_structure("dual:A3")).splitlines(keepends=True)
+    atoms = {line.split()[1]: line for line in lines if line.startswith("ATOM ")}
+    names = iter(["t13", "t03", "t02", "t01", "t23", "t12"])
+    path = tmp_path / "dual_a3.gs"
+    path.write_text("".join(atoms[next(names)] if line.startswith("ATOM ") else line for line in lines))
+    code, out, _ = run_cli(["order", "--structure", str(path)])
+    assert code == 0
+    assert out == "order: t13 < t03 < t02 < t01 < t23 < t12\ncells: 1 6 11 6 0 0 0\n"
+
+
 def test_homology_text_and_csv_agree():
     code, text_out, _ = run_cli(
         ["homology", "--structure", "builtin:circ:G7", "--coeffs", "trivial"]
@@ -271,6 +329,18 @@ def test_validate_flags_diverging_folds(tmp_path):
     code, out, _ = run_cli(["validate", "--structure", str(path)])
     assert code == 3
     assert out == "violation: lcm fold of (0, 1, 2) failed\n"
+
+
+@pytest.mark.parametrize("depth", ["3", "4", "6"])
+def test_validate_flags_boundary_off_the_cells(tmp_path, depth):
+    # every lcm fold of this table agrees, but its complex breaks in degree 3
+    path = tmp_path / "bad.gs"
+    path.write_text(INCONSISTENT_TABLES["boundary off the cells"])
+    code, out, _ = run_cli(["validate", "--structure", str(path), "--depth", depth])
+    assert code == 3
+    off_cells, squared = out.splitlines()
+    assert off_cells.startswith("violation: ") and off_cells.endswith("which is not a cell")
+    assert squared.startswith("violation: ") and "boundary of boundary is nonzero" in squared
 
 
 @pytest.mark.parametrize(

@@ -368,19 +368,30 @@ def test_canonical_form_decides_oracle_equivalence(case):
     cv = struct.canonical_form(wordify(struct, v), ordering)
     assert (cu == cv) == rewriting.equal(name, u, v)
     assert rewriting.equal(name, "".join(struct.word_names(cu)), u)
+    kernel = struct.kernel(ordering)
+    uv = kernel.product(kernel.intern(wordify(struct, u)), kernel.intern(wordify(struct, v)))
+    assert uv == kernel.intern(wordify(struct, u + v))
 
 
 @settings(max_examples=300, deadline=None)
 @given(oracle_case())
 def test_quotient_atom_matches_oracle(case):
-    name, w, _, _ = case
+    name, w, _, order = case
     struct = KERNEL_STRUCTS[name]
+    ordering = AtomOrdering.from_sequence([struct.atom_index[x] for x in order])
     divisors = rewriting.right_divisors(name, w)
     for atom_name in rewriting.PRESENTATIONS[name][0]:
-        q = struct.quotient_atom(wordify(struct, w), struct.atom_index[atom_name])
+        atom = struct.atom_index[atom_name]
+        q = struct.quotient_atom(wordify(struct, w), atom)
         assert (q is not None) == (atom_name in divisors)
         if q is not None:
             assert rewriting.equal(name, "".join(struct.word_names(q)) + atom_name, w)
+            q = struct.left_quotient(wordify(struct, w), atom, ordering)
+            assert rewriting.equal(name, "".join(struct.word_names(q)) + atom_name, w)
+            assert struct.canonical_form(q, ordering) == q
+        else:
+            with pytest.raises(DivisionError):
+                struct.left_quotient(wordify(struct, w), atom, ordering)
 
 
 @settings(max_examples=200, deadline=None)
