@@ -46,6 +46,8 @@ def _load_structure(spec: str) -> GaussianStructure:
             text = handle.read()
     except OSError as exc:
         raise PreconditionError(f"cannot read structure file {spec!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"structure file {spec!r} is not valid UTF-8: {exc}") from exc
     struct = parse_structure(text)
     struct.label = spec
     return struct

@@ -307,16 +307,23 @@ class GaussianStructure:
 
     # -- division by reversing -------------------------------------------
 
-    def _length_violations(self) -> list[str]:
-        """One message per lcm entry whose sides comp_a*a and comp_b*b have
-        different lengths."""
+    def _entry_violations(self) -> list[str]:
+        """One message per lcm entry the word kernel refuses: one with an
+        empty complement (comp_a empty says lcm(a, b) = a, so b divides the
+        atom a), or one whose sides comp_a*a and comp_b*b have different
+        lengths."""
         length = self.atom_length
-        return [
-            f"LCM({self.atom_names[a]},{self.atom_names[b]}): sides have different lengths"
-            for a, b, pair in self.lcm_entries()
-            if pair is not None
-            and self.word_length(pair[0]) + length[a] != self.word_length(pair[1]) + length[b]
-        ]
+        violations = []
+        for a, b, pair in self.lcm_entries():
+            if pair is None:
+                continue
+            entry = f"LCM({self.atom_names[a]},{self.atom_names[b]})"
+            comp_a, comp_b = pair
+            if not comp_a.atoms or not comp_b.atoms:
+                violations.append(f"{entry}: empty complement, so one atom divides the other")
+            elif self.word_length(comp_a) + length[a] != self.word_length(comp_b) + length[b]:
+                violations.append(f"{entry}: sides have different lengths")
+        return violations
 
     def lcm_entries(self) -> list[tuple[int, int, Optional[tuple[Word, Word]]]]:
         """The table as (a, b, entry) with a < b, sorted; entry is None (no
@@ -452,17 +459,18 @@ class GaussianStructure:
     def validate(self, depth: int = 3) -> ValidationReport:
         """Bounded sanity check of the lcm table.
 
-        Checks entry symmetry and length homogeneity, then the consistency
-        of lcm folds over all atom subsets of size up to `depth` at a common
-        target: every fold order must succeed and give the same lcm.  When
-        the folds pass, it builds the complex under declaration order up to
-        dimension `depth` (at most `default_max_dim`) and checks that every
-        boundary stays on the enumerated cells and that d∘d = 0.  A passing
-        report is evidence, not proof, that the structure is Gaussian.
+        Checks entry symmetry, nonempty complements and length homogeneity,
+        then the consistency of lcm folds over all atom subsets of size up
+        to `depth` at a common target: every fold order must succeed and
+        give the same lcm.  When the folds pass, it builds the complex
+        under declaration order up to dimension `depth` (at most
+        `default_max_dim`) and checks that every boundary stays on the
+        enumerated cells and that d∘d = 0.  A passing report is evidence,
+        not proof, that the structure is Gaussian.
         """
         if depth < 1:
             raise PreconditionError("depth must be positive")
-        violations = self._length_violations()
+        violations = self._entry_violations()
         if violations:  # the word kernel refuses such tables
             return ValidationReport(violations)
         for a, b, pair in self.lcm_entries():
@@ -547,8 +555,9 @@ class WordKernel:
 
     def __init__(self, struct: GaussianStructure, ordering: AtomOrdering):
         # Lengths make the recursion well founded; on a table that does not
-        # preserve them, division can grow the trie without bound.
-        bad = struct._length_violations()
+        # preserve them, division can grow the trie without bound.  An empty
+        # complement makes one atom a multiple of another, which no atom is.
+        bad = struct._entry_violations()
         if bad:
             raise ConsistencyError(bad[0])
         self.struct = struct

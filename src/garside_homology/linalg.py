@@ -5,7 +5,9 @@ polynomials F[t, t^-1] over a field (rationals or a prime field).  Both are
 principal ideal domains, and the chain groups are free, so the kernel of a
 boundary is a direct summand: homology in degree n is read off the ranks of
 the two boundaries at C_n and the invariant factors of the incoming one.
-No transforms are needed, only the diagonal of the Smith normal form.
+No transforms are needed, only the diagonal of the Smith normal form, and
+each matrix is reduced once: `ScalarMatrix.factors` keeps its invariant
+factors, so d_{n+1} serves degree n (its factors) and degree n+1 (its rank).
 
 Pivots are chosen of minimal Euclidean size (absolute value; degree span,
 then coefficient height), stopping at the first unit, to keep intermediate
@@ -15,6 +17,7 @@ entries small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .gaussian import ConsistencyError, PreconditionError
@@ -161,9 +164,14 @@ class LaurentDomain:
         return hash(("laurent", self.field))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalarMatrix:
-    """Dense rectangular matrix over one of the supported domains."""
+    """Dense rectangular matrix over one of the supported domains.
+
+    `factors` is computed on first read and kept, so `entries` must not be
+    mutated after it has been read; mutate a `copy()`, which starts without
+    factors.
+    """
 
     rows: int
     cols: int
@@ -199,6 +207,11 @@ class ScalarMatrix:
     def is_zero(self) -> bool:
         dom = self.domain
         return all(dom.is_zero(e) for row in self.entries for e in row)
+
+    @cached_property
+    def factors(self) -> list:
+        """The invariant factors (see `invariant_factors`), computed once."""
+        return invariant_factors(self)
 
 
 def _least_entry(dom, A: list) -> Optional[tuple[int, int]]:
@@ -298,7 +311,10 @@ def homology_at(
     domain the kernel of boundary_out is a direct summand of the free C_n,
     so H_n is free of rank dim_n - rank(out) - rank(in) plus the quotients
     by the non-unit invariant factors of boundary_in; the check that the
-    composite vanishes is what puts the image inside the kernel.
+    composite vanishes is what puts the image inside the kernel.  Ranks and
+    factors are read from the matrices' `factors`, so a matrix passed as
+    boundary_in here and as boundary_out in the next degree is reduced once
+    for the two.
     """
     if boundary_out is None:
         boundary_out = ScalarMatrix.zero(0, dim_n, domain)
@@ -308,13 +324,9 @@ def homology_at(
         raise PreconditionError("matrix shapes do not match the cell count")
     if boundary_out.domain != domain or boundary_in.domain != domain:
         raise PreconditionError("matrix domain mismatch")
-    if dim_n == 0:
-        return HomologyGroup(0, [], domain)
-
     if not boundary_out.mul(boundary_in).is_zero():
         raise ConsistencyError("composite of consecutive boundaries is nonzero")
 
-    factors_in = invariant_factors(boundary_in)
-    rank_out = len(invariant_factors(boundary_out))
+    factors_in = boundary_in.factors
     torsion = [d for d in factors_in if not domain.is_unit(d)]
-    return HomologyGroup(dim_n - rank_out - len(factors_in), torsion, domain)
+    return HomologyGroup(dim_n - len(boundary_out.factors) - len(factors_in), torsion, domain)

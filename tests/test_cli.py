@@ -290,8 +290,8 @@ def _mutated_builtin(spec, row, line):
 ABC = ["ATOM a * * 1", "ATOM b * * 1", "ATOM c * * 1"]
 # tables the commands must refuse with exit 4: lcm sides of different
 # lengths (the second makes unchecked division grow the trie without
-# bound), a pair whose lcm its atom does not divide, and a boundary that
-# leaves the enumerated cells
+# bound), a pair whose lcm its atom does not divide, a boundary that
+# leaves the enumerated cells, and empty complements
 INCONSISTENT_TABLES = {
     "uneven sides": _table(
         ABC + ["LCM a b COMPL b c.a", "LCM a c COMPL b.c a.b", "LCM b c COMPL c.a a.b"]
@@ -299,6 +299,10 @@ INCONSISTENT_TABLES = {
     "uneven sides, growing trie": _mutated_builtin("artin:A3", "LCM a c ", "LCM a c COMPL c a.b.c"),
     "pair lcm not divisible": _mutated_builtin("artin:A3", "LCM a b ", "LCM a b COMPL a.b b.c"),
     "boundary off the cells": _mutated_builtin("dual:A3", "LCM t12 t23 ", "LCM t12 t23 COMPL t23 t02"),
+    # an empty complement says lcm(a, b) = a: on both sides a = b, on one
+    # side b divides a (here a = b.b, with the lengths kept even)
+    "empty complements": _table(["ATOM a * * 1", "ATOM b * * 1", "LCM a b COMPL - -"]),
+    "empty complement, one side": _table(["ATOM a * * 2", "ATOM b * * 1", "LCM a b COMPL - b"]),
 }
 
 
@@ -306,7 +310,13 @@ INCONSISTENT_TABLES = {
     "table, command",
     [
         (table, command)
-        for table in ("uneven sides", "uneven sides, growing trie", "pair lcm not divisible")
+        for table in (
+            "uneven sides",
+            "uneven sides, growing trie",
+            "pair lcm not divisible",
+            "empty complements",
+            "empty complement, one side",
+        )
         for command in ("cells", "bounds", "homology")
     ]
     + [("boundary off the cells", "homology")],
@@ -341,6 +351,34 @@ def test_validate_flags_boundary_off_the_cells(tmp_path, depth):
     off_cells, squared = out.splitlines()
     assert off_cells.startswith("violation: ") and off_cells.endswith("which is not a cell")
     assert squared.startswith("violation: ") and "boundary of boundary is nonzero" in squared
+
+
+EMPTY_COMPLEMENT = "empty complement, so one atom divides the other"
+
+
+@pytest.mark.parametrize(
+    "table, entries",
+    [
+        (INCONSISTENT_TABLES["empty complements"], ["a,b"]),
+        (INCONSISTENT_TABLES["empty complement, one side"], ["a,b"]),
+        (_table(ABC + ["LCM a b COMPL - -", "LCM a c COMPL c a", "LCM b c COMPL - -"]), ["a,b", "b,c"]),
+    ],
+)
+def test_validate_reports_each_empty_complement(tmp_path, table, entries):
+    path = tmp_path / "empty.gs"
+    path.write_text(table)
+    code, out, _ = run_cli(["validate", "--structure", str(path)])
+    assert code == 3
+    assert out.splitlines() == [f"violation: LCM({pair}): {EMPTY_COMPLEMENT}" for pair in entries]
+
+
+def test_non_utf8_structure_file_exits_2(tmp_path):
+    path = tmp_path / "utf16.gs"
+    path.write_bytes(b"\xff\xfe" + _table(["ATOM a * * 1"]).encode("utf-16-le"))
+    code, out, err = run_cli(["cells", "--structure", str(path)])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert str(path) in err and "UTF-8" in err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,12 @@
 """Pipeline-level homology checks on small fixtures."""
 
-from garside_homology import parse_structure
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from garside_homology import homology, linalg, parse_structure
 from garside_homology.coefficients import make_system
+from garside_homology.gaussian import AtomOrdering
 from garside_homology.homology import compute_homology, format_group, default_max_dim
 from garside_homology.linalg import HomologyGroup, IntegerDomain, LaurentDomain, ScalarMatrix, homology_at
 from garside_homology.rings import Rationals, poly_from_ints
@@ -104,3 +109,63 @@ def test_declared_order_is_used():
     declared = resolve_ordering(struct, "declared")
     res = OrderResolution(struct, declared, max_dim=3)
     assert res.cell_counts() == [1, 3, 2, 0]
+
+
+REDUCED_ONCE_ROWS = [
+    ("A3", ("trivial",)),
+    ("H3", ("laurent", "Q")),
+    ("dualA3", ("laurent", "Fp", 3)),
+]
+
+
+def capture_matrices(monkeypatch) -> list:
+    """Record the matrices that compute_homology gets from specialize."""
+    captured = []
+    original = homology.specialize
+
+    def recording(cx, system):
+        mats = original(cx, system)
+        captured.append(mats)
+        return mats
+
+    monkeypatch.setattr(homology, "specialize", recording)
+    return captured
+
+
+@pytest.mark.parametrize("name, system", REDUCED_ONCE_ROWS)
+def test_each_boundary_is_reduced_once(monkeypatch, builtins, name, system):
+    # d_{n+1} enters degree n and leaves degree n + 1; one reduction serves
+    # both, including the empty matrices around degrees without cells
+    reduced = []
+    original = linalg.invariant_factors
+
+    def counting(matrix):
+        reduced.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(linalg, "invariant_factors", counting)
+    captured = capture_matrices(monkeypatch)
+    compute_homology(builtins[name], make_system(*system))
+    (mats,) = captured
+    assert mats[0] is None and len(mats) > 2
+    for n, m in enumerate(mats[1:], start=1):
+        assert sum(r is m for r in reduced) == 1, (name, n)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_kept_factors_match_fresh_copies(builtins, data):
+    # the groups read from each matrix's kept factors equal those of
+    # homology_at on copies, which start without factors
+    name, system = data.draw(st.sampled_from(REDUCED_ONCE_ROWS))
+    struct = builtins[name]
+    ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        captured = capture_matrices(monkeypatch)
+        result = compute_homology(struct, make_system(*system), ordering)
+    (mats,) = captured
+    domain = result.system.domain()
+    for n, group in enumerate(result.groups):
+        b_out = mats[n].copy() if n >= 1 else None
+        fresh = homology_at(mats[n + 1].copy(), b_out, len(result.cell_complex.cells[n]), domain)
+        assert (group.free_rank, group.torsion) == (fresh.free_rank, fresh.torsion), (name, n)
