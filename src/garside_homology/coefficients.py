@@ -151,7 +151,7 @@ def _cyclotomic_ints(n: int) -> tuple[int, ...]:
             num, rem = poly_divmod(field, num, poly_from_ints(field, _cyclotomic_ints(d)))
             if rem:
                 raise ArithmeticError("cyclotomic recursion produced a remainder")
-    return tuple(int(c) for c in num)
+    return num
 
 
 def cyclotomic_poly(n: int, field) -> Poly:

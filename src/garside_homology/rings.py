@@ -2,8 +2,10 @@
 
 Dense polynomials over a field are tuples of coefficients, constant term
 first, with no trailing zeros (the zero polynomial is the empty tuple).
-Laurent polynomials are built on them in linalg.LaurentDomain.  Primality of
-a field's characteristic is decided by deterministic Miller-Rabin, so p is
+Laurent polynomials are built on them in linalg.LaurentDomain.  A rational
+is an int when integral and a Fraction only when it has a denominator; a
+prime field's elements are the ints 0..p-1.  Primality of a field's
+characteristic is decided by deterministic Miller-Rabin, so p is
 bounded by MR_BOUND.  Everything is exact; no floating point anywhere.
 """
 
@@ -14,30 +16,43 @@ from fractions import Fraction
 from .gaussian import PreconditionError
 
 
+def _rational(r):
+    """r as an int when it is integral, else the Fraction itself."""
+    return r.numerator if r.denominator == 1 else r
+
+
 class Rationals:
-    """The field of rational numbers (fractions.Fraction values)."""
+    """The field of rational numbers.
+
+    An element is an int when it is integral and a Fraction in lowest terms
+    only when its denominator exceeds 1, so the integral coefficients that
+    fill most boundary matrices cost int arithmetic, not a Fraction and a gcd
+    per operation.  Both types have `numerator` and `denominator`.
+    """
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _rational(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        if a == 1 or a == -1:
+            return a
+        return _rational(Fraction(1, a))
 
     def is_zero(self, a) -> bool:
         return a == 0

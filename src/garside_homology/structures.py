@@ -371,15 +371,21 @@ def parse_structure(text: str) -> GaussianStructure:
         elif kind == "BASEOBJECT":
             if len(fields) != 2 or fields[1] not in seen_objects:
                 raise ParseError(lineno, "BASEOBJECT takes one declared object")
+            if basepoint is not None:
+                raise ParseError(lineno, "BASEOBJECT given twice")
             basepoint = fields[1]
         elif kind == "PATHLEN":
             if len(fields) != 3 or fields[1] not in seen_objects:
                 raise ParseError(lineno, "PATHLEN takes a declared object and an integer")
+            if fields[1] in path_lengths:
+                raise ParseError(lineno, f"path length of object {fields[1]!r} given twice")
             try:
                 path_lengths[fields[1]] = int(fields[2])
             except ValueError:
                 raise ParseError(lineno, f"bad path length {fields[2]!r}") from None
         elif kind == "ORDER":
+            if order is not None:
+                raise ParseError(lineno, "ORDER given twice")
             order, order_line = fields[1:], lineno
             for atom in order:
                 if atom not in seen_atoms:

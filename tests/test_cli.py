@@ -234,6 +234,16 @@ def test_declared_order_from_file(tmp_path):
     assert out.strip() == "1 3 3 1"
 
 
+def test_repeated_order_line_exits_2(tmp_path):
+    _, text, _ = run_cli(["builtin", "--structure", "builtin:circ:G13"])
+    path = tmp_path / "g13.gs"
+    path.write_text(text + "ORDER c a b\nORDER a b c\n")
+    n = len(text.splitlines()) + 2
+    code, out, err = run_cli(["cells", "--structure", str(path), "--order", "declared"])
+    assert (code, out) == (2, "")
+    assert err == f"error: line {n}: ORDER given twice\n"
+
+
 def test_escaping_recursion_error_exits_4(monkeypatch):
     from garside_homology import cli
 

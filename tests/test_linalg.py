@@ -224,6 +224,32 @@ def test_snf_random_polynomial_matrices():
             check_factors(mat, invariant_factors(mat))
 
 
+def fraction_copy(matrix: ScalarMatrix) -> ScalarMatrix:
+    """The Laurent matrix with every coefficient a Fraction, integral or not:
+    the same values without the int representation of Rationals."""
+    entries = [[(v, tuple(Fraction(c) for c in poly)) for v, poly in row] for row in matrix.entries]
+    return ScalarMatrix(matrix.rows, matrix.cols, entries, matrix.domain)
+
+
+def test_snf_equal_on_fraction_copies():
+    from garside_homology.coefficients import make_system, specialize
+    from garside_homology.resolution import build_complex
+
+    mats = []
+    for name in ("B3", "H3", "A4"):
+        mats += specialize(build_complex(artin_named(name)), make_system("laurent", "Q"))[1:]
+    rng = random.Random(11)
+    scale = (0, (Fraction(1, 2), Fraction(-3, 4)))  # 1/2 - 3t/4, so some entries are not integral
+    for _ in range(50):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[(rng.randint(-2, 2), [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]) for _ in range(n)] for _ in range(m)]
+        mat = laurent_matrix(QQ, rows)
+        mat.entries[0][0] = mat.domain.mul(mat.entries[0][0], scale)
+        mats.append(mat)
+    for mat in mats:
+        assert invariant_factors(fraction_copy(mat)) == invariant_factors(mat)
+
+
 def unimodular_shuffle(rng, mat: ScalarMatrix) -> ScalarMatrix:
     out = mat.copy()
     dom = out.domain

@@ -265,3 +265,36 @@ def test_parse_reports_the_order_line():
     with pytest.raises(ParseError) as err:
         parse_structure(text)
     assert err.value.line == 6
+
+
+@pytest.mark.parametrize(
+    "extra, line, message",
+    [
+        ("ORDER a b c\nORDER b a c\n", 9, "ORDER given twice"),
+        ("BASEOBJECT x\nBASEOBJECT y\n", 9, "BASEOBJECT given twice"),
+        ("PATHLEN x 0\nPATHLEN y 1\nPATHLEN x 2\n", 10, "path length of object 'x' given twice"),
+    ],
+)
+def test_parse_rejects_repeated_directives(extra, line, message):
+    # each would otherwise silently take the last value
+    text = (
+        "GAUSSIAN-STRUCTURE v1\nOBJECT x\nOBJECT y\n"
+        "ATOM a x x 1\nATOM b x x 1\nATOM c x y 1\n"
+        "LCM a b COMPL b.a a.b\n" + extra
+    )
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_parse_keeps_single_directives():
+    text = (
+        "GAUSSIAN-STRUCTURE v1\nOBJECT x\nOBJECT y\n"
+        "ATOM a x x 1\nATOM b x x 1\nATOM c x y 1\n"
+        "LCM a b COMPL b.a a.b\nBASEOBJECT x\nPATHLEN x 0\nPATHLEN y 1\nORDER c b a\n"
+    )
+    struct = parse_structure(text)
+    assert struct.object_names[struct.basepoint] == "x"
+    assert list(struct.path_lengths) == [0, 1]
+    assert serialize_structure(struct).endswith("ORDER c b a\n")
