@@ -24,8 +24,13 @@ accumulators, never mutate one you were given.
 The caches are per resolution: cell lcms (as nodes) keyed by atom tuple,
 per cell the complements x with x*lcm = lcm(a, lcm) for each atom a (so the
 least divisor of f*lcm is found by dividing f, never by building f*lcm),
-differentials per cell, and reductions keyed by (node, cell).  The word
-kernel's own memos live on the structure, one kernel per ordering.
+differentials per cell, reductions keyed by (node, cell), and per term
+(w, cell) of a reduction the nodes p with p*w*lcm = lcm(a, w*lcm) for the
+atoms a below the cell's first one.  The contracting homotopy acts on
+reductions, and most of the terms g*w[cell] it meets are irreducible and
+contract to 0: exactly those whose g is a multiple of no such p.  They are
+dropped, and the others contracted from g/p, without building g*w.  The
+word kernel's own memos live on the structure, one kernel per ordering.
 """
 
 from __future__ import annotations
@@ -93,9 +98,11 @@ class OrderResolution:
     public methods take and return Word-keyed chains.  All methods are
     deterministic functions of (structure, ordering); a resolution shares
     the word kernel its structure keeps for the ordering, so it must not be
-    used from several threads at once.  Set memo=False to recompute
-    differentials and reductions from scratch (for cross-validation; much
-    slower).
+    used from several threads at once.  It caches differentials per cell,
+    reductions per term (node, cell), and per term the nodes that decide
+    whether a multiple of it is reducible (`_lower`).  Set memo=False to
+    recompute all three from scratch at each use (for cross-validation;
+    much slower); cell lcms and complements are kept either way.
     """
 
     def __init__(
@@ -115,6 +122,7 @@ class OrderResolution:
         self._diff_cache: dict[Cell, Chain] = {}
         self._reduce_cache: dict[tuple[int, Cell], Chain] = {}
         self._complement_cache: dict[Cell, list[tuple[int, int]]] = {}
+        self._lower_cache: dict[tuple[int, Cell], tuple[tuple[int, int, int, int], ...]] = {}
         if max_dim is None:
             max_dim = default_max_dim(struct)
         if max_dim < 0:
@@ -352,14 +360,63 @@ class OrderResolution:
         alpha, x, g = self._least_over(f, cell)
         if alpha == cell.atoms[0]:
             return {}
+        return self._contract_step(g, alpha, x, cell)
+
+    def _contract_step(self, g: int, alpha: int, x: int, cell: Cell) -> Chain:
+        """Homotopy on a reducible term (g*x)[cell] whose least divisor is
+        alpha, x being alpha's complement as in _complements."""
+        kernel = self.kernel
         if x < kernel.n_objects:
             raise ConsistencyError("least divisor already divides the cell lcm")
         new_cell = Cell((alpha,) + cell.atoms, kernel.src[x])
         if new_cell.atoms not in self._lcms:
             self._lcms[new_cell.atoms] = kernel.product(x, self._cell_lcm(cell))
         acc: Chain = {(g, new_cell): 1}
-        reduced = self._reduce_elem(x, cell)
-        chain_iadd(acc, self._contracting_chain(self._act(g, reduced)))
+        chain_iadd(acc, self._act_contract(g, self._reduce_elem(x, cell)))
+        return acc
+
+    def _lower(self, w: int, cell: Cell) -> tuple[tuple[int, int, int, int], ...]:
+        """For a term w[cell] of dimension >= 1, L its cell's lcm: the
+        tuples (p, alpha, x, y), in increasing order of the atoms alpha
+        below the cell's first atom that have a left-lcm with w*L, where
+        p*w*L is that lcm, x is alpha's complement as in _complements and
+        y*x = p*w.  The first atom divides L, so g*w[cell] is reducible
+        exactly when some p right-divides g (cancel w*L on the right); for
+        the first one, g = h*p, its least divisor is alpha and g*w = h*y*x.
+        Cached per term when memo is on."""
+        key = (w, cell)
+        lower = self._lower_cache.get(key)
+        if lower is None:
+            kernel = self.kernel
+            wl = kernel.product(w, self._cell_lcm(cell))
+            first = cell.atoms[0]
+            rows = []
+            for alpha, x in self._complements(cell):
+                if alpha == first:
+                    break
+                p = kernel.lcm(wl, alpha)
+                if p >= 0:
+                    y = kernel.divide(kernel.product(p, w), x)
+                    if y < 0:
+                        raise ConsistencyError("an lcm over a term is not a multiple of the cell's")
+                    rows.append((p, alpha, x, y))
+            lower = tuple(rows)
+            if self.memo:
+                self._lower_cache[key] = lower
+        return lower
+
+    def _act_contract(self, g: int, chain: Chain) -> Chain:
+        """_contracting_chain(_act(g, chain)) for a chain of cells of
+        dimension >= 1, without forming g*w: the irreducible terms
+        g*w[cell] contract to 0, and the others go straight to their step."""
+        divide, product = self.kernel.divide, self.kernel.product
+        acc: Chain = {}
+        for (w, cell), m in chain.items():
+            for p, alpha, x, y in self._lower(w, cell):
+                h = divide(g, p)
+                if h >= 0:
+                    chain_iadd(acc, self._contract_step(product(h, y), alpha, x, cell), m)
+                    break
         return acc
 
     def contracting_elem(self, f: Word, cell: Cell) -> Chain:

@@ -6,6 +6,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rewriting
 from garside_homology import (
@@ -371,6 +373,52 @@ def test_memoized_and_plain_differentials_agree(builtins):
         for n in range(1, len(fast.cells)):
             for cell in fast.cells[n]:
                 assert fast.differential(cell) == slow.differential(cell), (name, cell)
+
+
+# -- skipping irreducible terms before forming g*w ------------------------------
+
+LOWER_STRUCTS = {
+    "A3": lambda: artin_named("A3"),
+    "H3": lambda: artin_named("H3"),
+    "G13": lambda: circulating_structure("G13"),
+    "dualA3": lambda: dual_typeA_structure(3),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(LOWER_STRUCTS)), st.data(), st.randoms(use_true_random=False))
+def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
+    # the contracting homotopy drops a term g*w[C] of a reduction without
+    # forming g*w when no p of _lower(w, C) right-divides g; that must
+    # happen exactly when g*w[C] is irreducible, decided by _least_over.
+    # Otherwise the first p that does, g = h*p, gives the least divisor
+    # and the quotient by its complement as _least_over does
+    struct = LOWER_STRUCTS[name]()  # cold kernels, so every example draws alike
+    ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
+    res = build_complex(struct, ordering).resolution
+    kernel = res.kernel
+    by_target: dict[int, list[int]] = {x: [x] for x in range(kernel.n_objects)}
+    for node in range(kernel.n_objects, len(kernel.last)):
+        by_target[kernel.target(node)].append(node)
+    terms = sorted({term for chain in res._reduce_cache.values() for term in chain})
+    assert terms
+    for w, cell in terms:
+        for g in rng.sample(by_target[kernel.src[w]], min(4, len(by_target[kernel.src[w]]))):
+            gw = kernel.product(g, w)
+            hits = [(kernel.divide(g, p), alpha, x, y) for p, alpha, x, y in res._lower(w, cell)]
+            hits = [(alpha, x, kernel.product(h, y)) for h, alpha, x, y in hits if h >= 0]
+            assert (not hits) == res.irreducible(kernel.word(gw), cell), (name, w, cell, g)
+            if hits:
+                assert hits[0] == res._least_over(gw, cell), (name, w, cell, g)
+
+
+def test_e6_complex_work_bound():
+    # the trie count is deterministic: 15,820 nodes when contractions form
+    # no g*w, 20,052 when they form it for the reducible terms only, and
+    # 33,948 when they form it for every term
+    struct = artin_named("E6")
+    res = build_complex(struct, optimize_ordering(struct)).resolution
+    assert len(res.kernel.last) <= 17_000
 
 
 def test_build_complex_shape():
