@@ -8,7 +8,6 @@ or Laurent coefficients, and reads off homology from invariant factors.
 from .gaussian import (
     AtomOrdering,
     ConsistencyError,
-    DivisionError,
     GaussianError,
     GaussianStructure,
     PreconditionError,
@@ -46,7 +45,6 @@ __all__ = [
     "CoefficientSystem",
     "ConsistencyError",
     "CoxeterMatrix",
-    "DivisionError",
     "GaussianError",
     "GaussianStructure",
     "HomologyGroup",

@@ -69,7 +69,7 @@ def cmd_cells(args) -> int:
             ("identity", struct.default_ordering()),
             ("optimized", optimize_ordering(struct)),
         ):
-            res = OrderResolution(struct, ordering, args.max_dim, memo=not args.no_memo)
+            res = OrderResolution(struct, ordering, args.max_dim)
             counts = res.cell_counts()
             if args.format == "csv":
                 lines.append(",".join([mode] + [str(c) for c in counts]))
@@ -77,7 +77,7 @@ def cmd_cells(args) -> int:
                 lines.append(f"{mode}: " + " ".join(str(c) for c in counts))
     else:
         ordering = resolve_ordering(struct, args.order)
-        res = OrderResolution(struct, ordering, args.max_dim, memo=not args.no_memo)
+        res = OrderResolution(struct, ordering, args.max_dim)
         counts = res.cell_counts()
         if args.format == "csv":
             lines.append("dimension,cells")
@@ -108,7 +108,7 @@ def cmd_order(args) -> int:
     struct = _load_structure(args.structure)
     ordering = optimize_ordering(struct)
     names = [struct.atom_names[a] for a in sorted(range(struct.n_atoms), key=ordering.ranks.__getitem__)]
-    res = OrderResolution(struct, ordering, args.max_dim, memo=not args.no_memo)
+    res = OrderResolution(struct, ordering, args.max_dim)
     if args.format == "csv":
         print("order," + "|".join(names))
         print("cells," + "|".join(str(c) for c in res.cell_counts()))

@@ -21,13 +21,14 @@ prefix trie of int ids, where the last atom of a node is its least divisor.
 Its three primitives, `div` (divide by an atom), `mul` (multiply by an atom)
 and `lcm` (left-lcm with an atom), return canonical nodes; `mul` and `lcm`
 are memoized, `div` is recomputed on every call.  Interning a word folds
-`mul` over it, and `join` folds `lcm` over a set of atoms.  The
-`Word` methods (`quotient_atom`, `least_divisor`, `canonical_form`,
-`left_lcm`, ...) are adapters that intern their argument in
+`mul` over it, and `join` folds `lcm` over a set of atoms.  The four
+`Word` methods `quotient_atom`, `least_divisor`, `canonical_form` and
+`lcm_with_atom` are adapters that intern their argument in
 `kernel(ordering)` (declaration order when none is given) and spell out the
-result, so `quotient_atom` returns the canonical quotient.  The kernel's
-trie and memos grow for the structure's lifetime and assign ids in insertion
-order, so a structure must not be used from several threads at once.
+result, so `quotient_atom` returns the canonical quotient; everything else
+works on the kernel's nodes.  The kernel's trie and memos grow for the
+structure's lifetime and assign ids in insertion order, so a structure must
+not be used from several threads at once.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class GaussianError(Exception):
 
 class PreconditionError(GaussianError):
     """An operation was called on arguments violating its contract."""
-
-
-class DivisionError(GaussianError):
-    """A requested quotient does not exist."""
 
 
 class ConsistencyError(GaussianError):
@@ -341,29 +338,6 @@ class GaussianStructure:
         q = kernel.div(kernel.intern(w), a)
         return None if q < 0 else kernel.word(q)
 
-    def quotient_word(self, w: Word, u: Word) -> Optional[Word]:
-        """The canonical word g (default ordering) with g*u = w, or None."""
-        kernel = self.kernel()
-        q = kernel.divide(kernel.intern(w), kernel.intern(u))
-        return None if q < 0 else kernel.word(q)
-
-    def right_divides(self, a: int, f: Word) -> bool:
-        """Whether some g satisfies g*a = f."""
-        if self.atom_target[a] != self.word_target(f):
-            raise PreconditionError("atom and word have different targets")
-        kernel = self.kernel()
-        return kernel.div(kernel.intern(f), a) >= 0
-
-    def left_quotient(self, f: Word, a: int, ordering: Optional[AtomOrdering] = None) -> Word:
-        """The unique g with g*a = f, in canonical form."""
-        kernel = self.kernel(ordering)
-        q = kernel.div(kernel.intern(f), a)
-        if q < 0:
-            raise DivisionError(
-                f"atom {self.atom_names[a]!r} does not right-divide {self.word_names(f)}"
-            )
-        return kernel.word(q)
-
     # -- lcms -----------------------------------------------------------------
 
     def lcm_with_atom(self, u: Word, b: int) -> Optional[tuple[Word, Word]]:
@@ -375,26 +349,6 @@ class GaussianStructure:
         if x < 0:
             return None
         return kernel.word(x), kernel.word(kernel.exact_div(kernel.product(x, node), b))
-
-    def left_lcm(self, parts: Sequence[int]) -> Optional[tuple[Word, dict[int, Word]]]:
-        """Left-lcm of a nonempty family of atoms sharing one target.
-
-        Returns the lcm word together with, for each atom a, the word c_a
-        with c_a*a = lcm, all canonical (declaration order); returns None
-        when the atoms have no common left-multiple.  Folding follows the
-        given order of the atoms.
-        """
-        parts = list(parts)
-        if not parts:
-            raise PreconditionError("left_lcm needs at least one atom")
-        tgt = self.atom_target[parts[0]]
-        if any(self.atom_target[a] != tgt for a in parts):
-            raise PreconditionError("atoms do not share a target")
-        kernel = self.kernel()
-        lcm = kernel.join(parts)
-        if lcm < 0:
-            return None
-        return kernel.word(lcm), {a: kernel.word(kernel.exact_div(lcm, a)) for a in parts}
 
     # -- canonical forms ----------------------------------------------------
 
@@ -419,41 +373,6 @@ class GaussianStructure:
         kernel = self.kernel(ordering)
         return kernel.word(kernel.intern(f))
 
-    def word_equal(self, f: Word, g: Word) -> bool:
-        """Whether two words represent the same morphism."""
-        if f.src != g.src or self.word_length(f) != self.word_length(g):
-            return False
-        kernel = self.kernel()
-        return kernel.intern(f) == kernel.intern(g)
-
-    def left_divides(self, u: Word, w: Word) -> bool:
-        """Whether some h satisfies u*h = w.
-
-        Decided by stripping right-divisors of w down to the length of u.
-        Only the lcm table is consulted, but unlike right-division this is a
-        search; it is meant for checks and small structures, not hot loops.
-        """
-        lu = self.word_length(u)
-        if u.src != w.src or lu > self.word_length(w):
-            return False
-        kernel = self.kernel()
-        target = kernel.intern(u)
-        start = kernel.intern(w)
-        seen = {start}
-        stack = [(start, self.word_length(w))]
-        while stack:
-            node, length = stack.pop()
-            if length == lu:
-                if node == target:
-                    return True
-                continue
-            for a in self.atoms_by_target[kernel.target(node)]:
-                q = kernel.div(node, a)
-                if q >= 0 and q not in seen:
-                    seen.add(q)
-                    stack.append((q, length - self.atom_length[a]))
-        return False
-
     # -- validation ----------------------------------------------------------
 
     def validate(self, depth: int = 3) -> ValidationReport:
@@ -473,6 +392,7 @@ class GaussianStructure:
         violations = self._entry_violations()
         if violations:  # the word kernel refuses such tables
             return ValidationReport(violations)
+        kernel = self.kernel()
         for a, b, pair in self.lcm_entries():
             names = (self.atom_names[a], self.atom_names[b])
             if pair is None:
@@ -481,10 +401,10 @@ class GaussianStructure:
             wa = Word(comp_a.src, comp_a.atoms + (a,))
             wb = Word(comp_b.src, comp_b.atoms + (b,))
             try:
-                if not self.word_equal(wa, wb):
+                if wa.src != wb.src or kernel.intern(wa) != kernel.intern(wb):
                     violations.append(f"LCM({names[0]},{names[1]}): sides are not equal as morphisms")
                     continue
-                if not self.right_divides(b, wa):
+                if kernel.div(kernel.intern(wa), b) < 0:
                     violations.append(f"LCM({names[0]},{names[1]}): {names[1]} does not divide the lcm")
             except (ConsistencyError, RecursionError):
                 violations.append(f"LCM({names[0]},{names[1]}): word arithmetic failed on this entry")
@@ -492,7 +412,6 @@ class GaussianStructure:
         if violations:
             return ValidationReport(violations)
 
-        kernel = self.kernel()
         for x in range(len(self.object_names)):
             here = self.atoms_by_target[x]
             for size in range(2, min(depth, len(here)) + 1):

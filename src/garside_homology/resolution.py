@@ -4,8 +4,8 @@ Given a structure and a total ordering of its atoms, the n-cells are the
 increasing atom tuples [a1, ..., an] with a common target such that each a_i
 is the least right-divisor of lcm(a_i, ..., an).  They index a free
 resolution of the trivial module; the differential is defined recursively
-together with a contracting homotopy (`contracting_*`) and a reduction map
-(`reduce_*`).  The differential is linear over the category, so it is cached
+together with a contracting homotopy (`_contracting_*`) and a reduction map
+(`_reduce_elem`).  The differential is linear over the category, so it is cached
 per cell; contraction and reduction are only additive, so the reduction is
 cached on the one family of elementary chains the recursion actually hits:
 complement[A] pairs coming from a cell [a, A].
@@ -15,9 +15,10 @@ coefficients kept canonical so that collecting terms is exact.  Inside the
 recursion a coefficient is a node of the ordering's word kernel (see
 gaussian.py): an int id that is the morphism itself, since the kernel
 interns canonical words only.  The least divisor of a node is its last atom,
-so the degree-0 contraction just walks up the trie.  The public methods
-(`differential`, `contracting_*`, `reduce_chain`, `boundary_chain`)
-take and return chains keyed by `Word`, and so do `CellComplex.boundaries`.
+so the degree-0 contraction just walks up the trie.  Every method of
+`OrderResolution`, `differential` included, takes and returns node-keyed
+chains; `build_complex` spells each boundary out once, so the chains of
+`CellComplex.boundaries` are keyed by `Word`.
 Treat chains as immutable values: combine them with chain_iadd into fresh
 accumulators, never mutate one you were given.
 
@@ -94,8 +95,8 @@ class OrderResolution:
     """The free resolution attached to a structure and an atom ordering.
 
     The recursion runs on the canonical nodes of the ordering's word kernel
-    (see gaussian.py): its chains map (node, cell) to a multiplicity.  The
-    public methods take and return Word-keyed chains.  All methods are
+    (see gaussian.py): every chain it takes or returns maps (node, cell) to
+    a multiplicity, and `kernel.word` spells a node out.  All methods are
     deterministic functions of (structure, ordering); a resolution shares
     the word kernel its structure keeps for the ordering, so it must not be
     used from several threads at once.  It caches differentials per cell,
@@ -130,20 +131,6 @@ class OrderResolution:
         self.max_dim = max_dim
         self.cells: list[list[Cell]] = self._enumerate(max_dim)
 
-    # -- Word-keyed boundary ---------------------------------------------------
-
-    def _words(self, chain: Chain) -> Chain:
-        word = self.kernel.word
-        return {(word(node), cell): m for (node, cell), m in chain.items()}
-
-    def _nodes(self, chain: Chain) -> Chain:
-        """Intern a Word-keyed chain; words spelling one morphism add up."""
-        intern = self.kernel.intern
-        out: Chain = {}
-        for (w, cell), m in chain.items():
-            chain_iadd(out, {(intern(w), cell): m})
-        return out
-
     # -- cells ---------------------------------------------------------------
 
     def zero_cell(self, obj: int) -> Cell:
@@ -168,9 +155,6 @@ class OrderResolution:
 
     def _cell_lcm(self, cell: Cell) -> int:
         return self._atoms_lcm(cell.atoms) if cell.atoms else cell.src
-
-    def cell_lcm(self, cell: Cell) -> Word:
-        return self.kernel.word(self._cell_lcm(cell))
 
     def cell_target(self, cell: Cell) -> int:
         if cell.atoms:
@@ -273,22 +257,17 @@ class OrderResolution:
         return out
 
     def differential(self, cell: Cell) -> Chain:
-        """Boundary of a cell of dimension >= 1 (cached per cell)."""
+        """Node-keyed boundary of a cell of dimension >= 1 (cached per cell)."""
         if not cell.atoms:
             raise PreconditionError("the boundary of a zero cell is the augmentation, not a chain")
-        return self._words(self._differential(cell))
+        return self._differential(cell)
 
     def _boundary_chain(self, chain: Chain) -> Chain:
+        """Module-linear extension of the differential to chains of dim >= 1."""
         acc: Chain = {}
         for (w, cell), m in chain.items():
-            if not cell.atoms:
-                raise PreconditionError("the boundary of a zero cell is the augmentation, not a chain")
-            chain_iadd(acc, self._act(w, self._differential(cell)), m)
+            chain_iadd(acc, self._act(w, self.differential(cell)), m)
         return acc
-
-    def boundary_chain(self, chain: Chain) -> Chain:
-        """Module-linear extension of the differential to chains of dim >= 1."""
-        return self._words(self._boundary_chain(self._nodes(chain)))
 
     def augmentation(self, chain: Chain) -> int:
         """Degree-0 augmentation: every elementary 0-chain maps to 1."""
@@ -304,17 +283,12 @@ class OrderResolution:
                 return alpha, x, g
         raise ConsistencyError("the cell's first atom does not divide its lcm")
 
-    def irreducible(self, f: Word, cell: Cell) -> bool:
-        if not cell.atoms:
-            return not f.atoms
-        return self._least_over(self.kernel.intern(f), cell)[0] == cell.atoms[0]
-
     def _reduce_elem(self, f: int, cell: Cell) -> Chain:
         """Reduction of the elementary chain f[cell], cached when memo is on.
 
         The recursion reduces only complement-shaped chains, reached from
-        differentials and contractions; `reduce_chain` stores the arbitrary
-        chains it is given as well.
+        differentials and contractions; a chain reduces term by term (the
+        map is only additive, not module-linear).
         """
         if not cell.atoms:
             src = self.kernel.src[f]
@@ -328,22 +302,11 @@ class OrderResolution:
             self._reduce_cache[key] = val
         return val
 
-    def reduce_chain(self, chain: Chain) -> Chain:
-        """The reduction map, term by term (only additive, not module-linear)."""
-        acc: Chain = {}
-        for (w, cell), m in self._nodes(chain).items():
-            chain_iadd(acc, self._reduce_elem(w, cell), m)
-        return self._words(acc)
-
     def _contracting_chain(self, chain: Chain) -> Chain:
         acc: Chain = {}
         for (w, cell), m in chain.items():
             chain_iadd(acc, self._contracting_elem(w, cell), m)
         return acc
-
-    def contracting_chain(self, chain: Chain) -> Chain:
-        """The contracting homotopy, term by term."""
-        return self._words(self._contracting_chain(self._nodes(chain)))
 
     def _contracting_elem(self, f: int, cell: Cell) -> Chain:
         kernel = self.kernel
@@ -419,28 +382,6 @@ class OrderResolution:
                     break
         return acc
 
-    def contracting_elem(self, f: Word, cell: Cell) -> Chain:
-        """Homotopy on one elementary chain: 0 if irreducible, else the
-        telescoping step through the cell extended by the least divisor."""
-        return self._words(self._contracting_elem(self.kernel.intern(f), cell))
-
-    # -- comparisons for the termination order (used by checks) ----------------
-
-    def precedes(self, term1: tuple[Word, Cell], term2: tuple[Word, Cell]) -> bool:
-        """The well-founded comparison on elementary chains: compare the
-        composites coefficient*lcm by proper left-divisibility, then first
-        atoms."""
-        f, a_cell = term1
-        g, b_cell = term2
-        intern = self.kernel.intern
-        wa = intern(Word(f.src if f.atoms else a_cell.src, f.atoms + self.cell_lcm(a_cell).atoms))
-        wb = intern(Word(g.src if g.atoms else b_cell.src, g.atoms + self.cell_lcm(b_cell).atoms))
-        if wa == wb:
-            if not a_cell.atoms or not b_cell.atoms:
-                return False
-            return self.ordering.rank(a_cell.atoms[0]) < self.ordering.rank(b_cell.atoms[0])
-        return self.struct.left_divides(self.kernel.word(wa), self.kernel.word(wb))
-
     def check_boundary_squared(self) -> None:
         """Raise if the composite of two differentials is nonzero anywhere."""
         for n in range(2, len(self.cells)):
@@ -482,11 +423,16 @@ def build_complex(
     max_dim: Optional[int] = None,
     memo: bool = True,
 ) -> CellComplex:
-    """Enumerate cells up to max_dim and compute every differential."""
+    """Enumerate cells up to max_dim and compute every differential,
+    spelled out with Word coefficients."""
     res = OrderResolution(struct, ordering, max_dim, memo=memo)
+    word = res.kernel.word
     boundaries: list[dict[Cell, Chain]] = [{}]
     for n in range(1, len(res.cells)):
-        boundaries.append({cell: res.differential(cell) for cell in res.cells[n]})
+        boundaries.append({
+            cell: {(word(node), facet): m for (node, facet), m in res.differential(cell).items()}
+            for cell in res.cells[n]
+        })
     return CellComplex(struct, res.ordering, res.cells, boundaries, res)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from garside_homology import homology
+from garside_homology import OrderResolution, artin_named, build_complex, homology
 from garside_homology.coefficients import make_system
 from garside_homology.gaussian import GaussianStructure
 
@@ -42,3 +42,41 @@ def test_compute_homology_calls_through_traced_globals(monkeypatch, tracing, bui
             monkeypatch.setattr(homology, attr, tracer.count(getattr(homology, attr), attr))
     result = homology.compute_homology(builtins[name], make_system(*system))
     assert dict(tracer.counts) == {"build_complex": 1, "specialize": 1, "homology_at": len(result.groups)}
+
+
+def test_observers_read_real_complexes(tracing):
+    # the span observers read cell counts off an OrderResolution and the
+    # spelled-out Word coefficients of CellComplex.boundaries
+    tracer = tracing.Tracer()
+    tracer.command = 0
+    tracer.details[0] = []
+    struct = artin_named("A3")
+    res = OrderResolution(struct)
+    tracer._observe_cells(None, res)
+    cx = build_complex(struct)
+    tracer._observe_complex(cx)
+    chains = [res.differential(cell) for layer in res.cells[1:] for cell in layer]
+    terms = sum(len(chain) for chain in chains)
+    longest = max(len(res.kernel.word(node).atoms) for chain in chains for node, _ in chain)
+    assert tracer.counts["resolution.cells.count"] == sum(res.cell_counts()) == 8
+    assert tracer.counts["resolution.differential.chain_terms"] == terms
+    assert tracer.maxima["resolution.differential.max_word_len"] == longest > 1
+    assert tracer.details[0] == [["cells", [1, 3, 3, 1]], ["complex", [1, 3, 3, 1], terms, longest]]
+
+
+def test_counters_wrap_the_word_adapters(monkeypatch, tracing):
+    # compute_homology works on kernel nodes, so it calls none of the
+    # counted adapters; each adapter still counts a direct call
+    for name in tracing.COUNTED_METHODS:
+        monkeypatch.setattr(GaussianStructure, name, getattr(GaussianStructure, name))
+    tracer = tracing.Tracer()
+    tracer.install_counters()
+    struct = artin_named("A3")
+    homology.compute_homology(struct, make_system("laurent", "Q"))
+    assert not tracer.counts
+    word = struct.word([0, 1])
+    struct.quotient_atom(word, 1)
+    struct.least_divisor(word)
+    struct.canonical_form(word)
+    struct.lcm_with_atom(word, 0)
+    assert dict(tracer.counts) == {f"gaussian.{name}.calls": 1 for name in tracing.COUNTED_METHODS}

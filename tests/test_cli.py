@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from garside_homology import builtin_structure, serialize_structure
+from garside_homology import GaussianError, builtin_structure, parse_structure, serialize_structure
 from garside_homology.cli import main
 
 
@@ -408,7 +408,9 @@ FUZZ_TEXTS = {spec: serialize_structure(builtin_structure(spec)) for spec in FUZ
 @given(data=st.data())
 def test_mutated_tables_end_in_documented_exit_codes(data):
     # replace one complement word of a builtin's table by a word of the same
-    # length or of any length up to 4, and run every table-reading command
+    # length or of any length up to 4, and run every table-reading command;
+    # a table the parser accepts must round-trip through serialize_structure,
+    # and one it rejects must raise a typed error
     lines = FUZZ_TEXTS[data.draw(st.sampled_from(FUZZ_SPECS))].splitlines()
     atoms = [line.split()[1] for line in lines if line.startswith("ATOM ")]
     row = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("LCM ")]))
@@ -418,9 +420,17 @@ def test_mutated_tables_end_in_documented_exit_codes(data):
     word = data.draw(st.lists(st.sampled_from(atoms), min_size=size, max_size=size))
     fields[side] = ".".join(word) if word else "-"
     lines[row] = " ".join(fields)
+    text = "\n".join(lines) + "\n"
+    try:
+        parsed = parse_structure(text)
+    except GaussianError:
+        parsed = None
+    if parsed is not None:
+        again = serialize_structure(parsed)
+        assert serialize_structure(parse_structure(again)) == again, lines[row]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutated.gs"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(text)
         for command in ("cells", "bounds", "validate", "homology"):
             code, _, _ = run_cli([command, "--structure", str(path), "--max-dim", "3"])
             assert code in (0, 2, 3, 4), (command, lines[row])

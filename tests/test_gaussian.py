@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import rewriting
 from garside_homology import (
     AtomOrdering,
-    DivisionError,
     GaussianStructure,
     PreconditionError,
     Word,
@@ -35,27 +34,41 @@ def wordify(struct, letters):
     return struct.word_from_names(list(letters), "*" if not letters else None)
 
 
+def same_morphism(struct, u, v):
+    return struct.canonical_form(u) == struct.canonical_form(v)
+
+
+def left_lcm(struct, atoms):
+    """The left-lcm of atoms sharing a target, as a canonical word, with the
+    word c_a such that c_a*a = lcm for each atom a; None without one."""
+    kernel = struct.kernel()
+    node = kernel.join(atoms)
+    if node < 0:
+        return None
+    lcm = kernel.word(node)
+    return lcm, {a: struct.quotient_atom(lcm, a) for a in atoms}
+
+
 def test_right_divides_spec_examples():
     a2 = ORACLE_STRUCTS["A2"]
     sts = wordify(a2, "aba")
-    assert a2.right_divides(a2.atom_index["a"], sts)  # suffix
+    assert a2.quotient_atom(sts, a2.atom_index["a"]) is not None  # suffix
     # the braid relation makes the other generator divide too
     assert "b" in rewriting.right_divisors("A2", "aba")
-    assert a2.right_divides(a2.atom_index["b"], sts)
+    assert a2.quotient_atom(sts, a2.atom_index["b"]) is not None
     g12 = ORACLE_STRUCTS["G12"]
     ab = wordify(g12, "ab")
     assert rewriting.right_divisors("G12", "ab") == {"b"}
-    assert not g12.right_divides(g12.atom_index["a"], ab)
+    assert g12.quotient_atom(ab, g12.atom_index["a"]) is None
 
 
 def test_right_divides_target_mismatch(cospan_category):
     s = cospan_category
     p = s.word_from_names(["p"])
-    # same target, no division: fine, just false
-    assert not s.right_divides(s.atom_index["q"], p)
-    # an atom whose target differs from the word's: contract violation
-    with pytest.raises(PreconditionError):
-        s.right_divides(s.atom_index["p"], s.identity(s.object_index["y"]))
+    # same target, no division
+    assert s.quotient_atom(p, s.atom_index["q"]) is None
+    # an atom whose target differs from the word's divides nothing
+    assert s.quotient_atom(s.identity(s.object_index["y"]), s.atom_index["p"]) is None
 
 
 def test_right_divides_matches_oracle():
@@ -68,22 +81,21 @@ def test_right_divides_matches_oracle():
             w = wordify(struct, letters)
             divisors = rewriting.right_divisors(name, letters)
             for atom_name in rewriting.PRESENTATIONS[name][0]:
-                got = struct.right_divides(struct.atom_index[atom_name], w)
+                got = struct.quotient_atom(w, struct.atom_index[atom_name]) is not None
                 assert got == (atom_name in divisors), (name, letters, atom_name)
 
 
 def test_left_quotient_spec_examples():
     a2 = ORACLE_STRUCTS["A2"]
     sts = wordify(a2, "aba")
-    assert a2.word_names(a2.left_quotient(sts, a2.atom_index["a"])) == ["a", "b"]
-    quotient_by_b = a2.left_quotient(sts, a2.atom_index["b"])
-    assert a2.word_equal(quotient_by_b, wordify(a2, "ba"))
+    assert a2.word_names(a2.quotient_atom(sts, a2.atom_index["a"])) == ["a", "b"]
+    quotient_by_b = a2.quotient_atom(sts, a2.atom_index["b"])
+    assert same_morphism(a2, quotient_by_b, wordify(a2, "ba"))
     # oracle cross-check: some representative of aba ends in b and strips to ba
     assert rewriting.equal("A2", rewriting.left_quotient("A2", "aba", "b"), "ba")
-    one = a2.left_quotient(wordify(a2, "a"), a2.atom_index["a"])
+    one = a2.quotient_atom(wordify(a2, "a"), a2.atom_index["a"])
     assert one == a2.identity(a2.atom_source[a2.atom_index["a"]])
-    with pytest.raises(DivisionError):
-        ORACLE_STRUCTS["G12"].left_quotient(wordify(ORACLE_STRUCTS["G12"], "ab"), 0)
+    assert ORACLE_STRUCTS["G12"].quotient_atom(wordify(ORACLE_STRUCTS["G12"], "ab"), 0) is None
 
 
 def test_left_quotient_reassembles():
@@ -96,10 +108,10 @@ def test_left_quotient_reassembles():
             w = wordify(struct, letters)
             for atom_name in rewriting.PRESENTATIONS[name][0]:
                 a = struct.atom_index[atom_name]
-                if struct.right_divides(a, w):
-                    g = struct.left_quotient(w, a)
+                g = struct.quotient_atom(w, a)
+                if g is not None:
                     back = Word(g.src, g.atoms + (a,))
-                    assert struct.word_equal(back, w)
+                    assert same_morphism(struct, back, w)
 
 
 def test_word_equal_matches_oracle():
@@ -111,20 +123,20 @@ def test_word_equal_matches_oracle():
             if not u or not v:
                 continue
             expected = rewriting.equal(name, u, v)
-            assert struct.word_equal(wordify(struct, u), wordify(struct, v)) == expected
+            assert same_morphism(struct, wordify(struct, u), wordify(struct, v)) == expected
 
 
 def test_word_equal_defining_relations():
     a2 = ORACLE_STRUCTS["A2"]
-    assert a2.word_equal(wordify(a2, "aba"), wordify(a2, "bab"))
+    assert same_morphism(a2, wordify(a2, "aba"), wordify(a2, "bab"))
     g12 = ORACLE_STRUCTS["G12"]
-    assert g12.word_equal(wordify(g12, "abca"), wordify(g12, "bcab"))
-    assert g12.word_equal(wordify(g12, "abca"), wordify(g12, "cabc"))
+    assert same_morphism(g12, wordify(g12, "abca"), wordify(g12, "bcab"))
+    assert same_morphism(g12, wordify(g12, "abca"), wordify(g12, "cabc"))
 
 
 def test_identity_words_at_distinct_objects_differ(two_cycle_category):
     s = two_cycle_category
-    assert not s.word_equal(s.identity(0), s.identity(1))
+    assert not same_morphism(s, s.identity(0), s.identity(1))
 
 
 def test_canonical_form_idempotent_and_sound():
@@ -135,7 +147,7 @@ def test_canonical_form_idempotent_and_sound():
             w = wordify(struct, letters) if letters else struct.identity(0)
             canon = struct.canonical_form(w)
             assert struct.canonical_form(canon) == canon
-            assert struct.word_equal(canon, w)
+            assert rewriting.equal(name, "".join(struct.word_names(canon)), letters)
             assert struct.word_length(canon) == struct.word_length(w)
 
 
@@ -193,18 +205,18 @@ def test_least_divisor_matches_oracle():
 
 def test_left_lcm_known_joins():
     g7 = ORACLE_STRUCTS["G7"]
-    lcm, comps = g7.left_lcm([g7.atom_index["a"], g7.atom_index["b"]])
-    assert g7.word_equal(lcm, wordify(g7, "abc"))
+    lcm, comps = left_lcm(g7, [g7.atom_index["a"], g7.atom_index["b"]])
+    assert same_morphism(g7, lcm, wordify(g7, "abc"))
     assert g7.word_names(comps[g7.atom_index["a"]]) == ["b", "c"]
     assert g7.word_names(comps[g7.atom_index["b"]]) == ["c", "a"]
     # single atom: the lcm is the atom with identity complement
-    lcm1, comps1 = g7.left_lcm([g7.atom_index["a"]])
+    lcm1, comps1 = left_lcm(g7, [g7.atom_index["a"]])
     assert lcm1.atoms == (g7.atom_index["a"],)
     assert comps1[g7.atom_index["a"]].atoms == ()
     # G13: lcm(b, c) = bcab
     g13 = ORACLE_STRUCTS["G13"]
-    lcm_bc, _ = g13.left_lcm([g13.atom_index["b"], g13.atom_index["c"]])
-    assert g13.word_equal(lcm_bc, wordify(g13, "bcab"))
+    lcm_bc, _ = left_lcm(g13, [g13.atom_index["b"], g13.atom_index["c"]])
+    assert same_morphism(g13, lcm_bc, wordify(g13, "bcab"))
 
 
 def test_left_lcm_is_minimal_common_multiple():
@@ -216,16 +228,15 @@ def test_left_lcm_is_minimal_common_multiple():
         for i in range(len(atoms)):
             for j in range(i + 1, len(atoms)):
                 oracle_lcm = rewriting.lcm(name, atoms[i], atoms[j])
-                lcm, comps = struct.left_lcm(
-                    [struct.atom_index[atoms[i]], struct.atom_index[atoms[j]]]
-                )
-                assert struct.word_equal(lcm, wordify(struct, oracle_lcm))
+                lcm, comps = left_lcm(struct, [struct.atom_index[atoms[i]], struct.atom_index[atoms[j]]])
+                assert same_morphism(struct, lcm, wordify(struct, oracle_lcm))
                 for atom_name in (atoms[i], atoms[j]):
                     a = struct.atom_index[atom_name]
                     back = Word(comps[a].src, comps[a].atoms + (a,))
-                    assert struct.word_equal(back, lcm)
+                    assert same_morphism(struct, back, lcm)
+                kernel = struct.kernel()
                 for multiple in rewriting.common_left_multiples(name, atoms[i], atoms[j], 6):
-                    assert struct.quotient_word(wordify(struct, multiple), lcm) is not None
+                    assert kernel.divide(kernel.intern(wordify(struct, multiple)), kernel.intern(lcm)) >= 0
 
 
 def test_lcm_with_atom_matches_oracle():
@@ -246,29 +257,12 @@ def test_lcm_with_atom_matches_oracle():
                     assert rewriting.word_right_divides(name, lcm, multiple), (name, u, b)
                 node = kernel.intern(w)
                 p = kernel.lcm(node, struct.atom_index[b])
-                assert struct.word_equal(kernel.word(kernel.product(p, node)), wordify(struct, lcm))
+                assert same_morphism(struct, kernel.word(kernel.product(p, node)), wordify(struct, lcm))
 
 
 def test_left_lcm_absent(cospan_category):
     s = cospan_category
-    assert s.left_lcm([s.atom_index["p"], s.atom_index["q"]]) is None
-
-
-def test_left_divides_matches_oracle():
-    rng = random.Random(404)
-    for name, struct in ORACLE_STRUCTS.items():
-        for _ in range(50):
-            u = rewriting.random_word(rng, name, 3)
-            w = rewriting.random_word(rng, name, 5)
-            if not u or not w:
-                continue
-            expected = any(
-                rewriting.equal(name, rep[: len(u)], u)
-                for rep in rewriting.closure(name, w)
-                if len(rep) >= len(u)
-            )
-            got = struct.left_divides(wordify(struct, u), wordify(struct, w))
-            assert got == expected, (name, u, w)
+    assert left_lcm(s, [s.atom_index["p"], s.atom_index["q"]]) is None
 
 
 def test_length_is_a_morphism():
@@ -384,14 +378,14 @@ def test_quotient_atom_matches_oracle(case):
         atom = struct.atom_index[atom_name]
         q = struct.quotient_atom(wordify(struct, w), atom)
         assert (q is not None) == (atom_name in divisors)
+        kernel = struct.kernel(ordering)
+        node = kernel.div(kernel.intern(wordify(struct, w)), atom)
+        assert (node >= 0) == (q is not None)
         if q is not None:
             assert rewriting.equal(name, "".join(struct.word_names(q)) + atom_name, w)
-            q = struct.left_quotient(wordify(struct, w), atom, ordering)
+            q = kernel.word(node)
             assert rewriting.equal(name, "".join(struct.word_names(q)) + atom_name, w)
             assert struct.canonical_form(q, ordering) == q
-        else:
-            with pytest.raises(DivisionError):
-                struct.left_quotient(wordify(struct, w), atom, ordering)
 
 
 @settings(max_examples=200, deadline=None)
@@ -447,6 +441,6 @@ def test_e8_delta_squared_canonicalizes_within_depth_bound():
             assert struct.canonical_form(canon, ordering) == canon
             # Delta^2 is divisible by every atom, least first
             assert struct.least_divisor(canon, ordering) == order[0]
-            assert all(struct.right_divides(a, canon) for a in atoms)
+            assert all(struct.quotient_atom(canon, a) is not None for a in atoms)
     finally:
         sys.setrecursionlimit(limit)
