@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Commands: cells, bounds, order, homology, validate, builtin.  Structures are
-either builtins (builtin:artin:F4, builtin:circ:G13, builtin:dual:A3) or
-paths to structure files.  Exit codes: 0 ok, 2 configuration or parse error,
-3 structure validation failure, 4 internal inconsistency (including a
-recursion too deep or memory exhausted).
+Commands: cells, bounds, order, homology, validate, builtin.  Each takes
+--structure, a builtin (builtin:artin:F4, builtin:circ:G13, builtin:dual:A3)
+or the path of a structure file, and only the options it reads (see
+build_parser); any other option is a configuration error.  Exit codes: 0 ok,
+2 configuration or parse error, 3 structure validation failure, 4 internal
+inconsistency (including a recursion too deep or memory exhausted).
 """
 
 from __future__ import annotations
@@ -51,14 +52,6 @@ def _load_structure(spec: str) -> GaussianStructure:
     struct = parse_structure(text)
     struct.label = spec
     return struct
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--structure", required=True, help="builtin:<kind:name> or a file path")
-    parser.add_argument("--order", default="auto", choices=["auto", "declared", "identity"])
-    parser.add_argument("--max-dim", type=int, default=None)
-    parser.add_argument("--format", default="text", choices=["text", "csv"])
-    parser.add_argument("--no-memo", action="store_true", help="disable differential caching")
 
 
 def cmd_cells(args) -> int:
@@ -126,7 +119,6 @@ def cmd_homology(args) -> int:
         system,
         ordering=resolve_ordering(struct, args.order),
         max_dim=args.max_dim,
-        memo=not args.no_memo,
     )
     if args.format == "csv":
         print("degree,free_rank,torsion,cyclotomic")
@@ -162,36 +154,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cell counts, ordering optimization and homology for Gaussian structures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_cells = sub.add_parser("cells", help="per-dimension cell counts")
-    _add_common(p_cells)
-    p_cells.add_argument("--compare-orderings", action="store_true")
-    p_cells.set_defaults(func=cmd_cells)
-
     p_bounds = sub.add_parser("bounds", help="bounds on the 2-cell count over orderings")
-    _add_common(p_bounds)
-    p_bounds.set_defaults(func=cmd_bounds)
-
     p_order = sub.add_parser("order", help="optimize the atom ordering")
-    _add_common(p_order)
-    p_order.set_defaults(func=cmd_order)
-
     p_hom = sub.add_parser("homology", help="homology of the structure's group")
-    _add_common(p_hom)
+    p_val = sub.add_parser("validate", help="sanity-check the lcm table")
+    p_builtin = sub.add_parser("builtin", help="emit a builtin as a structure file")
+    for p, func in (
+        (p_cells, cmd_cells),
+        (p_bounds, cmd_bounds),
+        (p_order, cmd_order),
+        (p_hom, cmd_homology),
+        (p_val, cmd_validate),
+        (p_builtin, cmd_builtin),
+    ):
+        p.add_argument("--structure", required=True, help="builtin:<kind:name> or a file path")
+        p.set_defaults(func=func)
+    for p in (p_cells, p_hom):
+        p.add_argument("--order", default="auto", choices=["auto", "declared", "identity"])
+    for p in (p_cells, p_order, p_hom):
+        p.add_argument("--max-dim", type=int, default=None)
+    for p in (p_cells, p_bounds, p_order, p_hom):
+        p.add_argument("--format", default="text", choices=["text", "csv"])
+    p_cells.add_argument("--compare-orderings", action="store_true")
     p_hom.add_argument("--coeffs", default="trivial", choices=["trivial", "sign", "laurent"])
     p_hom.add_argument("--field", default=None, choices=["Q", "Fp"])
     p_hom.add_argument("--p", type=int, default=None, help="prime for --field Fp")
-    p_hom.set_defaults(func=cmd_homology)
-
-    p_val = sub.add_parser("validate", help="sanity-check the lcm table")
-    _add_common(p_val)
     p_val.add_argument("--depth", type=int, default=3)
-    p_val.set_defaults(func=cmd_validate)
-
-    p_builtin = sub.add_parser("builtin", help="emit a builtin as a structure file")
-    _add_common(p_builtin)
-    p_builtin.set_defaults(func=cmd_builtin)
-
     return parser
 
 

@@ -35,7 +35,6 @@ def compute_homology(
     system: CoefficientSystem,
     ordering: Optional[AtomOrdering] = None,
     max_dim: Optional[int] = None,
-    memo: bool = True,
 ) -> HomologyResult:
     """Homology of the structure's group(oid) in degrees 0..max_dim.
 
@@ -48,7 +47,7 @@ def compute_homology(
         max_dim = default_max_dim(struct)
     if max_dim < 0:
         raise PreconditionError(f"max_dim must be >= 0, got {max_dim}")
-    cx = build_complex(struct, ordering, max_dim + 1, memo=memo)
+    cx = build_complex(struct, ordering, max_dim + 1)
     mats = specialize(cx, system)
     domain = system.domain()
     groups = []

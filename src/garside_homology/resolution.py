@@ -81,10 +81,6 @@ def chain_iadd(acc: Chain, other: Chain, mult: int = 1) -> Chain:
     return acc
 
 
-def chain_sub(a: Chain, b: Chain) -> Chain:
-    return chain_iadd(chain_iadd({}, a), b, -1)
-
-
 def default_max_dim(struct: GaussianStructure) -> int:
     """Number of atoms at the busiest object, capped at 8."""
     busiest = max((len(t) for t in struct.atoms_by_target), default=0)
@@ -101,9 +97,7 @@ class OrderResolution:
     the word kernel its structure keeps for the ordering, so it must not be
     used from several threads at once.  It caches differentials per cell,
     reductions per term (node, cell), and per term the nodes that decide
-    whether a multiple of it is reducible (`_lower`).  Set memo=False to
-    recompute all three from scratch at each use (for cross-validation;
-    much slower); cell lcms and complements are kept either way.
+    whether a multiple of it is reducible (`_lower`).
     """
 
     def __init__(
@@ -111,14 +105,12 @@ class OrderResolution:
         struct: GaussianStructure,
         ordering: Optional[AtomOrdering] = None,
         max_dim: Optional[int] = None,
-        memo: bool = True,
     ):
         self.struct = struct
         self.ordering = ordering if ordering is not None else struct.default_ordering()
         if len(self.ordering.ranks) != struct.n_atoms:
             raise PreconditionError("ordering does not cover the atoms")
         self.kernel = struct.kernel(self.ordering)
-        self.memo = memo
         self._lcms: dict[tuple[int, ...], int] = {}  # cell atoms -> node of the cell lcm
         self._diff_cache: dict[Cell, Chain] = {}
         self._reduce_cache: dict[tuple[int, Cell], Chain] = {}
@@ -203,23 +195,6 @@ class OrderResolution:
     def cell_counts(self) -> list[int]:
         return [len(layer) for layer in self.cells]
 
-    def is_cell(self, atoms) -> bool:
-        """Post hoc check of the cell condition on an atom tuple."""
-        atoms = tuple(atoms)
-        if not atoms:
-            return True
-        ranks = self.ordering.ranks
-        tgt = self.struct.atom_target[atoms[0]]
-        if any(self.struct.atom_target[a] != tgt for a in atoms):
-            return False
-        if any(ranks[atoms[i]] >= ranks[atoms[i + 1]] for i in range(len(atoms) - 1)):
-            return False
-        for i in range(len(atoms)):
-            lcm = self.kernel.join(atoms[i:])
-            if lcm < 0 or self.kernel.last[lcm] != atoms[i]:
-                return False
-        return True
-
     # -- the recursion ---------------------------------------------------------
 
     def _rest_cell(self, cell: Cell) -> Cell:
@@ -252,8 +227,7 @@ class OrderResolution:
             raise ConsistencyError("cell lcm is not a multiple of its facet lcm")
         out: Chain = {(u, rest): 1}
         chain_iadd(out, self._reduce_elem(u, rest), -1)
-        if self.memo:
-            self._diff_cache[cell] = out
+        self._diff_cache[cell] = out
         return out
 
     def differential(self, cell: Cell) -> Chain:
@@ -284,7 +258,7 @@ class OrderResolution:
         raise ConsistencyError("the cell's first atom does not divide its lcm")
 
     def _reduce_elem(self, f: int, cell: Cell) -> Chain:
-        """Reduction of the elementary chain f[cell], cached when memo is on.
+        """Reduction of the elementary chain f[cell], cached per term.
 
         The recursion reduces only complement-shaped chains, reached from
         differentials and contractions; a chain reduces term by term (the
@@ -298,8 +272,7 @@ class OrderResolution:
         if cached is not None:
             return cached
         val = self._contracting_chain(self._act(f, self._differential(cell)))
-        if self.memo:
-            self._reduce_cache[key] = val
+        self._reduce_cache[key] = val
         return val
 
     def _contracting_chain(self, chain: Chain) -> Chain:
@@ -346,7 +319,7 @@ class OrderResolution:
         y*x = p*w.  The first atom divides L, so g*w[cell] is reducible
         exactly when some p right-divides g (cancel w*L on the right); for
         the first one, g = h*p, its least divisor is alpha and g*w = h*y*x.
-        Cached per term when memo is on."""
+        Cached per term."""
         key = (w, cell)
         lower = self._lower_cache.get(key)
         if lower is None:
@@ -364,8 +337,7 @@ class OrderResolution:
                         raise ConsistencyError("an lcm over a term is not a multiple of the cell's")
                     rows.append((p, alpha, x, y))
             lower = tuple(rows)
-            if self.memo:
-                self._lower_cache[key] = lower
+            self._lower_cache[key] = lower
         return lower
 
     def _act_contract(self, g: int, chain: Chain) -> Chain:
@@ -421,11 +393,10 @@ def build_complex(
     struct: GaussianStructure,
     ordering: Optional[AtomOrdering] = None,
     max_dim: Optional[int] = None,
-    memo: bool = True,
 ) -> CellComplex:
     """Enumerate cells up to max_dim and compute every differential,
     spelled out with Word coefficients."""
-    res = OrderResolution(struct, ordering, max_dim, memo=memo)
+    res = OrderResolution(struct, ordering, max_dim)
     word = res.kernel.word
     boundaries: list[dict[Cell, Chain]] = [{}]
     for n in range(1, len(res.cells)):

@@ -208,7 +208,7 @@ def poly_monic(field, a: Poly) -> tuple:
     return lead, tuple(field.mul(c, inv) for c in a)
 
 
-def poly_str(field, a: Poly, var: str = "t") -> str:
+def poly_str(field, a: Poly) -> str:
     if not a:
         return "0"
     parts = []
@@ -220,7 +220,7 @@ def poly_str(field, a: Poly, var: str = "t") -> str:
         if e == 0:
             term = coeff
         else:
-            tpow = var if e == 1 else f"{var}^{e}"
+            tpow = "t" if e == 1 else f"t^{e}"
             if coeff == "1":
                 term = tpow
             elif coeff == "-1":

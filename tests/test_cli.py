@@ -168,14 +168,6 @@ def test_determinism():
     assert first == second
 
 
-def test_no_memo_flag_matches():
-    base = run_cli(["homology", "--structure", "builtin:circ:G12", "--coeffs", "trivial"])
-    slow = run_cli(
-        ["homology", "--structure", "builtin:circ:G12", "--coeffs", "trivial", "--no-memo"]
-    )
-    assert base[1] == slow[1]
-
-
 def test_validate_ok_and_failure(tmp_path):
     code, out, _ = run_cli(["validate", "--structure", "builtin:artin:F4"])
     assert code == 0
@@ -220,6 +212,25 @@ def test_config_errors_exit_2(tmp_path):
     assert "line 2" in err
     # declared ordering requested but absent
     assert run_cli(["cells", "--structure", "builtin:artin:A2", "--order", "declared"])[0] == 2
+
+
+# each command takes only the options it reads; the others are refused
+REFUSED_OPTIONS = (
+    [(command, ["--no-memo"]) for command in ("cells", "bounds", "order", "homology", "validate", "builtin")]
+    + [(command, ["--order", "auto"]) for command in ("bounds", "order", "validate", "builtin")]
+    + [(command, ["--max-dim", "3"]) for command in ("bounds", "validate", "builtin")]
+    + [(command, ["--format", "text"]) for command in ("validate", "builtin")]
+)
+
+
+@pytest.mark.parametrize("command, option", REFUSED_OPTIONS, ids=lambda x: x if isinstance(x, str) else x[0])
+def test_options_a_command_does_not_read_exit_2(capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--structure", "builtin:artin:A2", *option])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: " + " ".join(option) in err
 
 
 def test_declared_order_from_file(tmp_path):
@@ -334,7 +345,8 @@ INCONSISTENT_TABLES = {
 def test_inconsistent_table_exits_4(tmp_path, table, command):
     path = tmp_path / "bad.gs"
     path.write_text(INCONSISTENT_TABLES[table])
-    code, out, err = run_cli([command, "--structure", str(path), "--max-dim", "3"])
+    max_dim = [] if command == "bounds" else ["--max-dim", "3"]
+    code, out, err = run_cli([command, "--structure", str(path), *max_dim])
     assert (code, out) == (4, "")
     assert err.startswith("internal inconsistency:")
 
@@ -431,6 +443,6 @@ def test_mutated_tables_end_in_documented_exit_codes(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutated.gs"
         path.write_text(text)
-        for command in ("cells", "bounds", "validate", "homology"):
-            code, _, _ = run_cli([command, "--structure", str(path), "--max-dim", "3"])
+        for command, *rest in (("cells", "--max-dim", "3"), ("bounds",), ("validate",), ("homology", "--max-dim", "3")):
+            code, _, _ = run_cli([command, "--structure", str(path), *rest])
             assert code in (0, 2, 3, 4), (command, lines[row])

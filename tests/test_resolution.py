@@ -23,7 +23,6 @@ from garside_homology.resolution import (
     OrderResolution,
     build_complex,
     chain_iadd,
-    chain_sub,
     optimize_ordering,
     resolve_ordering,
     two_cell_bounds,
@@ -32,6 +31,29 @@ from garside_homology.resolution import (
 
 def ordering_by_names(struct, names):
     return AtomOrdering.from_sequence([struct.atom_index[n] for n in names])
+
+
+def is_cell(res, atoms):
+    """The cell condition, checked post hoc on an atom tuple: one target,
+    increasing ranks, and each atom the least divisor (the last atom of the
+    node) of the lcm of itself and the atoms after it."""
+    atoms = tuple(atoms)
+    if not atoms:
+        return True
+    struct, kernel, ranks = res.struct, res.kernel, res.ordering.ranks
+    if any(struct.atom_target[a] != struct.atom_target[atoms[0]] for a in atoms):
+        return False
+    if any(ranks[atoms[i]] >= ranks[atoms[i + 1]] for i in range(len(atoms) - 1)):
+        return False
+    for i in range(len(atoms)):
+        lcm = kernel.join(atoms[i:])
+        if lcm < 0 or kernel.last[lcm] != atoms[i]:
+            return False
+    return True
+
+
+def chain_sub(a, b):
+    return chain_iadd(chain_iadd({}, a), b, -1)
 
 
 # -- enumeration ------------------------------------------------------------
@@ -86,9 +108,9 @@ def test_enumerated_cells_satisfy_condition_posthoc():
         res = OrderResolution(struct, optimize_ordering(struct))
         for layer in res.cells[1:]:
             for cell in layer:
-                assert res.is_cell(cell.atoms)
+                assert is_cell(res, cell.atoms)
                 # facets of a cell are cells
-                assert res.is_cell(cell.atoms[1:])
+                assert is_cell(res, cell.atoms[1:])
 
 
 def test_enumeration_is_complete_against_brute_force():
@@ -104,7 +126,7 @@ def test_enumeration_is_complete_against_brute_force():
                 expected = set()
                 for combo in itertools.permutations(range(struct.n_atoms), dim):
                     if all(ranks[combo[i]] < ranks[combo[i + 1]] for i in range(dim - 1)):
-                        if res.is_cell(combo):
+                        if is_cell(res, combo):
                             expected.add(combo)
                 assert found == expected, (family, perm, dim)
 
@@ -447,15 +469,6 @@ def test_specific_reducible_example():
     assert reduced
     for term in reduced:
         assert precedes(res, term, (ba, b_cell))
-
-
-def test_memoized_and_plain_differentials_agree(builtins):
-    for name, struct in builtins.items():
-        fast = OrderResolution(struct, memo=True)
-        slow = OrderResolution(struct, memo=False)
-        for n in range(1, len(fast.cells)):
-            for cell in fast.cells[n]:
-                assert fast.differential(cell) == slow.differential(cell), (name, cell)
 
 
 # -- skipping irreducible terms before forming g*w ------------------------------

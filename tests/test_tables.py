@@ -2,7 +2,8 @@
 
 Dihedral monoids I2(m) and the rank-4 groups give cheap cross-checks of the
 whole pipeline against independent table data; a couple of larger Coxeter
-types guard the performance envelope.
+types guard the performance envelope.  Every Artin row in reach is also
+checked against the Salvetti complex (oracles.py), in all three systems.
 """
 
 import time
@@ -13,6 +14,9 @@ from garside_homology import artin_named, compute_homology, make_system, optimiz
 from garside_homology.coefficients import cyclotomic_poly
 from garside_homology.linalg import invariant_factors
 from garside_homology.rings import Rationals, poly_mul
+from garside_homology.structures import coxeter_matrix
+
+import oracles
 
 QQ = Rationals()
 
@@ -160,14 +164,17 @@ LAURENT_Q_ROWS = {
 
 @pytest.mark.parametrize("name", sorted(LAURENT_Q_ROWS))
 def test_laurent_q_rows_of_a6_and_e6(name):
-    # candidate rows: no independent oracle has verified them yet (sympy over
-    # QQ[t] takes about 48 s on A6).  Each degree is checked against
-    # invariant_factors on copies of the same matrices with every coefficient
-    # a Fraction, so the int coefficients of Rationals change no factor.
+    # the rows as the Salvetti complex gives them (tests/oracles.py; sympy
+    # over QQ[t] takes about 48 s on A6).  Each degree is also checked
+    # against invariant_factors on copies of the engine's matrices with every
+    # coefficient a Fraction, so the int coefficients of Rationals change no
+    # factor.
     from garside_homology.coefficients import specialize
 
     import test_linalg
 
+    oracle = oracles.salvetti_homology(coxeter_matrix(name), make_system("laurent", "Q"))
+    assert [laurent_torsion(g) for g in oracle] == LAURENT_Q_ROWS[name]
     result = run(name, "laurent", "Q")
     assert [laurent_torsion(g) for g in result.groups] == LAURENT_Q_ROWS[name]
     assert all(g.free_rank == 0 for g in result.groups)
@@ -195,3 +202,19 @@ def test_dual_a4_laurent_row_under_a_shuffled_ordering():
     assert result.cell_complex.cell_counts()[:5] == [1, 10, 33, 43, 19]
     auto = compute_homology(struct, system, optimize_ordering(struct))
     assert groups_data(result) == groups_data(auto)
+
+
+SALVETTI_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "B3", "B4", "B5", "D4", "D5", "D6",
+                  "F4", "H3", "H4", "I2(5)", "I2(8)", "E6"]
+SALVETTI_SYSTEMS = {"trivial": ("trivial",), "sign": ("sign",), "laurent-Q": ("laurent", "Q")}
+
+
+@pytest.mark.parametrize("system", sorted(SALVETTI_SYSTEMS))
+@pytest.mark.parametrize("name", SALVETTI_TYPES)
+def test_rows_match_the_salvetti_complex(name, system):
+    # every degree of the row against an independent complex with one cell
+    # per subset of the generators (tests/oracles.py)
+    system = make_system(*SALVETTI_SYSTEMS[system])
+    expected = oracles.salvetti_homology(coxeter_matrix(name), system)
+    result = compute_homology(artin_named(name), system)
+    assert groups_data(result) == [(g.free_rank, list(g.torsion)) for g in expected]
