@@ -93,29 +93,37 @@ def word_exponent(struct: GaussianStructure, word: Word) -> int:
     return e + struct.path_lengths[word.src] - struct.path_lengths[struct.word_target(word)]
 
 
+def _exponent(struct: GaussianStructure, system: CoefficientSystem, word: Word) -> int:
+    """The exponent a morphism acts by; 0 for the trivial action, which needs no transport."""
+    return 0 if system.kind == "trivial" else word_exponent(struct, word)
+
+
+def _element(system: CoefficientSystem, domain, terms: dict[int, int]):
+    """The ring element sum of m * (the action of exponent e) over terms e -> m."""
+    if system.kind == "trivial":
+        return sum(terms.values())
+    if system.kind == "sign":
+        return sum(-m if e % 2 else m for e, m in terms.items())
+    return domain.from_exponents(terms)
+
+
 def scalar_of(struct: GaussianStructure, system: CoefficientSystem, word: Word):
     """Image of a morphism in the coefficient ring."""
-    if system.kind == "trivial":
-        return 1
-    e = word_exponent(struct, word)
-    if system.kind == "sign":
-        return -1 if e % 2 else 1
-    return (e, (system.field.one,))
+    return _element(system, system.domain(), {_exponent(struct, system, word): 1})
 
 
 def specialize(cell_complex: CellComplex, system: CoefficientSystem) -> list[Optional[ScalarMatrix]]:
     """Matrices of the differentials over the coefficient ring.
 
     Entry (B, A) of matrix n is the sum over the terms f[B] of the boundary
-    of the n-cell A of multiplicity * scalar_of(f).  A Laurent entry is
-    built once from its exponent -> multiplicity sums.  Index 0 of the
-    returned list is None: degree zero has no outgoing differential here,
-    the resolution continues by the augmentation.
+    of the n-cell A of multiplicity * scalar_of(f), built once from its
+    exponent -> multiplicity sums.  Index 0 of the returned list is None:
+    degree zero has no outgoing differential here, the resolution continues
+    by the augmentation.
     """
     cell_complex.check_facets()
     struct = cell_complex.structure
     mats: list[Optional[ScalarMatrix]] = [None]
-    laurent = system.kind == "laurent"
     domain = system.domain()
     for n in range(1, len(cell_complex.cells)):
         rows = cell_complex.cells[n - 1]
@@ -125,15 +133,11 @@ def specialize(cell_complex: CellComplex, system: CoefficientSystem) -> list[Opt
         for j, cell in enumerate(cols):
             sums: dict[int, dict[int, int]] = {}
             for (word, facet), mult in cell_complex.boundaries[n][cell].items():
-                i = row_index[facet]
-                if laurent:
-                    terms = sums.setdefault(i, {})
-                    e = word_exponent(struct, word)
-                    terms[e] = terms.get(e, 0) + mult
-                else:
-                    entries[i][j] += mult * scalar_of(struct, system, word)
+                terms = sums.setdefault(row_index[facet], {})
+                e = _exponent(struct, system, word)
+                terms[e] = terms.get(e, 0) + mult
             for i, terms in sums.items():
-                entries[i][j] = domain.from_exponents(terms)
+                entries[i][j] = _element(system, domain, terms)
         mats.append(ScalarMatrix(len(rows), len(cols), entries, domain))
     return mats
 

@@ -4,7 +4,7 @@ Given a structure and a total ordering of its atoms, the n-cells are the
 increasing atom tuples [a1, ..., an] with a common target such that each a_i
 is the least right-divisor of lcm(a_i, ..., an).  They index a free
 resolution of the trivial module; the differential is defined recursively
-together with a contracting homotopy (`_contracting_*`) and a reduction map
+together with a contracting homotopy (`_act_contract`) and a reduction map
 (`_reduce_elem`).  The differential is linear over the category, so it is cached
 per cell; contraction and reduction are only additive, so the reduction is
 cached on the one family of elementary chains the recursion actually hits:
@@ -23,15 +23,14 @@ Treat chains as immutable values: combine them with chain_iadd into fresh
 accumulators, never mutate one you were given.
 
 The caches are per resolution: cell lcms (as nodes) keyed by atom tuple,
-per cell the complements x with x*lcm = lcm(a, lcm) for each atom a (so the
-least divisor of f*lcm is found by dividing f, never by building f*lcm),
 differentials per cell, reductions keyed by (node, cell), and per term
-(w, cell) of a reduction the nodes p with p*w*lcm = lcm(a, w*lcm) for the
-atoms a below the cell's first one.  The contracting homotopy acts on
-reductions, and most of the terms g*w[cell] it meets are irreducible and
-contract to 0: exactly those whose g is a multiple of no such p.  They are
-dropped, and the others contracted from g/p, without building g*w.  The
-word kernel's own memos live on the structure, one kernel per ordering.
+(w, cell) the nodes p with p*w*lcm = lcm(a, w*lcm) for the atoms a below
+the cell's first one.  The contracting homotopy acts on a differential
+times a coefficient g, and most of the terms g*w[cell] it meets are
+irreducible and contract to 0: exactly those whose g is a multiple of no
+such p.  They are dropped, and the others contracted from g/p, without
+building g*w.  Complements x with x*lcm = lcm(a, lcm) come from the word
+kernel's own memos, which live on the structure, one kernel per ordering.
 """
 
 from __future__ import annotations
@@ -114,7 +113,6 @@ class OrderResolution:
         self._lcms: dict[tuple[int, ...], int] = {}  # cell atoms -> node of the cell lcm
         self._diff_cache: dict[Cell, Chain] = {}
         self._reduce_cache: dict[tuple[int, Cell], Chain] = {}
-        self._complement_cache: dict[Cell, list[tuple[int, int]]] = {}
         self._lower_cache: dict[tuple[int, Cell], tuple[tuple[int, int, int, int], ...]] = {}
         if max_dim is None:
             max_dim = default_max_dim(struct)
@@ -153,23 +151,6 @@ class OrderResolution:
             return self.struct.atom_target[cell.atoms[0]]
         return cell.src
 
-    def _complements(self, cell: Cell) -> list[tuple[int, int]]:
-        """Pairs (a, x), for the atoms a at the cell's target in increasing
-        order that have a left-lcm with the cell lcm L, where x*L is that
-        lcm and x is canonical.  So a right-divides f*L exactly when x
-        right-divides f."""
-        pairs = self._complement_cache.get(cell)
-        if pairs is None:
-            kernel = self.kernel
-            lcm = self._cell_lcm(cell)
-            pairs = []
-            for a in kernel.candidates[self.cell_target(cell)]:
-                x = kernel.lcm(lcm, a)
-                if x >= 0:
-                    pairs.append((a, x))
-            self._complement_cache[cell] = pairs
-        return pairs
-
     def _enumerate(self, max_dim: int) -> list[list[Cell]]:
         ranks = self.ordering.ranks
         kernel = self.kernel
@@ -179,9 +160,12 @@ class OrderResolution:
             for cell in dims[-1]:
                 bound = ranks[cell.atoms[0]] if cell.atoms else len(ranks)
                 lcm = self._cell_lcm(cell)
-                for alpha, x in self._complements(cell):
+                for alpha in kernel.candidates[self.cell_target(cell)]:
                     if ranks[alpha] >= bound:
                         break
+                    x = kernel.lcm(lcm, alpha)
+                    if x < 0:
+                        continue
                     # [alpha, cell] is a cell when alpha is least in x*lcm
                     joined = kernel.product(x, lcm)
                     if kernel.last[joined] == alpha:
@@ -247,18 +231,9 @@ class OrderResolution:
         """Degree-0 augmentation: every elementary 0-chain maps to 1."""
         return sum(chain.values())
 
-    def _least_over(self, f: int, cell: Cell) -> tuple[int, int, int]:
-        """(alpha, x, g) for the least atom alpha right-dividing f*lcm(cell) of
-        a cell of dimension >= 1, with x as in _complements and g*x = f."""
-        divide = self.kernel.divide
-        for alpha, x in self._complements(cell):
-            g = divide(f, x)
-            if g >= 0:
-                return alpha, x, g
-        raise ConsistencyError("the cell's first atom does not divide its lcm")
-
     def _reduce_elem(self, f: int, cell: Cell) -> Chain:
-        """Reduction of the elementary chain f[cell], cached per term.
+        """Reduction of the elementary chain f[cell], the contraction of f
+        times its boundary; cached per term.
 
         The recursion reduces only complement-shaped chains, reached from
         differentials and contractions; a chain reduces term by term (the
@@ -271,36 +246,13 @@ class OrderResolution:
         cached = self._reduce_cache.get(key)
         if cached is not None:
             return cached
-        val = self._contracting_chain(self._act(f, self._differential(cell)))
+        val = self._act_contract(f, self._differential(cell))
         self._reduce_cache[key] = val
         return val
 
-    def _contracting_chain(self, chain: Chain) -> Chain:
-        acc: Chain = {}
-        for (w, cell), m in chain.items():
-            chain_iadd(acc, self._contracting_elem(w, cell), m)
-        return acc
-
-    def _contracting_elem(self, f: int, cell: Cell) -> Chain:
-        kernel = self.kernel
-        if not cell.atoms:
-            # degree 0: telescope f down its canonical decomposition, whose
-            # least divisors are the last atoms up the trie
-            acc: Chain = {}
-            parent, last, atom_source = kernel.parent, kernel.last, self.struct.atom_source
-            while f >= kernel.n_objects:
-                alpha = last[f]
-                f = parent[f]
-                acc[(f, Cell((alpha,), atom_source[alpha]))] = 1
-            return acc
-        alpha, x, g = self._least_over(f, cell)
-        if alpha == cell.atoms[0]:
-            return {}
-        return self._contract_step(g, alpha, x, cell)
-
     def _contract_step(self, g: int, alpha: int, x: int, cell: Cell) -> Chain:
         """Homotopy on a reducible term (g*x)[cell] whose least divisor is
-        alpha, x being alpha's complement as in _complements."""
+        alpha, x being alpha's complement: x*lcm(cell) = lcm(alpha, lcm(cell))."""
         kernel = self.kernel
         if x < kernel.n_objects:
             raise ConsistencyError("least divisor already divides the cell lcm")
@@ -315,24 +267,26 @@ class OrderResolution:
         """For a term w[cell] of dimension >= 1, L its cell's lcm: the
         tuples (p, alpha, x, y), in increasing order of the atoms alpha
         below the cell's first atom that have a left-lcm with w*L, where
-        p*w*L is that lcm, x is alpha's complement as in _complements and
-        y*x = p*w.  The first atom divides L, so g*w[cell] is reducible
-        exactly when some p right-divides g (cancel w*L on the right); for
-        the first one, g = h*p, its least divisor is alpha and g*w = h*y*x.
-        Cached per term."""
+        p*w*L is that lcm, x*L = lcm(alpha, L) and y*x = p*w.  The first
+        atom divides L, so g*w[cell] is reducible exactly when some p
+        right-divides g (cancel w*L on the right); for the first one,
+        g = h*p, its least divisor is alpha and g*w = h*y*x.  Cached per
+        term."""
         key = (w, cell)
         lower = self._lower_cache.get(key)
         if lower is None:
             kernel = self.kernel
-            wl = kernel.product(w, self._cell_lcm(cell))
+            lcm = self._cell_lcm(cell)
+            wl = kernel.product(w, lcm)
             first = cell.atoms[0]
             rows = []
-            for alpha, x in self._complements(cell):
+            for alpha in kernel.candidates[self.cell_target(cell)]:
                 if alpha == first:
                     break
                 p = kernel.lcm(wl, alpha)
                 if p >= 0:
-                    y = kernel.divide(kernel.product(p, w), x)
+                    x = kernel.lcm(lcm, alpha)
+                    y = kernel.divide(kernel.product(p, w), x) if x >= 0 else -1
                     if y < 0:
                         raise ConsistencyError("an lcm over a term is not a multiple of the cell's")
                     rows.append((p, alpha, x, y))
@@ -341,12 +295,24 @@ class OrderResolution:
         return lower
 
     def _act_contract(self, g: int, chain: Chain) -> Chain:
-        """_contracting_chain(_act(g, chain)) for a chain of cells of
-        dimension >= 1, without forming g*w: the irreducible terms
-        g*w[cell] contract to 0, and the others go straight to their step."""
-        divide, product = self.kernel.divide, self.kernel.product
+        """The contracting homotopy of g times a chain, term by term.  On a
+        zero cell g*w telescopes down its canonical decomposition, whose
+        least divisors are the last atoms up the trie.  Otherwise g*w is not
+        formed: the irreducible terms contract to 0, and the others go
+        straight to their step."""
+        kernel = self.kernel
+        divide, product = kernel.divide, kernel.product
+        parent, last, atom_source = kernel.parent, kernel.last, self.struct.atom_source
         acc: Chain = {}
         for (w, cell), m in chain.items():
+            if not cell.atoms:
+                f = product(g, w)
+                step: Chain = {}
+                while f >= kernel.n_objects:
+                    alpha, f = last[f], parent[f]
+                    step[(f, Cell((alpha,), atom_source[alpha]))] = 1
+                chain_iadd(acc, step, m)
+                continue
             for p, alpha, x, y in self._lower(w, cell):
                 h = divide(g, p)
                 if h >= 0:

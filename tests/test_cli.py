@@ -311,15 +311,16 @@ def _mutated_builtin(spec, row, line):
 ABC = ["ATOM a * * 1", "ATOM b * * 1", "ATOM c * * 1"]
 # tables the commands must refuse with exit 4: lcm sides of different
 # lengths (the second makes unchecked division grow the trie without
-# bound), a pair whose lcm its atom does not divide, a boundary that
-# leaves the enumerated cells, and empty complements
+# bound), a pair whose lcm its atom does not divide, an lcm over a term
+# of a boundary that is not a multiple of the cell's lcm (built further,
+# that boundary would leave the enumerated cells), and empty complements
 INCONSISTENT_TABLES = {
     "uneven sides": _table(
         ABC + ["LCM a b COMPL b c.a", "LCM a c COMPL b.c a.b", "LCM b c COMPL c.a a.b"]
     ),
     "uneven sides, growing trie": _mutated_builtin("artin:A3", "LCM a c ", "LCM a c COMPL c a.b.c"),
     "pair lcm not divisible": _mutated_builtin("artin:A3", "LCM a b ", "LCM a b COMPL a.b b.c"),
-    "boundary off the cells": _mutated_builtin("dual:A3", "LCM t12 t23 ", "LCM t12 t23 COMPL t23 t02"),
+    "term lcm not a multiple": _mutated_builtin("dual:A3", "LCM t12 t23 ", "LCM t12 t23 COMPL t23 t02"),
     # an empty complement says lcm(a, b) = a: on both sides a = b, on one
     # side b divides a (here a = b.b, with the lengths kept even)
     "empty complements": _table(["ATOM a * * 1", "ATOM b * * 1", "LCM a b COMPL - -"]),
@@ -340,7 +341,7 @@ INCONSISTENT_TABLES = {
         )
         for command in ("cells", "bounds", "homology")
     ]
-    + [("boundary off the cells", "homology")],
+    + [("term lcm not a multiple", "homology")],
 )
 def test_inconsistent_table_exits_4(tmp_path, table, command):
     path = tmp_path / "bad.gs"
@@ -365,14 +366,18 @@ def test_validate_flags_diverging_folds(tmp_path):
 
 @pytest.mark.parametrize("depth", ["3", "4", "6"])
 def test_validate_flags_boundary_off_the_cells(tmp_path, depth):
-    # every lcm fold of this table agrees, but its complex breaks in degree 3
+    # every lcm fold of this table agrees, but building its complex meets a
+    # term whose lcm with a lower atom is not a multiple of the cell's, before
+    # any boundary leaves the cells or squares to nonzero (test_resolution's
+    # test_checks_flag_a_tampered_complex covers those two checks)
     path = tmp_path / "bad.gs"
-    path.write_text(INCONSISTENT_TABLES["boundary off the cells"])
+    path.write_text(INCONSISTENT_TABLES["term lcm not a multiple"])
     code, out, _ = run_cli(["validate", "--structure", str(path), "--depth", depth])
     assert code == 3
-    off_cells, squared = out.splitlines()
-    assert off_cells.startswith("violation: ") and off_cells.endswith("which is not a cell")
-    assert squared.startswith("violation: ") and "boundary of boundary is nonzero" in squared
+    assert out == (
+        f"violation: complex to dimension {depth} failed: "
+        "an lcm over a term is not a multiple of the cell's\n"
+    )
 
 
 EMPTY_COMPLEMENT = "empty complement, so one atom divides the other"

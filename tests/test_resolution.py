@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import rewriting
 from garside_homology import (
     AtomOrdering,
+    ConsistencyError,
     PreconditionError,
     Word,
     artin_named,
@@ -242,12 +243,53 @@ def reduce_chain(res, chain):
     return acc
 
 
+def least_over(res, f, cell):
+    """(alpha, x, g) for the least atom alpha right-dividing f*lcm(cell) of a
+    cell of dimension >= 1, with x*lcm(cell) = lcm(alpha, lcm(cell)) and
+    g*x = f: the least-divisor search of Dehornoy and Lafont, read off
+    kernel.lcm and kernel.divide."""
+    kernel = res.kernel
+    lcm = res._cell_lcm(cell)
+    for alpha in kernel.candidates[res.cell_target(cell)]:
+        x = kernel.lcm(lcm, alpha)
+        if x >= 0:
+            g = kernel.divide(f, x)
+            if g >= 0:
+                return alpha, x, g
+    raise AssertionError(f"no atom divides {f}*lcm({cell})")
+
+
+def contracting_chain(res, chain):
+    """The reference contracting homotopy, term by term: a term f[C] on a
+    zero cell telescopes f down its canonical decomposition; otherwise,
+    with alpha the least divisor of f*lcm(C) and f = g*x, it is 0 when
+    alpha is C's first atom and g[alpha, C] + s(g * reduction(x[C]))
+    when it is not.  The engine's reduction res._reduce_elem(f, C) must be
+    this contraction of f times the boundary of C."""
+    kernel = res.kernel
+    acc = {}
+    for (f, cell), m in chain.items():
+        term = {}
+        if not cell.atoms:
+            while f >= kernel.n_objects:
+                alpha, f = kernel.last[f], kernel.parent[f]
+                term[(f, Cell((alpha,), res.struct.atom_source[alpha]))] = 1
+        else:
+            alpha, x, g = least_over(res, f, cell)
+            if alpha == cell.atoms[0]:
+                continue
+            term[(g, Cell((alpha,) + cell.atoms, kernel.src[x]))] = 1
+            chain_iadd(term, contracting_chain(res, res._act(g, res._reduce_elem(x, cell))))
+        chain_iadd(acc, term, m)
+    return acc
+
+
 def irreducible(res, f, cell):
     """Whether f[cell] is irreducible: f*lcm(cell) has the cell's first atom
     as its least divisor, or f is an identity on a zero cell."""
     if not cell.atoms:
         return f < res.kernel.n_objects
-    return res._least_over(f, cell)[0] == cell.atoms[0]
+    return least_over(res, f, cell)[0] == cell.atoms[0]
 
 
 # -- the termination order (the reference for ACCEPTANCE 7) ----------------------
@@ -362,7 +404,7 @@ def test_all_orderings_of_rank_two_monoids():
             for _ in range(25):
                 word, cell = random_elementary(rng, res, max_dim=2, max_atoms=2)
                 chain = {(word, cell): 1}
-                s_of = res._contracting_chain(chain)
+                s_of = contracting_chain(res, chain)
                 lhs = res._boundary_chain(s_of) if s_of else {}
                 assert lhs == chain_sub(chain, reduce_chain(res, chain))
             result = compute_homology(struct, make_system("trivial"), ordering, max_dim=3)
@@ -392,7 +434,7 @@ def test_homotopy_identity_bulk(builtins):
         for _ in range(200):
             word, cell = random_elementary(rng, res, max_dim=top, max_atoms=2)
             chain = {(word, cell): 1}
-            s_of = res._contracting_chain(chain)
+            s_of = contracting_chain(res, chain)
             lhs = res._boundary_chain(s_of) if s_of else {}
             rhs = chain_sub(chain, reduce_chain(res, chain))
             assert lhs == rhs, (name, word, cell)
@@ -405,7 +447,7 @@ def test_contraction_of_irreducible_is_zero(builtins):
             for cell in res.cells[n][:4]:
                 one = cell.src
                 assert irreducible(res, one, cell)
-                assert res._contracting_chain({(one, cell): 1}) == {}
+                assert contracting_chain(res, {(one, cell): 1}) == {}
 
 
 def test_reduction_fixes_irreducible_and_lowers_reducible():
@@ -486,9 +528,9 @@ LOWER_STRUCTS = {
 def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
     # the contracting homotopy drops a term g*w[C] of a reduction without
     # forming g*w when no p of _lower(w, C) right-divides g; that must
-    # happen exactly when g*w[C] is irreducible, decided by _least_over.
+    # happen exactly when g*w[C] is irreducible, decided by least_over.
     # Otherwise the first p that does, g = h*p, gives the least divisor
-    # and the quotient by its complement as _least_over does
+    # and the quotient by its complement as least_over does
     struct = LOWER_STRUCTS[name]()  # cold kernels, so every example draws alike
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
     res = build_complex(struct, ordering).resolution
@@ -505,16 +547,32 @@ def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
             hits = [(alpha, x, kernel.product(h, y)) for h, alpha, x, y in hits if h >= 0]
             assert (not hits) == irreducible(res, gw, cell), (name, w, cell, g)
             if hits:
-                assert hits[0] == res._least_over(gw, cell), (name, w, cell, g)
+                assert hits[0] == least_over(res, gw, cell), (name, w, cell, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(LOWER_STRUCTS)), st.data())
+def test_reductions_match_the_reference_contraction(name, data):
+    # the engine's one contraction, _act_contract, against the least-divisor
+    # definition: every reduction f[C] that build_complex cached is the
+    # contraction of f times the boundary of C
+    struct = LOWER_STRUCTS[name]()
+    ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
+    res = build_complex(struct, ordering).resolution
+    keys = list(res._reduce_cache)
+    assert keys
+    for f, cell in keys:
+        expected = contracting_chain(res, res._act(f, res._differential(cell)))
+        assert res._reduce_elem(f, cell) == expected, (name, f, cell)
 
 
 def test_e6_complex_work_bound():
-    # the trie count is deterministic: 15,820 nodes when contractions form
-    # no g*w, 20,052 when they form it for the reducible terms only, and
-    # 33,948 when they form it for every term
+    # the trie count is deterministic: 14,454 nodes when every reduction
+    # contracts through _act_contract, and 15,820 when reductions form f*w
+    # through _act and find least divisors over per-cell complements
     struct = artin_named("E6")
     res = build_complex(struct, optimize_ordering(struct)).resolution
-    assert len(res.kernel.last) <= 17_000
+    assert len(res.kernel.last) <= 15_000
 
 
 def test_build_complex_shape():
@@ -531,6 +589,26 @@ def test_dual_a3_counts():
     res = OrderResolution(struct, optimize_ordering(struct), max_dim=3)
     assert bounds.lower <= res.cell_counts()[2] <= bounds.upper
     res.check_boundary_squared()
+
+
+def test_checks_flag_a_tampered_complex():
+    # the two consistency checks that validate runs after build_complex,
+    # each on a built A3 complex with one boundary edited
+    cx = build_complex(artin_named("A3"))
+    top = cx.cells[3][0]
+    (word, facet), m = next(iter(cx.boundaries[3][top].items()))
+    off = Cell(facet.atoms[::-1], facet.src)
+    assert off not in cx.cells[2]
+    cx.boundaries[3][top] = {**cx.boundaries[3][top], (word, off): m}
+    with pytest.raises(ConsistencyError, match="which is not a cell"):
+        cx.check_facets()
+
+    res = build_complex(artin_named("A3")).resolution
+    cell = res.cells[2][0]
+    boundary = res._differential(cell)
+    res._diff_cache[cell] = chain_iadd(dict(boundary), dict([next(iter(boundary.items()))]))
+    with pytest.raises(ConsistencyError, match="boundary of boundary is nonzero"):
+        res.check_boundary_squared()
 
 
 # -- pinned differentials ---------------------------------------------------------

@@ -6,11 +6,14 @@ types guard the performance envelope.  Every Artin row in reach is also
 checked against the Salvetti complex (oracles.py), in all three systems.
 """
 
+import functools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from garside_homology import artin_named, compute_homology, make_system, optimize_ordering
+from garside_homology import AtomOrdering, artin_named, compute_homology, make_system, optimize_ordering
 from garside_homology.coefficients import cyclotomic_poly
 from garside_homology.linalg import invariant_factors
 from garside_homology.rings import Rationals, poly_mul
@@ -218,3 +221,22 @@ def test_rows_match_the_salvetti_complex(name, system):
     expected = oracles.salvetti_homology(coxeter_matrix(name), system)
     result = compute_homology(artin_named(name), system)
     assert groups_data(result) == [(g.free_rank, list(g.torsion)) for g in expected]
+
+
+ORDERING_TYPES = ["A4", "B4", "D4", "H3", "F4"]
+
+
+@functools.lru_cache(maxsize=None)
+def salvetti_laurent_q(name):
+    return oracles.salvetti_homology(coxeter_matrix(name), make_system("laurent", "Q"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORDERING_TYPES), st.data())
+def test_laurent_q_rows_under_random_orderings(name, data):
+    # the homology must not depend on the ordering: a drawn permutation of
+    # the atoms gives the Salvetti complex's Laurent-Q row
+    struct = artin_named(name)
+    ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
+    result = compute_homology(struct, make_system("laurent", "Q"), ordering)
+    assert groups_data(result) == [(g.free_rank, list(g.torsion)) for g in salvetti_laurent_q(name)]
