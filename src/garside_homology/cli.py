@@ -6,11 +6,16 @@ or the path of a structure file, and only the options it reads (see
 build_parser); any other option is a configuration error.  Exit codes: 0 ok,
 2 configuration or parse error, 3 structure validation failure, 4 internal
 inconsistency (including a recursion too deep or memory exhausted).
+
+main(argv) may be called any number of times in one process: the parser is
+built on the first call and reused by later ones, and it keeps nothing from
+one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .coefficients import make_system
@@ -148,6 +153,7 @@ def cmd_builtin(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="garside-homology",
@@ -160,16 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom = sub.add_parser("homology", help="homology of the structure's group")
     p_val = sub.add_parser("validate", help="sanity-check the lcm table")
     p_builtin = sub.add_parser("builtin", help="emit a builtin as a structure file")
-    for p, func in (
-        (p_cells, cmd_cells),
-        (p_bounds, cmd_bounds),
-        (p_order, cmd_order),
-        (p_hom, cmd_homology),
-        (p_val, cmd_validate),
-        (p_builtin, cmd_builtin),
-    ):
+    for p in (p_cells, p_bounds, p_order, p_hom, p_val, p_builtin):
         p.add_argument("--structure", required=True, help="builtin:<kind:name> or a file path")
-        p.set_defaults(func=func)
     for p in (p_cells, p_hom):
         p.add_argument("--order", default="auto", choices=["auto", "declared", "identity"])
     for p in (p_cells, p_order, p_hom):
@@ -185,10 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so the cached parser holds no command function
+    command = {
+        "cells": cmd_cells,
+        "bounds": cmd_bounds,
+        "order": cmd_order,
+        "homology": cmd_homology,
+        "validate": cmd_validate,
+        "builtin": cmd_builtin,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ConsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -381,7 +381,9 @@ class GaussianStructure:
         Checks entry symmetry, nonempty complements and length homogeneity,
         then the consistency of lcm folds over all atom subsets of size up
         to `depth` at a common target: every fold order must succeed and
-        give the same lcm.  When the folds pass, it builds the complex
+        give the same lcm.  Once one order has given an lcm L, the others
+        stop as failed on reversing a node longer than L, which no fold of
+        a Gaussian table does.  When the folds pass, it builds the complex
         under declaration order up to dimension `depth` (at most
         `default_max_dim`) and checks that every boundary stays on the
         enumerated cells and that d∘d = 0.  A passing report is evidence,
@@ -417,11 +419,19 @@ class GaussianStructure:
             for size in range(2, min(depth, len(here)) + 1):
                 for subset in itertools.combinations(here, size):
                     results = []  # per rotation: the lcm node, -1, or None if failed
-                    for rot in range(size):
-                        try:
-                            results.append(kernel.join(subset[rot:] + subset[:rot]))
-                        except (ConsistencyError, RecursionError):
-                            results.append(None)
+                    try:
+                        for rot in range(size):
+                            try:
+                                node = kernel.join(subset[rot:] + subset[:rot])
+                            except (ConsistencyError, RecursionError):
+                                node = None
+                            results.append(node)
+                            if kernel.fold_bound is None and node is not None and node >= 0:
+                                # on a Gaussian table every order reverses only
+                                # nodes no longer than the subset's lcm
+                                kernel.fold_bound = self.word_length(kernel.word(node))
+                    finally:
+                        kernel.fold_bound = None
                     if None in results:
                         violations.append(f"lcm fold of {subset} failed")
                     elif len({r < 0 for r in results}) > 1:
@@ -510,6 +520,8 @@ class WordKernel:
         self._mul: dict[int, int] = {}
         self._lcm: dict[int, int] = {}  # node * n_atoms + atom -> node or -1
         self._lcm_steps = 0  # memo misses of lcm, against _FOLD_STEP_LIMIT
+        # when set, the longest node lcm may reverse (see validate)
+        self.fold_bound: Optional[int] = None
 
     def _child(self, node: int, atom: int) -> int:
         """The trie node of node*atom, which the caller knows is canonical
@@ -591,6 +603,9 @@ class WordKernel:
         With x = u*c for c its last atom and comp_b*b = comp_c*c the table's
         lcm, lcm(x, b) = lcm(u, comp_c)*c.  That lcm is folded over comp_c
         from the right: p_d*cur = lcm(cur, d), then cur = p_d*cur/d.
+        Every node reversed on the way is shorter than the lcm it serves,
+        so when a fold's lcm is known to be no longer than `fold_bound`, a
+        miss on a longer x raises ConsistencyError.
         """
         key = x * self.n_atoms + b
         res = self._lcm.get(key)
@@ -599,6 +614,8 @@ class WordKernel:
         self._lcm_steps += 1
         if self._lcm_steps > _FOLD_STEP_LIMIT:
             raise ConsistencyError("lcm reversing did not converge; lcm table is inconsistent")
+        if self.fold_bound is not None and self.struct.word_length(self.word(x)) > self.fold_bound:
+            raise ConsistencyError("lcm reversing outgrew the fold bound; lcm table is inconsistent")
         if self.div(x, b) >= 0:
             res = self.src[x]
         elif x < self.n_objects:

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -270,6 +271,64 @@ def test_escaping_recursion_error_exits_4(monkeypatch):
     assert "recursion" in err
 
 
+A3_TRIVIAL = "# artin:A3, coefficients Z (trivial action)\nH_0 = Z\nH_1 = Z\nH_2 = Z_2\nH_3 = 0\n"
+
+
+def test_a_reused_parser_keeps_nothing_between_calls():
+    # main builds its parser once per process; no call may see the options,
+    # defaults or exits of an earlier one
+    a3 = ["homology", "--structure", "builtin:artin:A3"]
+    assert run_cli(a3 + ["--coeffs", "sign", "--format", "csv"])[:2] == (
+        0, "degree,free_rank,torsion,cyclotomic\n0,0,2,\n1,0,3,\n2,0,2,\n3,0,,\n"
+    )
+    assert run_cli(a3)[:2] == (0, A3_TRIVIAL)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["validate", "--structure", "builtin:artin:A2", "--max-dim", "3"])
+    assert exc.value.code == 2
+    assert run_cli(["cells", "--structure", "builtin:artin:H3"]) == (0, "1 3 3 1\n", "")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--help"])
+    assert exc.value.code == 0
+    assert run_cli(a3) == (0, A3_TRIVIAL, "")
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    import argparse
+    import subprocess
+
+    from garside_homology import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    for _ in range(10):
+        assert run_cli(["cells", "--structure", "builtin:artin:A2"])[0] == 0
+        assert run_cli(["bounds", "--structure", "builtin:artin:A2"])[0] == 0
+    assert 0 < len(built) <= 7  # one root parser and its six subcommands
+    # importing the module builds nothing
+    probe = """if True:
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting_init
+        import garside_homology.cli
+        print(len(built))
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env=env, timeout=60)
+    assert out.stdout == "0\n"
+
+
 def test_negative_max_dim_exits_2():
     for command in ("homology", "cells", "order"):
         for max_dim in ("-1", "-3"):
@@ -362,6 +421,23 @@ def test_validate_flags_diverging_folds(tmp_path):
     code, out, _ = run_cli(["validate", "--structure", str(path)])
     assert code == 3
     assert out == "violation: lcm fold of (0, 1, 2) failed\n"
+
+
+def test_validate_stops_a_fold_that_outgrows_another_order(tmp_path):
+    # G13 with one complement changed: two orders of the triple fold to the
+    # same lcm of length 5, and the third reverses ever longer words: over
+    # 3,000 trie nodes and lcm steps before the recursion limit, without the
+    # bound the first order's lcm puts on the others
+    text = _mutated_builtin("circ:G13", "LCM a b ", "LCM a b COMPL c.a.b.c a.a.a.c")
+    path = tmp_path / "g13.gs"
+    path.write_text(text)
+    code, out, _ = run_cli(["validate", "--structure", str(path)])
+    assert (code, out) == (3, "violation: lcm fold of (0, 1, 2) failed\n")
+    struct = parse_structure(text)
+    assert struct.validate().violations == ["lcm fold of (0, 1, 2) failed"]
+    kernel = struct.kernel()
+    assert len(kernel.last) <= 40 and kernel._lcm_steps <= 40
+    assert kernel.fold_bound is None
 
 
 @pytest.mark.parametrize("depth", ["3", "4", "6"])

@@ -223,6 +223,19 @@ def test_rows_match_the_salvetti_complex(name, system):
     assert groups_data(result) == [(g.free_rank, list(g.torsion)) for g in expected]
 
 
+def test_e7_laurent_q_row_matches_the_salvetti_complex():
+    # only the Laurent-Q row: E7's complex takes a few seconds, and the
+    # fraction-copy checks of A6 and E6 are not repeated at this size
+    system = make_system("laurent", "Q")
+    expected = oracles.salvetti_homology(coxeter_matrix("E7"), system)
+    result = compute_homology(artin_named("E7"), system)
+    assert groups_data(result) == [(g.free_rank, list(g.torsion)) for g in expected]
+    assert [laurent_torsion(g) for g in result.groups] == [
+        [phi(1)], [], [], [], [phi(3)], [phi(3)], [phi(1, 3, 7, 9)], []
+    ]
+    assert all(g.free_rank == 0 for g in result.groups)
+
+
 ORDERING_TYPES = ["A4", "B4", "D4", "H3", "F4"]
 
 
