@@ -21,7 +21,8 @@ prefix trie of int ids, where the last atom of a node is its least divisor.
 Its three primitives, `div` (divide by an atom), `mul` (multiply by an atom)
 and `lcm` (left-lcm with an atom), return canonical nodes; `mul` and `lcm`
 are memoized, `div` is recomputed on every call.  Interning a word folds
-`mul` over it, and `join` folds `lcm` over a set of atoms.  The four
+`mul` over it, `join` folds `lcm` over a set of atoms, and `left_lcm`
+folds it over the atoms of a second node.  The four
 `Word` methods `quotient_atom`, `least_divisor`, `canonical_form` and
 `lcm_with_atom` are adapters that intern their argument in
 `kernel(ordering)` (declaration order when none is given) and spell out the
@@ -637,6 +638,27 @@ class WordKernel:
                     res = product(p, res)
         self._lcm[key] = res
         return res
+
+    def left_lcm(self, w: int, x: int) -> Optional[tuple[int, int]]:
+        """The canonical nodes (p, y) with p*w = y*x the left-lcm of the
+        nodes w and x, which share a target; None when they have no common
+        left-multiple.
+
+        w is reversed against the atoms of x from the last one up: with
+        x = u*d and q*w = lcm(w, d), lcm(w, x) = lcm(q*w/d, u)*d.
+        """
+        parent, last, n_objects = self.parent, self.last, self.n_objects
+        lcm, product, exact_div = self.lcm, self.product, self.exact_div
+        p, y = self.src[w], w
+        while x >= n_objects:
+            d = last[x]
+            q = lcm(y, d)
+            if q < 0:
+                return None
+            y = exact_div(product(q, y), d)
+            p = product(q, p)
+            x = parent[x]
+        return p, y
 
     def join(self, atoms: Sequence[int]) -> int:
         """The canonical node of the left-lcm of a nonempty family of atoms

@@ -29,8 +29,14 @@ the cell's first one.  The contracting homotopy acts on a differential
 times a coefficient g, and most of the terms g*w[cell] it meets are
 irreducible and contract to 0: exactly those whose g is a multiple of no
 such p.  They are dropped, and the others contracted from g/p, without
-building g*w.  Complements x with x*lcm = lcm(a, lcm) come from the word
-kernel's own memos, which live on the structure, one kernel per ordering.
+building g*w.  A cell whose first atom is the least at its target has no
+atom below it, so its terms are dropped before the cache is consulted.
+With x*lcm = lcm(a, lcm) the complement, which comes from the word
+kernel's own memos (they live on the structure, one kernel per ordering),
+p*w is the left-lcm of w and x, so a row never forms w*lcm.  On a table
+that is not Gaussian that lcm can miss a multiple of the cell's; the
+contraction step then meets a cell [a, cell] whose lcm x*lcm does not end
+in a, and raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -110,6 +116,10 @@ class OrderResolution:
         if len(self.ordering.ranks) != struct.n_atoms:
             raise PreconditionError("ordering does not cover the atoms")
         self.kernel = struct.kernel(self.ordering)
+        # per atom: whether it is the least atom at its target
+        self._least_at_target = [
+            self.kernel.candidates[target][0] == a for a, target in enumerate(struct.atom_target)
+        ]
         self._lcms: dict[tuple[int, ...], int] = {}  # cell atoms -> node of the cell lcm
         self._diff_cache: dict[Cell, Chain] = {}
         self._reduce_cache: dict[tuple[int, Cell], Chain] = {}
@@ -258,7 +268,11 @@ class OrderResolution:
             raise ConsistencyError("least divisor already divides the cell lcm")
         new_cell = Cell((alpha,) + cell.atoms, kernel.src[x])
         if new_cell.atoms not in self._lcms:
-            self._lcms[new_cell.atoms] = kernel.product(x, self._cell_lcm(cell))
+            # alpha is least in the term's g*x*lcm(cell), so in x*lcm(cell)
+            joined = kernel.product(x, self._cell_lcm(cell))
+            if kernel.last[joined] != alpha:
+                raise ConsistencyError("an lcm over a term is not a multiple of the cell's")
+            self._lcms[new_cell.atoms] = joined
         acc: Chain = {(g, new_cell): 1}
         chain_iadd(acc, self._act_contract(g, self._reduce_elem(x, cell)))
         return acc
@@ -270,26 +284,25 @@ class OrderResolution:
         p*w*L is that lcm, x*L = lcm(alpha, L) and y*x = p*w.  The first
         atom divides L, so g*w[cell] is reducible exactly when some p
         right-divides g (cancel w*L on the right); for the first one,
-        g = h*p, its least divisor is alpha and g*w = h*y*x.  Cached per
-        term."""
+        g = h*p, its least divisor is alpha and g*w = h*y*x.  Any common
+        multiple of alpha and w*L is one of x*L, so lcm(alpha, w*L) =
+        lcm(x, w)*L, and p*w = y*x = lcm(w, x) gives both p and y without
+        forming w*L.  Cached per term."""
         key = (w, cell)
         lower = self._lower_cache.get(key)
         if lower is None:
             kernel = self.kernel
             lcm = self._cell_lcm(cell)
-            wl = kernel.product(w, lcm)
             first = cell.atoms[0]
             rows = []
             for alpha in kernel.candidates[self.cell_target(cell)]:
                 if alpha == first:
                     break
-                p = kernel.lcm(wl, alpha)
-                if p >= 0:
-                    x = kernel.lcm(lcm, alpha)
-                    y = kernel.divide(kernel.product(p, w), x) if x >= 0 else -1
-                    if y < 0:
-                        raise ConsistencyError("an lcm over a term is not a multiple of the cell's")
-                    rows.append((p, alpha, x, y))
+                x = kernel.lcm(lcm, alpha)
+                if x >= 0:
+                    py = kernel.left_lcm(w, x)
+                    if py is not None:
+                        rows.append((py[0], alpha, x, py[1]))
             lower = tuple(rows)
             self._lower_cache[key] = lower
         return lower
@@ -299,10 +312,14 @@ class OrderResolution:
         zero cell g*w telescopes down its canonical decomposition, whose
         least divisors are the last atoms up the trie.  Otherwise g*w is not
         formed: the irreducible terms contract to 0, and the others go
-        straight to their step."""
+        straight to their step.  A term whose cell starts with the least
+        atom at its target is irreducible whatever g is, and g is tested
+        against each distinct p once."""
         kernel = self.kernel
         divide, product = kernel.divide, kernel.product
         parent, last, atom_source = kernel.parent, kernel.last, self.struct.atom_source
+        least = self._least_at_target
+        quotients: dict[int, int] = {}  # p -> g/p or -1
         acc: Chain = {}
         for (w, cell), m in chain.items():
             if not cell.atoms:
@@ -313,8 +330,12 @@ class OrderResolution:
                     step[(f, Cell((alpha,), atom_source[alpha]))] = 1
                 chain_iadd(acc, step, m)
                 continue
+            if least[cell.atoms[0]]:
+                continue
             for p, alpha, x, y in self._lower(w, cell):
-                h = divide(g, p)
+                h = quotients.get(p)
+                if h is None:
+                    h = quotients[p] = divide(g, p)
                 if h >= 0:
                     chain_iadd(acc, self._contract_step(product(h, y), alpha, x, cell), m)
                     break

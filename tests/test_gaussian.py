@@ -416,6 +416,40 @@ def test_kernel_trie_holds_canonical_words_only(case, data):
             assert spelled[-1] == rewriting.md(name, spelled, kernel_order)
 
 
+def test_left_lcm_of_nodes_matches_oracle():
+    # for every pair of distinct words of length <= 2, under the
+    # declaration order and its reverse: p*w = y*x, and p*w is the
+    # brute-force lcm, or longer than 6 when no common multiple is that short
+    for name, struct in KERNEL_STRUCTS.items():
+        letters = rewriting.PRESENTATIONS[name][0]
+        kernels = [
+            struct.kernel(AtomOrdering.from_sequence([struct.atom_index[a] for a in order]))
+            for order in (letters, letters[::-1])
+        ]
+        words = [w for n in (1, 2) for w in itertools.product(letters, repeat=n)]
+        for u, v in itertools.combinations(words, 2):
+            short = rewriting.common_left_multiples(name, u, v, 6)
+            oracle = rewriting.lcm(name, u, v) if short else None
+            for kernel in kernels:
+                w, x = (kernel.intern(wordify(struct, s)) for s in (u, v))
+                p, y = kernel.left_lcm(w, x)
+                lcm = kernel.product(p, w)
+                assert lcm == kernel.product(y, x), (name, u, v)
+                spelled = tuple(struct.word_names(kernel.word(lcm)))
+                if oracle is None:
+                    assert len(spelled) > 6, (name, u, v)
+                else:
+                    assert rewriting.equal(name, spelled, oracle), (name, u, v)
+
+
+def test_left_lcm_absent_between_nodes(cospan_category):
+    s = cospan_category
+    kernel = s.kernel()
+    p, q = (kernel.intern(s.word_from_names([n])) for n in ("p", "q"))
+    assert kernel.left_lcm(p, q) is None
+    assert kernel.left_lcm(p, kernel.target(p)) == (kernel.src[p], p)
+
+
 def test_e8_delta_squared_canonicalizes_within_depth_bound():
     # every Coxeter element c of E8 has c^15 = w0 (the exponents are all
     # odd), so c^30 spells Delta^2, 240 atoms, through two Coxeter elements.

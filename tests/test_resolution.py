@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rewriting
+from test_cli import INCONSISTENT_TABLES
 from garside_homology import (
     AtomOrdering,
     ConsistencyError,
@@ -18,6 +19,7 @@ from garside_homology import (
     artin_named,
     circulating_structure,
     dual_typeA_structure,
+    parse_structure,
 )
 from garside_homology.resolution import (
     Cell,
@@ -566,13 +568,69 @@ def test_reductions_match_the_reference_contraction(name, data):
         assert res._reduce_elem(f, cell) == expected, (name, f, cell)
 
 
+def lower_rows(res, w, cell):
+    """The reference for res._lower(w, cell), L the cell's lcm: for each
+    atom alpha below the cell's first one, reverse w*L against alpha for p
+    with p*w*L = lcm(alpha, w*L), then y = p*w/x with x*L = lcm(alpha, L)."""
+    kernel = res.kernel
+    lcm = res._cell_lcm(cell)
+    wl = kernel.product(w, lcm)
+    rows = []
+    for alpha in kernel.candidates[res.cell_target(cell)]:
+        if alpha == cell.atoms[0]:
+            break
+        p = kernel.lcm(wl, alpha)
+        if p >= 0:
+            x = kernel.lcm(lcm, alpha)
+            rows.append((p, alpha, x, kernel.divide(kernel.product(p, w), x)))
+    return tuple(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(LOWER_STRUCTS)), st.data())
+def test_lower_rows_match_the_reference(name, data):
+    # _lower reads each row off the left-lcm of w and x and never forms
+    # w*L: every row that build_complex cached must be the one reversing
+    # w*L against alpha gives, and no cell of a cached term starts with
+    # the least atom at its target (such terms are never reducible)
+    struct = LOWER_STRUCTS[name]()
+    ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
+    res = build_complex(struct, ordering).resolution
+    cached = dict(res._lower_cache)
+    for (w, cell), rows in cached.items():
+        assert rows == lower_rows(res, w, cell), (name, w, cell)
+        assert res.kernel.candidates[res.cell_target(cell)][0] != cell.atoms[0], (name, w, cell)
+
+
+def test_term_lcm_off_the_cell_lcm_is_refused():
+    # dual A3 with one complement changed: every lcm fold agrees, but the
+    # contraction meets a cell [alpha, C] whose lcm x*lcm(C) does not end
+    # in alpha, the least divisor of the term it came from
+    struct = parse_structure(INCONSISTENT_TABLES["term lcm not a multiple"])
+    with pytest.raises(ConsistencyError, match=r"^an lcm over a term is not a multiple of the cell's$"):
+        build_complex(struct, max_dim=3)
+
+
 def test_e6_complex_work_bound():
-    # the trie count is deterministic: 14,454 nodes when every reduction
-    # contracts through _act_contract, and 15,820 when reductions form f*w
-    # through _act and find least divisors over per-cell complements
+    # the trie count is deterministic: 9,873 nodes when each row of _lower
+    # comes from the left-lcm of w and x; 14,454 when each row formed w*L
+    # and reversed it against every lower atom; 15,820 when reductions
+    # formed f*w through _act and found least divisors over per-cell
+    # complements
     struct = artin_named("E6")
     res = build_complex(struct, optimize_ordering(struct)).resolution
-    assert len(res.kernel.last) <= 15_000
+    assert len(res.kernel.last) <= 10_500
+    # terms whose cell starts with the least atom at its target, the only
+    # ones with no rows on E6, never reach the row cache
+    assert () not in res._lower_cache.values()
+
+
+def test_e7_complex_work_bound():
+    # 13,432 trie nodes to dimension 6 with rows from lcm(w, x), 21,714
+    # when each row formed w*L
+    struct = artin_named("E7")
+    res = build_complex(struct, optimize_ordering(struct), max_dim=6).resolution
+    assert len(res.kernel.last) <= 14_000
 
 
 def test_build_complex_shape():
