@@ -9,15 +9,23 @@ No transforms are needed, only the diagonal of the Smith normal form, and
 each matrix is reduced once: `ScalarMatrix.factors` keeps its invariant
 factors, so d_{n+1} serves degree n (its factors) and degree n+1 (its rank).
 
-Pivots are chosen of minimal Euclidean size (absolute value; degree span,
-then coefficient height), stopping at the first unit, to keep intermediate
-entries small.
+The pivot is the first unit met in scan order.  When no unit remains, it
+is an entry of least Euclidean size (absolute value; degree span, then
+coefficient height), to keep intermediate entries small, and among those
+the one of least Markowitz product (row nonzeros - 1) * (column nonzeros -
+1), to keep fill-in small (Markowitz, Management Sci. 3, 1957).
+
+Each row update a - q * c is one fused `sub_mul`.  Over F[t, t^-1] it scales
+the operands to integers over one common denominator, runs the dense
+multiply-add loop of `rings.mul_add` on ints, and divides (over Q) or
+reduces (over F_p) once per output coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from .gaussian import ConsistencyError, PreconditionError
@@ -41,6 +49,10 @@ class IntegerDomain:
 
     def mul(self, a, b):
         return a * b
+
+    def sub_mul(self, a, q, c):
+        """a - q * c."""
+        return a - q * c
 
     def neg(self, a):
         return -a
@@ -85,14 +97,18 @@ class LaurentDomain:
         self.one = (0, (field.one,))
 
     def element(self, v: int, coeffs) -> tuple:
-        """t^v * coeffs, with the low zero coefficients moved into the valuation."""
-        poly = rings.poly_trim(self.field, coeffs)
-        k = 0
-        while k < len(poly) and self.field.is_zero(poly[k]):
-            k += 1
-        if k == len(poly):
+        """t^v * coeffs, with the high zero coefficients dropped and the low
+        ones moved into the valuation."""
+        is_zero = self.field.is_zero
+        hi = len(coeffs)
+        while hi and is_zero(coeffs[hi - 1]):
+            hi -= 1
+        lo = 0
+        while lo < hi and is_zero(coeffs[lo]):
+            lo += 1
+        if lo == hi:
             return self.zero
-        return (v + k, poly[k:]) if k else (v, poly)
+        return (v + lo, tuple(coeffs[lo:hi]))
 
     def from_exponents(self, terms: dict) -> tuple:
         """The element sum of m * t^e over the exponent -> integer map terms."""
@@ -132,6 +148,35 @@ class LaurentDomain:
         if not a[1] or not b[1]:
             return self.zero
         return (a[0] + b[0], rings.poly_mul(self.field, a[1], b[1]))
+
+    def sub_mul(self, a, q, c):
+        """a - q * c in one pass over one dense coefficient list.
+
+        The three operands are scaled to integers over one common
+        denominator D (1 when they are integral, and always over F_p), the
+        integer multiply-adds run in `rings.mul_add`, and each output
+        coefficient is divided by D, or reduced mod p, once.  The result is
+        canonical whatever the operands' representation.
+        """
+        field = self.field
+        (va, pa), (vq, pq), (vc, pc) = a, q, c
+        da, pa = field.scaled(pa)
+        dq, pq = field.scaled(pq)
+        dc, pc = field.scaled(pc)
+        if pq and pc:
+            vp = vq + vc
+        else:
+            vp, pq = va, ()
+        if not pa:
+            va = vp
+        low = min(va, vp)
+        d = lcm(da, dq * dc)
+        out = [0] * (max(va + len(pa), vp + len(pq) + len(pc) - 1) - low)
+        s = d // da
+        out[va - low : va - low + len(pa)] = pa if s == 1 else [s * x for x in pa]
+        m = -(d // (dq * dc))
+        rings.mul_add(out, vp - low, [m * x for x in pq], pc)
+        return self.element(low, field.unscaled(out, d))
 
     def divmod(self, a, b):
         """t^va pa = t^(va-vb) q * t^vb pb + t^va r, by division of pa by pb."""
@@ -196,12 +241,13 @@ class ScalarMatrix:
                 a = row[k]
                 if dom.is_zero(a):
                     continue
+                minus_a = dom.neg(a)
                 other_row = other.entries[k]
                 out_row = out.entries[i]
                 for j in range(other.cols):
                     b = other_row[j]
                     if not dom.is_zero(b):
-                        out_row[j] = dom.add(out_row[j], dom.mul(a, b))
+                        out_row[j] = dom.sub_mul(out_row[j], minus_a, b)
         return out
 
     def is_zero(self) -> bool:
@@ -215,8 +261,14 @@ class ScalarMatrix:
 
 
 def _least_entry(dom, A: list) -> Optional[tuple[int, int]]:
-    """Position of a nonzero entry of least size: the first unit, if any."""
-    best = best_size = None
+    """Position of the pivot: the first unit in scan order, if any.
+
+    With no unit left, a nonzero entry of least size, and among those the
+    least Markowitz product (row nonzeros - 1) * (column nonzeros - 1),
+    which bounds the entries the step can fill in; then the first in scan
+    order.  Only the tied entries' rows and columns are counted.
+    """
+    ties, least = [], None
     for i, row in enumerate(A):
         for j, e in enumerate(row):
             if dom.is_zero(e):
@@ -224,9 +276,19 @@ def _least_entry(dom, A: list) -> Optional[tuple[int, int]]:
             if dom.is_unit(e):
                 return i, j
             size = dom.size(e)
-            if best is None or size < best_size:
-                best, best_size = (i, j), size
-    return best
+            if least is None or size < least:
+                ties, least = [(i, j)], size
+            elif size == least:
+                ties.append((i, j))
+    if len(ties) < 2:
+        return ties[0] if ties else None
+    row_count, col_count = {}, {}
+    for i, j in ties:
+        if i not in row_count:
+            row_count[i] = sum(not dom.is_zero(e) for e in A[i])
+        if j not in col_count:
+            col_count[j] = sum(not dom.is_zero(row[j]) for row in A)
+    return min(ties, key=lambda ij: (row_count[ij[0]] - 1) * (col_count[ij[1]] - 1))
 
 
 def invariant_factors(matrix: ScalarMatrix) -> list:
@@ -256,7 +318,7 @@ def invariant_factors(matrix: ScalarMatrix) -> list:
                 q, rem = dom.divmod(row[j], p)
                 for k, c in enumerate(pivot_row):
                     if not dom.is_zero(c):
-                        row[k] = dom.sub(row[k], dom.mul(q, c))
+                        row[k] = dom.sub_mul(row[k], q, c)
                 if not dom.is_zero(rem):
                     A[i], pivot_row = pivot_row, row
                     swapped = True

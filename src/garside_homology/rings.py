@@ -12,6 +12,7 @@ bounded by MR_BOUND.  Everything is exact; no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .gaussian import PreconditionError
 
@@ -53,6 +54,24 @@ class Rationals:
         if a == 1 or a == -1:
             return a
         return _rational(Fraction(1, a))
+
+    def scaled(self, coeffs) -> tuple:
+        """(d, ints) with ints = d * coeffs, over the least common denominator d."""
+        for c in coeffs:
+            if type(c) is not int:
+                d = lcm(*(c.denominator for c in coeffs))
+                return d, [c.numerator * (d // c.denominator) for c in coeffs]
+        return 1, coeffs
+
+    def unscaled(self, ints, d: int) -> list:
+        """The rationals ints / d: an int where integral, a Fraction only where not."""
+        if d == 1:
+            return ints
+        out = []
+        for x in ints:
+            q, r = divmod(x, d)
+            out.append(Fraction(x, d) if r else q)
+        return out
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -134,6 +153,15 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero in a prime field")
         return pow(a, self.p - 2, self.p)
 
+    def scaled(self, coeffs) -> tuple:
+        """(1, coeffs): the elements are ints already."""
+        return 1, coeffs
+
+    def unscaled(self, ints, d: int) -> list:
+        """The elements ints reduced mod p, once each (d is 1, as `scaled` gives)."""
+        p = self.p
+        return [x % p for x in ints]
+
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
@@ -170,16 +198,28 @@ def poly_neg(field, a: Poly) -> Poly:
     return tuple(field.neg(c) for c in a)
 
 
+def mul_add(out: list, shift: int, a, b) -> None:
+    """out[shift + i + j] += a[i] * b[j] for all i, j, in place.
+
+    The one dense multiply-add loop: products and `LaurentDomain.sub_mul`
+    run it on integer coefficients (`scaled`) and reduce once per output
+    coefficient (`unscaled`), with no field call per product.
+    """
+    for i, x in enumerate(a, shift):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+
+
 def poly_mul(field, a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if field.is_zero(ca):
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(ca, cb))
-    return poly_trim(field, out)
+    da, a = field.scaled(a)
+    db, b = field.scaled(b)
+    out = [0] * (len(a) + len(b) - 1)
+    mul_add(out, 0, a, b)
+    # the leading coefficients are nonzero, so over a field their product is
+    return tuple(field.unscaled(out, da * db))
 
 
 def poly_divmod(field, a: Poly, b: Poly) -> tuple[Poly, Poly]:

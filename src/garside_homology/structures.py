@@ -227,10 +227,10 @@ def dual_typeA_structure(n: int) -> GaussianStructure:
     if not 1 <= n <= 4:
         raise PreconditionError("dual type-A structure is built by brute force; need 1 <= n <= 4")
     size = n + 1
-    refl_len = lambda p: size - _cycle_count(p)
     cox = tuple((i + 1) % size for i in range(size))
 
     group = list(itertools.permutations(range(size)))
+    refl_len = {p: size - _cycle_count(p) for p in group}.__getitem__
     inv = {p: tuple(sorted(range(size), key=p.__getitem__)) for p in group}
     interval = [p for p in group if refl_len(p) + refl_len(_perm_mul(inv[p], cox)) == n]
 

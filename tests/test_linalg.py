@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
@@ -15,6 +17,7 @@ from garside_homology.linalg import (
     IntegerDomain,
     LaurentDomain,
     ScalarMatrix,
+    _least_entry,
     homology_at,
     invariant_factors,
 )
@@ -131,6 +134,91 @@ def test_laurent_domain_arithmetic():
         assert dom.add(dom.mul(q, b), r) == a
         assert dom.is_zero(r) or dom.size(r)[0] < dom.size(b)[0]
         assert dom.divides(b, a) == dom.is_zero(r)
+
+
+# -- the fused row operation -----------------------------------------------------------
+
+FIELDS = {"F2": PrimeField(2), "F3": PrimeField(3), "F5": PrimeField(5), "Q": QQ}
+
+
+def rationals():
+    """The mix `fraction_copy` makes: ints, integral Fractions, true Fractions."""
+    ints = st.integers(-6, 6)
+    return st.one_of(ints, ints.map(Fraction), st.builds(Fraction, ints, st.integers(2, 6)))
+
+
+def laurent_elements(field):
+    coeffs = rationals() if field == QQ else st.integers(0, field.p - 1)
+    dom = LaurentDomain(field)
+    return st.builds(dom.element, st.integers(-3, 3), st.lists(coeffs, max_size=5))
+
+
+def assert_canonical(field, element):
+    v, poly = element
+    if not poly:
+        assert element == (0, ())
+        return
+    assert not field.is_zero(poly[0]) and not field.is_zero(poly[-1])
+    for c in poly:
+        if field == QQ:
+            assert type(c) is int or c.denominator > 1, c
+        else:
+            assert type(c) is int and 0 <= c < field.p, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_laurent_sub_mul_is_a_minus_q_c_in_canonical_form(name, data):
+    field = FIELDS[name]
+    dom = LaurentDomain(field)
+    a, q, c = (data.draw(laurent_elements(field)) for _ in range(3))
+    out = dom.sub_mul(a, q, c)
+    assert out == dom.sub(a, dom.mul(q, c))
+    assert_canonical(field, out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-10**20, 10**20), st.integers(-50, 50), st.integers(-50, 50))
+def test_integer_sub_mul(a, q, c):
+    assert ZZ.sub_mul(a, q, c) == ZZ.sub(a, ZZ.mul(q, c))
+
+
+# -- the pivot rule ------------------------------------------------------------------
+
+
+def test_pivot_among_non_units_takes_the_least_markowitz_product():
+    # every entry has size 4; (2, 2) is alone in its row, so its product
+    # (1 - 1)(2 - 1) is 0, and every other entry's is at least 1
+    rows = [[4, 4, 4], [4, 4, 0], [0, 0, 4]]
+    assert _least_entry(ZZ, [r[:] for r in rows]) == (2, 2)
+    # a smaller size goes first, whatever its product
+    rows[0][0] = 2
+    assert _least_entry(ZZ, [r[:] for r in rows]) == (0, 0)
+    # among the least sizes, products (3 - 1)(2 - 1) = 2 and (2 - 1)(2 - 1) = 1
+    rows[1][1] = -2
+    assert _least_entry(ZZ, [r[:] for r in rows]) == (1, 1)
+    # among equal products, the first in scan order
+    assert _least_entry(ZZ, [[0, 2], [2, 0]]) == (0, 1)
+    for mat in (int_matrix(rows), int_matrix([[4, 4, 4], [4, 4, 0], [0, 0, 4]])):
+        check_factors(mat, invariant_factors(mat))
+    # a unit anywhere is the pivot
+    rows[2][0] = -1
+    assert _least_entry(ZZ, rows) == (2, 0)
+
+
+def test_laurent_pivot_among_non_units():
+    # sizes are degree spans: 1 + t everywhere, with the least product at
+    # (2, 2); then the monomial t^2, a unit, at (0, 1)
+    x, zero = (0, [1, 1]), (0, [])
+    rows = [[x, x, x], [x, x, zero], [zero, zero, x]]
+    for field in (QQ, PrimeField(3)):
+        mat = laurent_matrix(field, rows)
+        assert _least_entry(mat.domain, mat.entries) == (2, 2)
+        check_factors(mat, invariant_factors(mat))
+    rows[0][1] = (2, [1])
+    mat = laurent_matrix(PrimeField(3), rows)
+    assert _least_entry(mat.domain, mat.entries) == (0, 1)
+    check_factors(mat, invariant_factors(mat))
 
 
 # -- invariant factors ---------------------------------------------------------------

@@ -236,6 +236,16 @@ def test_e7_laurent_q_row_matches_the_salvetti_complex():
     assert all(g.free_rank == 0 for g in result.groups)
 
 
+def test_e8_laurent_f3_row_to_degree_4_matches_the_salvetti_complex():
+    # H_4 reads the invariant factors of d_5, 70x56 with no unit entry, so
+    # the pivot rule among non-units decides its fill-in
+    system = make_system("laurent", "Fp", 3)
+    expected = oracles.salvetti_homology(coxeter_matrix("E8"), system)[:5]
+    result = compute_homology(artin_named("E8"), system, max_dim=4)
+    assert result.cell_complex.cell_counts() == [1, 8, 28, 56, 70, 56]
+    assert groups_data(result) == [(g.free_rank, list(g.torsion)) for g in expected]
+
+
 ORDERING_TYPES = ["A4", "B4", "D4", "H3", "F4"]
 
 
