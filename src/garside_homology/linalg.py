@@ -15,10 +15,13 @@ coefficient height), to keep intermediate entries small, and among those
 the one of least Markowitz product (row nonzeros - 1) * (column nonzeros -
 1), to keep fill-in small (Markowitz, Management Sci. 3, 1957).
 
-Each row update a - q * c is one fused `sub_mul`.  Over F[t, t^-1] it scales
-the operands to integers over one common denominator, runs the dense
-multiply-add loop of `rings.mul_add` on ints, and divides (over Q) or
-reduces (over F_p) once per output coefficient.
+Each row update a - q * c is one fused `sub_mul`, and so are sums (a - (-1)
+* b) and negatives (0 - 1 * a).  Over F[t, t^-1] it scales the operands to
+integers over one common denominator, runs the dense multiply-add loop of
+`rings.mul_add` on ints, and divides (over Q) or reduces (over F_p) once per
+output coefficient; Euclidean division runs the same loop through
+`rings.poly_divmod`.  No coefficient is added, subtracted or negated
+anywhere else, so a field needs no `add`, `sub` or `neg`.
 """
 
 from __future__ import annotations
@@ -43,9 +46,6 @@ class IntegerDomain:
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def mul(self, a, b):
         return a * b
@@ -95,6 +95,7 @@ class LaurentDomain:
         self.rational = isinstance(field, rings.Rationals)
         self.zero = (0, ())
         self.one = (0, (field.one,))
+        self.minus_one = (0, (field.from_int(-1),))
 
     def element(self, v: int, coeffs) -> tuple:
         """t^v * coeffs, with the high zero coefficients dropped and the low
@@ -124,25 +125,10 @@ class LaurentDomain:
         return not a[1]
 
     def add(self, a, b):
-        (va, pa), (vb, pb) = a, b
-        if not pa:
-            return b
-        if not pb:
-            return a
-        if va > vb:
-            (va, pa), (vb, pb) = (vb, pb), (va, pa)
-        shift = vb - va
-        out = list(pa)
-        out.extend([self.field.zero] * (shift + len(pb) - len(out)))
-        for i, c in enumerate(pb, start=shift):
-            out[i] = self.field.add(out[i], c)
-        return self.element(va, out)
+        return self.sub_mul(a, self.minus_one, b)
 
     def neg(self, a):
-        return (a[0], rings.poly_neg(self.field, a[1]))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self.sub_mul(self.zero, self.one, a)
 
     def mul(self, a, b):
         if not a[1] or not b[1]:
@@ -234,6 +220,8 @@ class ScalarMatrix:
         if self.cols != other.rows or self.domain != other.domain:
             raise PreconditionError("matrix shapes or domains do not match")
         dom = self.domain
+        # accumulate the negated product, so that an entry that sums to zero,
+        # as every entry of a composite of boundaries does, is never negated
         out = ScalarMatrix.zero(self.rows, other.cols, dom)
         for i in range(self.rows):
             row = self.entries[i]
@@ -241,13 +229,16 @@ class ScalarMatrix:
                 a = row[k]
                 if dom.is_zero(a):
                     continue
-                minus_a = dom.neg(a)
                 other_row = other.entries[k]
                 out_row = out.entries[i]
                 for j in range(other.cols):
                     b = other_row[j]
                     if not dom.is_zero(b):
-                        out_row[j] = dom.sub_mul(out_row[j], minus_a, b)
+                        out_row[j] = dom.sub_mul(out_row[j], a, b)
+        for out_row in out.entries:
+            for j, e in enumerate(out_row):
+                if not dom.is_zero(e):
+                    out_row[j] = dom.neg(e)
         return out
 
     def is_zero(self) -> bool:

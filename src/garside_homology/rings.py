@@ -7,6 +7,14 @@ is an int when integral and a Fraction only when it has a denominator; a
 prime field's elements are the ints 0..p-1.  Primality of a field's
 characteristic is decided by deterministic Miller-Rabin, so p is
 bounded by MR_BOUND.  Everything is exact; no floating point anywhere.
+
+A field provides `zero`, `one`, `from_int`, `mul`, `inv`, `is_zero` and
+`fmt` on single elements, and `scaled`/`unscaled` to move a coefficient
+list to integers over a common denominator and back to canonical
+elements.  Sums and differences of coefficients happen in one loop,
+`mul_add`, on plain Python numbers: products and `LaurentDomain.sub_mul`
+run it on the scaled integers, division on the elements, and each reduces
+once per output coefficient.
 """
 
 from __future__ import annotations
@@ -38,17 +46,8 @@ class Rationals:
     def from_int(self, n: int) -> int:
         return n
 
-    def add(self, a, b):
-        return _rational(a + b)
-
-    def sub(self, a, b):
-        return _rational(a - b)
-
     def mul(self, a, b):
         return _rational(a * b)
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 1 or a == -1:
@@ -136,17 +135,8 @@ class PrimeField:
     def from_int(self, n: int) -> int:
         return n % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -194,15 +184,12 @@ def poly_from_ints(field, ints) -> Poly:
     return poly_trim(field, [field.from_int(c) for c in ints])
 
 
-def poly_neg(field, a: Poly) -> Poly:
-    return tuple(field.neg(c) for c in a)
-
-
 def mul_add(out: list, shift: int, a, b) -> None:
     """out[shift + i + j] += a[i] * b[j] for all i, j, in place.
 
-    The one dense multiply-add loop: products and `LaurentDomain.sub_mul`
-    run it on integer coefficients (`scaled`) and reduce once per output
+    The one loop over coefficient products.  Products and
+    `LaurentDomain.sub_mul` run it on integer coefficients (`scaled`) and
+    division on the field's elements; each reduces once per output
     coefficient (`unscaled`), with no field call per product.
     """
     for i, x in enumerate(a, shift):
@@ -223,20 +210,26 @@ def poly_mul(field, a: Poly, b: Poly) -> Poly:
 
 
 def poly_divmod(field, a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(q, r) with a = q * b + r and r of lower degree than b.
+
+    Each step of long division (Knuth, TAOCP vol. 2, 4.6.1) is one field
+    product for the quotient coefficient and a multiply-add of the divisor,
+    left unreduced; the remainder is reduced once at the end.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    n = len(b)
     rem = list(a)
-    quot = [field.zero] * max(0, len(a) - len(b) + 1)
+    quot = [field.zero] * max(0, len(a) - n + 1)
     inv_lead = field.inv(b[-1])
-    for shift in range(len(a) - len(b), -1, -1):
-        c = rem[shift + len(b) - 1]
+    for shift in range(len(a) - n, -1, -1):
+        c = rem[shift + n - 1]
         if field.is_zero(c):
             continue
-        factor = field.mul(c, inv_lead)
-        quot[shift] = factor
-        for i, cb in enumerate(b):
-            rem[shift + i] = field.sub(rem[shift + i], field.mul(factor, cb))
-    return poly_trim(field, quot), poly_trim(field, rem)
+        q = quot[shift] = field.mul(c, inv_lead)
+        mul_add(rem, shift, (-q,), b)
+    d, ints = field.scaled(rem[: n - 1])
+    return poly_trim(field, quot), poly_trim(field, field.unscaled(ints, d))
 
 
 def poly_monic(field, a: Poly) -> tuple:
@@ -244,8 +237,7 @@ def poly_monic(field, a: Poly) -> tuple:
     if not a:
         return field.one, ()
     lead = a[-1]
-    inv = field.inv(lead)
-    return lead, tuple(field.mul(c, inv) for c in a)
+    return lead, poly_mul(field, a, (field.inv(lead),))
 
 
 def poly_str(field, a: Poly) -> str:

@@ -21,7 +21,7 @@ from garside_homology.linalg import (
     homology_at,
     invariant_factors,
 )
-from garside_homology.rings import PrimeField, Rationals, poly_from_ints
+from garside_homology.rings import PrimeField, Rationals, poly_divmod, poly_from_ints, poly_trim
 
 ZZ = IntegerDomain()
 QQ = Rationals()
@@ -117,7 +117,9 @@ def test_laurent_domain_arithmetic():
     assert dom.from_exponents({2: 1, 3: -1, 5: 0}) == (2, (1, -1))
     assert dom.from_exponents({4: 0}) == dom.zero
     # t^-1 + 1 minus t^-1 leaves the valuation at 0
-    assert dom.sub(dom.add(t_inv, dom.one), t_inv) == dom.one
+    assert dom.add(t_inv, dom.one) == (-1, (1, 1))
+    assert dom.add((-1, (1, 1)), dom.neg(t_inv)) == dom.one
+    assert dom.neg(one_plus_t) == (0, (-1, -1))
     assert dom.add(one_plus_t, dom.neg(one_plus_t)) == dom.zero
     assert dom.is_unit(dom.from_exponents({-7: 3}))
     assert not dom.is_unit(one_plus_t)
@@ -131,14 +133,15 @@ def test_laurent_domain_arithmetic():
         if dom.is_zero(b):
             continue
         q, r = dom.divmod(a, b)
-        assert dom.add(dom.mul(q, b), r) == a
+        # valuations: a, b and r at least -3, q at least -6 (see `shifted` below)
+        assert shifted(QQ, q, 6) * shifted(QQ, b, 3) + shifted(QQ, r, 9) == shifted(QQ, a, 9)
         assert dom.is_zero(r) or dom.size(r)[0] < dom.size(b)[0]
         assert dom.divides(b, a) == dom.is_zero(r)
 
 
-# -- the fused row operation -----------------------------------------------------------
+# -- coefficient arithmetic against sympy ------------------------------------------------
 
-FIELDS = {"F2": PrimeField(2), "F3": PrimeField(3), "F5": PrimeField(5), "Q": QQ}
+FIELDS = {"F2": PrimeField(2), "F3": PrimeField(3), "F5": PrimeField(5), "F2^31-1": PrimeField(2**31 - 1), "Q": QQ}
 
 
 def rationals():
@@ -147,10 +150,32 @@ def rationals():
     return st.one_of(ints, ints.map(Fraction), st.builds(Fraction, ints, st.integers(2, 6)))
 
 
+def coefficients(field):
+    return rationals() if field == QQ else st.integers(0, field.p - 1)
+
+
+def polys(field, max_size):
+    return st.lists(coefficients(field), max_size=max_size).map(lambda cs: poly_trim(field, cs))
+
+
 def laurent_elements(field):
-    coeffs = rationals() if field == QQ else st.integers(0, field.p - 1)
     dom = LaurentDomain(field)
-    return st.builds(dom.element, st.integers(-3, 3), st.lists(coeffs, max_size=5))
+    return st.builds(dom.element, st.integers(-3, 3), st.lists(coefficients(field), max_size=5))
+
+
+def shifted(field, element, shift):
+    """t^shift * element as a sympy polynomial; the valuation is at least -shift."""
+    v, poly = element
+    return _to_sympy(_sympy_ring(field), field, (field.zero,) * (v + shift) + poly if poly else ())
+
+
+def assert_canonical_poly(field, poly):
+    assert not poly or not field.is_zero(poly[-1])
+    for c in poly:
+        if field == QQ:
+            assert type(c) is int or c.denominator > 1, c
+        else:
+            assert type(c) is int and 0 <= c < field.p, c
 
 
 def assert_canonical(field, element):
@@ -158,12 +183,8 @@ def assert_canonical(field, element):
     if not poly:
         assert element == (0, ())
         return
-    assert not field.is_zero(poly[0]) and not field.is_zero(poly[-1])
-    for c in poly:
-        if field == QQ:
-            assert type(c) is int or c.denominator > 1, c
-        else:
-            assert type(c) is int and 0 <= c < field.p, c
+    assert not field.is_zero(poly[0])
+    assert_canonical_poly(field, poly)
 
 
 @settings(max_examples=300, deadline=None)
@@ -173,14 +194,48 @@ def test_laurent_sub_mul_is_a_minus_q_c_in_canonical_form(name, data):
     dom = LaurentDomain(field)
     a, q, c = (data.draw(laurent_elements(field)) for _ in range(3))
     out = dom.sub_mul(a, q, c)
-    assert out == dom.sub(a, dom.mul(q, c))
+    # t^6 (a - q c) = t^6 a - (t^3 q)(t^3 c), all polynomials, as valuations are >= -3
+    assert shifted(field, out, 6) == shifted(field, a, 6) - shifted(field, q, 3) * shifted(field, c, 3)
     assert_canonical(field, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_laurent_add_and_neg_match_sympy(name, data):
+    field = FIELDS[name]
+    dom = LaurentDomain(field)
+    a, b = (data.draw(laurent_elements(field)) for _ in range(2))
+    total, negative = dom.add(a, b), dom.neg(a)
+    assert shifted(field, total, 3) == shifted(field, a, 3) + shifted(field, b, 3)
+    assert shifted(field, negative, 3) == -shifted(field, a, 3)
+    assert_canonical(field, total)
+    assert_canonical(field, negative)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_poly_divmod_matches_sympy_div(name, data):
+    field = FIELDS[name]
+    a = data.draw(polys(field, max_size=7))
+    b = data.draw(polys(field, max_size=4).filter(bool))
+    q, r = poly_divmod(field, a, b)
+    assert (shifted(field, (0, q), 0), shifted(field, (0, r), 0)) == shifted(field, (0, a), 0).div(shifted(field, (0, b), 0))
+    assert_canonical_poly(field, q)
+    assert_canonical_poly(field, r)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_poly_divmod_by_zero_raises(name):
+    field = FIELDS[name]
+    for a in ((), (field.one,)):
+        with pytest.raises(ZeroDivisionError):
+            poly_divmod(field, a, ())
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(-10**20, 10**20), st.integers(-50, 50), st.integers(-50, 50))
 def test_integer_sub_mul(a, q, c):
-    assert ZZ.sub_mul(a, q, c) == ZZ.sub(a, ZZ.mul(q, c))
+    assert ZZ.sub_mul(a, q, c) == a - q * c
 
 
 # -- the pivot rule ------------------------------------------------------------------
@@ -374,6 +429,25 @@ def test_snf_invariant_under_unimodular_ops():
             base = invariant_factors(mat)
             for _ in range(20):
                 assert invariant_factors(unimodular_shuffle(rng, mat)) == base
+
+
+def test_matrix_product_matches_sympy():
+    rng = random.Random(13)
+    for _ in range(40):
+        m, k, n = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        ints = [[[rng.randint(-4, 4) for _ in range(b)] for _ in range(a)] for a, b in ((m, k), (k, n))]
+        out = int_matrix(ints[0]).mul(int_matrix(ints[1]))
+        assert out.entries == [[sum(x * y for x, y in zip(row, col)) for col in zip(*ints[1])] for row in ints[0]]
+        for field in (QQ, PrimeField(3)):
+            a, b = (
+                laurent_matrix(field, [[(rng.randint(-3, 3), [rng.randint(-2, 2) for _ in range(3)]) for _ in range(c)] for _ in range(r)])
+                for r, c in ((m, k), (k, n))
+            )
+            out = a.mul(b)
+            for i, j in itertools.product(range(m), range(n)):
+                want = sum((shifted(field, a.entries[i][x], 3) * shifted(field, b.entries[x][j], 3) for x in range(k)), shifted(field, out.domain.zero, 0))
+                assert shifted(field, out.entries[i][j], 6) == want
+                assert_canonical(field, out.entries[i][j])
 
 
 # -- homology assembly ------------------------------------------------------------------
