@@ -4,11 +4,14 @@ Given a structure and a total ordering of its atoms, the n-cells are the
 increasing atom tuples [a1, ..., an] with a common target such that each a_i
 is the least right-divisor of lcm(a_i, ..., an).  They index a free
 resolution of the trivial module; the differential is defined recursively
-together with a contracting homotopy (`_act_contract`) and a reduction map
-(`_reduce_elem`).  The differential is linear over the category, so it is cached
-per cell; contraction and reduction are only additive, so the reduction is
-cached on the one family of elementary chains the recursion actually hits:
-complement[A] pairs coming from a cell [a, A].
+together with a contracting homotopy s (`_act_contract`) and a reduction
+map r: the boundary of a cell [a, A] is u[A] - r(u[A]), u*lcm(A) being its
+lcm, and r(u[A]) is the contraction of u times the boundary of A (the class
+of u's source when A is a zero cell).  The recursion reduces only such
+complement terms u[A], each the leading term of the cell it comes from, so
+a reduction is read off that cell's boundary as u[A] minus it, and the
+boundary, which is linear over the category, is the one chain kept per
+cell.
 
 Chains are plain dicts mapping (coefficient, cell) to a nonzero integer, with
 coefficients kept canonical so that collecting terms is exact.  Inside the
@@ -23,7 +26,7 @@ Treat chains as immutable values: combine them with chain_iadd into fresh
 accumulators, never mutate one you were given.
 
 The caches are per resolution: cell lcms (as nodes) keyed by atom tuple,
-differentials per cell, reductions keyed by (node, cell), and per term
+written only by enumeration, differentials per cell, and per term
 (w, cell) the nodes p with p*w*lcm = lcm(a, w*lcm) for the atoms a below
 the cell's first one.  The contracting homotopy acts on a differential
 times a coefficient g, and most of the terms g*w[cell] it meets are
@@ -35,8 +38,11 @@ With x*lcm = lcm(a, lcm) the complement, which comes from the word
 kernel's own memos (they live on the structure, one kernel per ordering),
 p*w is the left-lcm of w and x, so a row never forms w*lcm.  On a table
 that is not Gaussian that lcm can miss a multiple of the cell's; the
-contraction step then meets a cell [a, cell] whose lcm x*lcm does not end
-in a, and raises ConsistencyError.
+contraction step then meets a tuple [a, cell] that enumeration did not
+make a cell (x*lcm does not end in a), and raises ConsistencyError.  Each
+term of a reduction precedes the term it reduces, so the leading term of a
+boundary survives; where a table breaks that, building the boundary raises
+ConsistencyError too.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .gaussian import (
     AtomOrdering,
@@ -100,8 +106,9 @@ class OrderResolution:
     a multiplicity, and `kernel.word` spells a node out.  All methods are
     deterministic functions of (structure, ordering); a resolution shares
     the word kernel its structure keeps for the ordering, so it must not be
-    used from several threads at once.  It caches differentials per cell,
-    reductions per term (node, cell), and per term the nodes that decide
+    used from several threads at once.  It caches the lcm of each
+    enumerated cell, differentials per cell (a reduction is read off the
+    differential of the cell it leads), and per term the nodes that decide
     whether a multiple of it is reducible (`_lower`).
     """
 
@@ -122,7 +129,6 @@ class OrderResolution:
         ]
         self._lcms: dict[tuple[int, ...], int] = {}  # cell atoms -> node of the cell lcm
         self._diff_cache: dict[Cell, Chain] = {}
-        self._reduce_cache: dict[tuple[int, Cell], Chain] = {}
         self._lower_cache: dict[tuple[int, Cell], tuple[tuple[int, int, int, int], ...]] = {}
         if max_dim is None:
             max_dim = default_max_dim(struct)
@@ -136,25 +142,19 @@ class OrderResolution:
     def zero_cell(self, obj: int) -> Cell:
         return Cell((), obj)
 
-    def _atoms_lcm(self, atoms: tuple[int, ...]) -> int:
-        """The node of the lcm of a nonempty cell's atoms."""
-        lcm = self._lcms.get(atoms)
-        if lcm is None:
-            lcm = self.kernel.join(atoms)
-            if lcm < 0:
-                raise PreconditionError("cell atoms admit no common left-multiple")
-            self._lcms[atoms] = lcm
-        return lcm
-
     def make_cell(self, atoms) -> Cell:
-        """Cell object for an atom tuple (the tuple must be a genuine cell)."""
+        """The enumerated cell with these atoms; PreconditionError for a
+        tuple that is not a cell of dimension at most max_dim."""
         atoms = tuple(atoms)
         if not atoms:
             raise PreconditionError("zero cells need an explicit object; use zero_cell")
-        return Cell(atoms, self.kernel.src[self._atoms_lcm(atoms)])
+        lcm = self._lcms.get(atoms)
+        if lcm is None:
+            raise PreconditionError(f"{atoms} is not an enumerated cell")
+        return Cell(atoms, self.kernel.src[lcm])
 
     def _cell_lcm(self, cell: Cell) -> int:
-        return self._atoms_lcm(cell.atoms) if cell.atoms else cell.src
+        return self._lcms[cell.atoms] if cell.atoms else cell.src
 
     def cell_target(self, cell: Cell) -> int:
         if cell.atoms:
@@ -220,14 +220,24 @@ class OrderResolution:
         if u < 0:
             raise ConsistencyError("cell lcm is not a multiple of its facet lcm")
         out: Chain = {(u, rest): 1}
-        chain_iadd(out, self._reduce_elem(u, rest), -1)
+        if rest.atoms:
+            chain_iadd(out, self._act_contract(u, self._differential(rest).items()), -1)
+        else:
+            src = self.kernel.src[u]
+            chain_iadd(out, {(src, self.zero_cell(src)): 1}, -1)
+        # every term of the reduction precedes u[rest], so it stays first
+        if next(iter(out.items()), None) != ((u, rest), 1):
+            raise ConsistencyError("the boundary of a cell lost its leading term; lcm table is inconsistent")
         self._diff_cache[cell] = out
         return out
 
     def differential(self, cell: Cell) -> Chain:
-        """Node-keyed boundary of a cell of dimension >= 1 (cached per cell)."""
+        """Node-keyed boundary of an enumerated cell of dimension >= 1
+        (cached per cell)."""
         if not cell.atoms:
             raise PreconditionError("the boundary of a zero cell is the augmentation, not a chain")
+        if self.make_cell(cell.atoms) != cell:
+            raise PreconditionError(f"{cell} is not an enumerated cell")
         return self._differential(cell)
 
     def _boundary_chain(self, chain: Chain) -> Chain:
@@ -241,40 +251,18 @@ class OrderResolution:
         """Degree-0 augmentation: every elementary 0-chain maps to 1."""
         return sum(chain.values())
 
-    def _reduce_elem(self, f: int, cell: Cell) -> Chain:
-        """Reduction of the elementary chain f[cell], the contraction of f
-        times its boundary; cached per term.
-
-        The recursion reduces only complement-shaped chains, reached from
-        differentials and contractions; a chain reduces term by term (the
-        map is only additive, not module-linear).
-        """
-        if not cell.atoms:
-            src = self.kernel.src[f]
-            return {(src, Cell((), src)): 1}
-        key = (f, cell)
-        cached = self._reduce_cache.get(key)
-        if cached is not None:
-            return cached
-        val = self._act_contract(f, self._differential(cell))
-        self._reduce_cache[key] = val
-        return val
-
     def _contract_step(self, g: int, alpha: int, x: int, cell: Cell) -> Chain:
         """Homotopy on a reducible term (g*x)[cell] whose least divisor is
-        alpha, x being alpha's complement: x*lcm(cell) = lcm(alpha, lcm(cell))."""
-        kernel = self.kernel
-        if x < kernel.n_objects:
-            raise ConsistencyError("least divisor already divides the cell lcm")
-        new_cell = Cell((alpha,) + cell.atoms, kernel.src[x])
+        alpha, x being alpha's complement: x*lcm(cell) = lcm(alpha, lcm(cell)).
+        It is g[alpha, cell] plus the contraction of g times the reduction
+        of x[cell], which is x[cell] minus the boundary of [alpha, cell]:
+        the boundary's terms after its leading one, negated."""
+        new_cell = Cell((alpha,) + cell.atoms, self.kernel.src[x])
         if new_cell.atoms not in self._lcms:
-            # alpha is least in the term's g*x*lcm(cell), so in x*lcm(cell)
-            joined = kernel.product(x, self._cell_lcm(cell))
-            if kernel.last[joined] != alpha:
-                raise ConsistencyError("an lcm over a term is not a multiple of the cell's")
-            self._lcms[new_cell.atoms] = joined
+            raise ConsistencyError("an lcm over a term is not a multiple of the cell's")
         acc: Chain = {(g, new_cell): 1}
-        chain_iadd(acc, self._act_contract(g, self._reduce_elem(x, cell)))
+        tail = itertools.islice(self._differential(new_cell).items(), 1, None)
+        chain_iadd(acc, self._act_contract(g, tail), -1)
         return acc
 
     def _lower(self, w: int, cell: Cell) -> tuple[tuple[int, int, int, int], ...]:
@@ -307,21 +295,21 @@ class OrderResolution:
             self._lower_cache[key] = lower
         return lower
 
-    def _act_contract(self, g: int, chain: Chain) -> Chain:
-        """The contracting homotopy of g times a chain, term by term.  On a
-        zero cell g*w telescopes down its canonical decomposition, whose
-        least divisors are the last atoms up the trie.  Otherwise g*w is not
-        formed: the irreducible terms contract to 0, and the others go
-        straight to their step.  A term whose cell starts with the least
-        atom at its target is irreducible whatever g is, and g is tested
-        against each distinct p once."""
+    def _act_contract(self, g: int, items: Iterable) -> Chain:
+        """The contracting homotopy of g times a chain given by its items,
+        term by term.  On a zero cell g*w telescopes down its canonical
+        decomposition, whose least divisors are the last atoms up the trie.
+        Otherwise g*w is not formed: the irreducible terms contract to 0,
+        and the others go straight to their step.  A term whose cell starts
+        with the least atom at its target is irreducible whatever g is, and
+        g is tested against each distinct p once."""
         kernel = self.kernel
         divide, product = kernel.divide, kernel.product
         parent, last, atom_source = kernel.parent, kernel.last, self.struct.atom_source
         least = self._least_at_target
         quotients: dict[int, int] = {}  # p -> g/p or -1
         acc: Chain = {}
-        for (w, cell), m in chain.items():
+        for (w, cell), m in items:
             if not cell.atoms:
                 f = product(g, w)
                 step: Chain = {}

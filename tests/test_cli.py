@@ -372,7 +372,9 @@ ABC = ["ATOM a * * 1", "ATOM b * * 1", "ATOM c * * 1"]
 # lengths (the second makes unchecked division grow the trie without
 # bound), a pair whose lcm its atom does not divide, an lcm over a term
 # of a boundary that is not a multiple of the cell's lcm (built further,
-# that boundary would leave the enumerated cells), and empty complements
+# that boundary would leave the enumerated cells), a reduction that cancels
+# the leading term of a boundary (ab.a = ab.b, so the 3-cell's boundary
+# would be 0 and the complex not exact), and empty complements
 INCONSISTENT_TABLES = {
     "uneven sides": _table(
         ABC + ["LCM a b COMPL b c.a", "LCM a c COMPL b.c a.b", "LCM b c COMPL c.a a.b"]
@@ -380,6 +382,7 @@ INCONSISTENT_TABLES = {
     "uneven sides, growing trie": _mutated_builtin("artin:A3", "LCM a c ", "LCM a c COMPL c a.b.c"),
     "pair lcm not divisible": _mutated_builtin("artin:A3", "LCM a b ", "LCM a b COMPL a.b b.c"),
     "term lcm not a multiple": _mutated_builtin("dual:A3", "LCM t12 t23 ", "LCM t12 t23 COMPL t23 t02"),
+    "leading term cancelled": _mutated_builtin("artin:A3", "LCM a b ", "LCM a b COMPL a.b a.b"),
     # an empty complement says lcm(a, b) = a: on both sides a = b, on one
     # side b divides a (here a = b.b, with the lengths kept even)
     "empty complements": _table(["ATOM a * * 1", "ATOM b * * 1", "LCM a b COMPL - -"]),
@@ -400,7 +403,7 @@ INCONSISTENT_TABLES = {
         )
         for command in ("cells", "bounds", "homology")
     ]
-    + [("term lcm not a multiple", "homology")],
+    + [("term lcm not a multiple", "homology"), ("leading term cancelled", "homology")],
 )
 def test_inconsistent_table_exits_4(tmp_path, table, command):
     path = tmp_path / "bad.gs"
@@ -453,6 +456,20 @@ def test_validate_flags_boundary_off_the_cells(tmp_path, depth):
     assert out == (
         f"violation: complex to dimension {depth} failed: "
         "an lcm over a term is not a multiple of the cell's\n"
+    )
+
+
+def test_validate_flags_a_cancelled_leading_term(tmp_path):
+    # every lcm fold of this table agrees and its cells are those of A3,
+    # but the reduction of a boundary's leading term cancels it
+    path = tmp_path / "bad.gs"
+    path.write_text(INCONSISTENT_TABLES["leading term cancelled"])
+    assert run_cli(["cells", "--structure", str(path), "--max-dim", "3"]) == (0, "1 3 3 1\n", "")
+    code, out, _ = run_cli(["validate", "--structure", str(path)])
+    assert code == 3
+    assert out == (
+        "violation: complex to dimension 3 failed: "
+        "the boundary of a cell lost its leading term; lcm table is inconsistent\n"
     )
 
 

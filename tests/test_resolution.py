@@ -147,6 +147,22 @@ def test_cospan_has_no_two_cells(cospan_category):
     assert res.cell_counts() == [3, 2, 0]
 
 
+def test_make_cell_returns_only_enumerated_cells():
+    # a tuple whose atoms have a common multiple is not a cell by that
+    # alone: a decreasing tuple, and a cell above max_dim, are refused,
+    # and so is a boundary asked for either
+    struct = artin_named("A3")
+    res = OrderResolution(struct, max_dim=2)
+    for cell in res.cells[1] + res.cells[2]:
+        assert res.make_cell(cell.atoms) == cell
+    assert (0, 1, 2) in (cell.atoms for cell in OrderResolution(struct, max_dim=3).cells[3])
+    for atoms in [(1, 0), (0, 1, 2)]:
+        with pytest.raises(PreconditionError, match="not an enumerated cell"):
+            res.make_cell(atoms)
+        with pytest.raises(PreconditionError, match="not an enumerated cell"):
+            res.differential(Cell(atoms, 0))
+
+
 # -- bounds and optimization ---------------------------------------------------
 
 
@@ -241,7 +257,7 @@ def reduce_chain(res, chain):
     """The reduction map, term by term."""
     acc = {}
     for (f, cell), m in chain.items():
-        chain_iadd(acc, res._reduce_elem(f, cell), m)
+        chain_iadd(acc, reduce_elem(res, f, cell), m)
     return acc
 
 
@@ -261,12 +277,22 @@ def least_over(res, f, cell):
     raise AssertionError(f"no atom divides {f}*lcm({cell})")
 
 
+def reduce_elem(res, f, cell):
+    """The engine's reduction of the elementary chain f[cell]: the class of
+    f's source on a zero cell, otherwise its contraction of f times the
+    boundary of the cell."""
+    if not cell.atoms:
+        src = res.kernel.src[f]
+        return {(src, Cell((), src)): 1}
+    return res._act_contract(f, res._differential(cell).items())
+
+
 def contracting_chain(res, chain):
     """The reference contracting homotopy, term by term: a term f[C] on a
     zero cell telescopes f down its canonical decomposition; otherwise,
     with alpha the least divisor of f*lcm(C) and f = g*x, it is 0 when
     alpha is C's first atom and g[alpha, C] + s(g * reduction(x[C]))
-    when it is not.  The engine's reduction res._reduce_elem(f, C) must be
+    when it is not.  The engine's reduction reduce_elem(res, f, C) must be
     this contraction of f times the boundary of C."""
     kernel = res.kernel
     acc = {}
@@ -281,7 +307,7 @@ def contracting_chain(res, chain):
             if alpha == cell.atoms[0]:
                 continue
             term[(g, Cell((alpha,) + cell.atoms, kernel.src[x]))] = 1
-            chain_iadd(term, contracting_chain(res, res._act(g, res._reduce_elem(x, cell))))
+            chain_iadd(term, contracting_chain(res, res._act(g, reduce_elem(res, x, cell))))
         chain_iadd(acc, term, m)
     return acc
 
@@ -540,7 +566,14 @@ def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
     by_target: dict[int, list[int]] = {x: [x] for x in range(kernel.n_objects)}
     for node in range(kernel.n_objects, len(kernel.last)):
         by_target[kernel.target(node)].append(node)
-    terms = sorted({term for chain in res._reduce_cache.values() for term in chain})
+    # the terms of the reductions the recursion met: every boundary of a
+    # cell of dimension >= 2 after its leading term
+    terms = sorted({
+        term
+        for n in range(2, len(res.cells))
+        for cell in res.cells[n]
+        for term in itertools.islice(res._differential(cell), 1, None)
+    })
     assert terms
     for w, cell in terms:
         for g in rng.sample(by_target[kernel.src[w]], min(4, len(by_target[kernel.src[w]]))):
@@ -556,16 +589,21 @@ def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
 @given(st.sampled_from(sorted(LOWER_STRUCTS)), st.data())
 def test_reductions_match_the_reference_contraction(name, data):
     # the engine's one contraction, _act_contract, against the least-divisor
-    # definition: every reduction f[C] that build_complex cached is the
-    # contraction of f times the boundary of C
+    # definition: the boundary of every cell c = [a, C] of dimension >= 2
+    # leads with u[C], u*lcm(C) = lcm(c), and the rest of it is minus the
+    # reduction of u[C], the contraction of u times the boundary of C
     struct = LOWER_STRUCTS[name]()
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
     res = build_complex(struct, ordering).resolution
-    keys = list(res._reduce_cache)
-    assert keys
-    for f, cell in keys:
-        expected = contracting_chain(res, res._act(f, res._differential(cell)))
-        assert res._reduce_elem(f, cell) == expected, (name, f, cell)
+    cells = [cell for n in range(2, len(res.cells)) for cell in res.cells[n]]
+    assert cells
+    for cell in cells:
+        d = res._differential(cell)
+        (u, rest), m = next(iter(d.items()))
+        assert m == 1 and rest.atoms == cell.atoms[1:], (name, cell)
+        assert res.kernel.product(u, res._cell_lcm(rest)) == res._cell_lcm(cell), (name, cell)
+        expected = contracting_chain(res, res._act(u, res._differential(rest)))
+        assert chain_sub({(u, rest): 1}, d) == expected, (name, cell)
 
 
 def lower_rows(res, w, cell):
