@@ -34,6 +34,10 @@ from .rings import (
 
 KINDS = ("trivial", "sign", "laurent")
 
+# the widest exponent span of a Laurent entry; its element is a dense list
+# with one coefficient per exponent in the span
+MAX_LAURENT_SPAN = 2**20
+
 
 @dataclass(frozen=True)
 class CoefficientSystem:
@@ -104,6 +108,12 @@ def _element(system: CoefficientSystem, domain, terms: dict[int, int]):
         return sum(terms.values())
     if system.kind == "sign":
         return sum(-m if e % 2 else m for e, m in terms.items())
+    support = [e for e, m in terms.items() if m]
+    span = max(support) - min(support) if support else 0
+    if span > MAX_LAURENT_SPAN:
+        raise PreconditionError(
+            f"a Laurent entry spans {span} exponents, over the limit of {MAX_LAURENT_SPAN}"
+        )
     return domain.from_exponents(terms)
 
 
@@ -117,7 +127,9 @@ def specialize(cell_complex: CellComplex, system: CoefficientSystem) -> list[Opt
 
     Entry (B, A) of matrix n is the sum over the terms f[B] of the boundary
     of the n-cell A of multiplicity * scalar_of(f), built once from its
-    exponent -> multiplicity sums.  Index 0 of the returned list is None:
+    exponent -> multiplicity sums; a Laurent entry whose exponents span
+    more than MAX_LAURENT_SPAN raises PreconditionError before its
+    coefficient list is made.  Index 0 of the returned list is None:
     degree zero has no outgoing differential here, the resolution continues
     by the augmentation.
     """

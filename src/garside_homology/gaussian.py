@@ -480,6 +480,16 @@ class WordKernel:
     memos: `_mul`, which is also the trie's child table, and `_lcm`.
     Quotients and longer products are recomputed from them on each call.
 
+    Most steps are trivial, so the loops of `div`, `mul`, `divide` and
+    `product` take them in place and call `div` or `mul` only on the full
+    path: a node whose last atom is d divided by d is its parent; one whose
+    last atom ranks above d is not divisible by d (an identity's last atom
+    is -1, so the rank test reads an arbitrary rank, but both of its
+    branches give -1, as no atom divides an identity); a product in `_mul`
+    is read from it (`_mul` holds no identity, so no node 0, and only a
+    miss falls through `or` to the call).  The calls are direct, so
+    division still nests one frame per atom.
+
     Obtain one through GaussianStructure.kernel(ordering).
     """
 
@@ -553,15 +563,21 @@ class WordKernel:
         if entry is None:  # different targets, or no common multiple
             return -1
         comp_a, comp_c_rev = entry
-        res = self.parent[x]
-        div = self.div
+        parent, last, ranks = self.parent, self.last, self.ranks
+        res = parent[x]
         for d in comp_c_rev:
-            res = div(res, d)
-            if res < 0:
+            c = last[res]
+            if c == d:
+                res = parent[res]
+            elif ranks[d] < ranks[c]:
                 return -1
-        mul = self.mul
+            else:
+                res = self.div(res, d)
+                if res < 0:
+                    return -1
+        memo, n = self._mul, self.n_atoms
         for d in comp_a:
-            res = mul(res, d)
+            res = memo.get(res * n + d) or self.mul(res, d)
         return res
 
     def mul(self, x: int, b: int) -> int:
@@ -575,18 +591,23 @@ class WordKernel:
         res = self._mul.get(key)
         if res is not None:
             return res
-        div = self.div
+        parent, last, ranks, memo, n = self.parent, self.last, self.ranks, self._mul, self.n_atoms
         for a, comp_a, comp_b_rev in self._below[b]:
             h = x
             for d in comp_b_rev:
-                h = div(h, d)
-                if h < 0:
+                c = last[h]
+                if c == d:
+                    h = parent[h]
+                elif ranks[d] < ranks[c]:
                     break
+                else:
+                    h = self.div(h, d)
+                    if h < 0:
+                        break
             else:
-                mul = self.mul
                 for d in comp_a:
-                    h = mul(h, d)
-                res = self._mul[key] = self._child(h, a)
+                    h = memo.get(h * n + d) or self.mul(h, d)
+                res = memo[key] = self._child(h, a)
                 return res
         return self._child(x, b)
 
@@ -698,9 +719,17 @@ class WordKernel:
     def divide(self, w: int, u: int) -> int:
         """The canonical node g with g*u = w, or -1, dividing by the atoms
         of u from the right."""
-        parent, last, div = self.parent, self.last, self.div
-        while u >= self.n_objects and w >= 0:
-            w = div(w, last[u])
+        parent, last, ranks, n_objects = self.parent, self.last, self.ranks, self.n_objects
+        while u >= n_objects:
+            a, c = last[u], last[w]
+            if c == a:
+                w = parent[w]
+            elif ranks[a] < ranks[c]:
+                return -1
+            else:
+                w = self.div(w, a)
+                if w < 0:
+                    return -1
             u = parent[u]
         return w
 
@@ -714,7 +743,7 @@ class WordKernel:
         while w >= self.n_objects:
             atoms.append(last[w])
             w = parent[w]
-        mul = self.mul
+        memo, n = self._mul, self.n_atoms
         for b in reversed(atoms):
-            g = mul(g, b)
+            g = memo.get(g * n + b) or self.mul(g, b)
         return g

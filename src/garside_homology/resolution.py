@@ -22,8 +22,11 @@ so the degree-0 contraction just walks up the trie.  Every method of
 `OrderResolution`, `differential` included, takes and returns node-keyed
 chains; `build_complex` spells each boundary out once, so the chains of
 `CellComplex.boundaries` are keyed by `Word`.
-Treat chains as immutable values: combine them with chain_iadd into fresh
-accumulators, never mutate one you were given.
+A boundary is built in one accumulator: `_act_contract(g, items, acc, mult)`
+and `_contract_step` add mult times their terms straight into the caller's
+chain acc, deleting entries that cancel, and return nothing, so each term
+is added once however deep the steps nest.  Every other chain is a value:
+never mutate a chain you were given, a cached boundary least of all.
 
 The caches are per resolution: cell lcms (as nodes) keyed by atom tuple,
 written only by enumeration, differentials per cell, and per term
@@ -127,6 +130,8 @@ class OrderResolution:
         self._least_at_target = [
             self.kernel.candidates[target][0] == a for a, target in enumerate(struct.atom_target)
         ]
+        # per atom a, the 1-cell [a]; the zero-cell contraction steps onto it
+        self._atom_cells = [Cell((a,), src) for a, src in enumerate(struct.atom_source)]
         self._lcms: dict[tuple[int, ...], int] = {}  # cell atoms -> node of the cell lcm
         self._diff_cache: dict[Cell, Chain] = {}
         self._lower_cache: dict[tuple[int, Cell], tuple[tuple[int, int, int, int], ...]] = {}
@@ -221,7 +226,7 @@ class OrderResolution:
             raise ConsistencyError("cell lcm is not a multiple of its facet lcm")
         out: Chain = {(u, rest): 1}
         if rest.atoms:
-            chain_iadd(out, self._act_contract(u, self._differential(rest).items()), -1)
+            self._act_contract(u, self._differential(rest).items(), out, -1)
         else:
             src = self.kernel.src[u]
             chain_iadd(out, {(src, self.zero_cell(src)): 1}, -1)
@@ -251,19 +256,24 @@ class OrderResolution:
         """Degree-0 augmentation: every elementary 0-chain maps to 1."""
         return sum(chain.values())
 
-    def _contract_step(self, g: int, alpha: int, x: int, cell: Cell) -> Chain:
-        """Homotopy on a reducible term (g*x)[cell] whose least divisor is
-        alpha, x being alpha's complement: x*lcm(cell) = lcm(alpha, lcm(cell)).
-        It is g[alpha, cell] plus the contraction of g times the reduction
-        of x[cell], which is x[cell] minus the boundary of [alpha, cell]:
-        the boundary's terms after its leading one, negated."""
+    def _contract_step(self, g: int, alpha: int, x: int, cell: Cell, acc: Chain, mult: int) -> None:
+        """Add mult times the homotopy on a reducible term (g*x)[cell] to
+        acc, alpha being its least divisor and x alpha's complement:
+        x*lcm(cell) = lcm(alpha, lcm(cell)).  It is g[alpha, cell] plus the
+        contraction of g times the reduction of x[cell], which is x[cell]
+        minus the boundary of [alpha, cell]: the boundary's terms after its
+        leading one, negated."""
         new_cell = Cell((alpha,) + cell.atoms, self.kernel.src[x])
         if new_cell.atoms not in self._lcms:
             raise ConsistencyError("an lcm over a term is not a multiple of the cell's")
-        acc: Chain = {(g, new_cell): 1}
+        key = (g, new_cell)
+        new = acc.get(key, 0) + mult
+        if new:
+            acc[key] = new
+        else:
+            del acc[key]
         tail = itertools.islice(self._differential(new_cell).items(), 1, None)
-        chain_iadd(acc, self._act_contract(g, tail), -1)
-        return acc
+        self._act_contract(g, tail, acc, -mult)
 
     def _lower(self, w: int, cell: Cell) -> tuple[tuple[int, int, int, int], ...]:
         """For a term w[cell] of dimension >= 1, L its cell's lcm: the
@@ -295,28 +305,32 @@ class OrderResolution:
             self._lower_cache[key] = lower
         return lower
 
-    def _act_contract(self, g: int, items: Iterable) -> Chain:
-        """The contracting homotopy of g times a chain given by its items,
-        term by term.  On a zero cell g*w telescopes down its canonical
-        decomposition, whose least divisors are the last atoms up the trie.
-        Otherwise g*w is not formed: the irreducible terms contract to 0,
-        and the others go straight to their step.  A term whose cell starts
-        with the least atom at its target is irreducible whatever g is, and
-        g is tested against each distinct p once."""
+    def _act_contract(self, g: int, items: Iterable, acc: Chain, mult: int) -> None:
+        """Add mult times the contracting homotopy of g times a chain, given
+        by its items, to acc, term by term.  On a zero cell g*w telescopes
+        down its canonical decomposition, whose least divisors are the last
+        atoms up the trie.  Otherwise g*w is not formed: the irreducible
+        terms contract to 0, and the others go straight to their step.  A
+        term whose cell starts with the least atom at its target is
+        irreducible whatever g is, and g is tested against each distinct p
+        once."""
         kernel = self.kernel
-        divide, product = kernel.divide, kernel.product
-        parent, last, atom_source = kernel.parent, kernel.last, self.struct.atom_source
+        divide, product, n_objects = kernel.divide, kernel.product, kernel.n_objects
+        parent, last, atom_cells = kernel.parent, kernel.last, self._atom_cells
         least = self._least_at_target
         quotients: dict[int, int] = {}  # p -> g/p or -1
-        acc: Chain = {}
         for (w, cell), m in items:
             if not cell.atoms:
+                m *= mult
                 f = product(g, w)
-                step: Chain = {}
-                while f >= kernel.n_objects:
-                    alpha, f = last[f], parent[f]
-                    step[(f, Cell((alpha,), atom_source[alpha]))] = 1
-                chain_iadd(acc, step, m)
+                while f >= n_objects:
+                    key = (parent[f], atom_cells[last[f]])
+                    new = acc.get(key, 0) + m
+                    if new:
+                        acc[key] = new
+                    else:
+                        del acc[key]
+                    f = parent[f]
                 continue
             if least[cell.atoms[0]]:
                 continue
@@ -325,9 +339,8 @@ class OrderResolution:
                 if h is None:
                     h = quotients[p] = divide(g, p)
                 if h >= 0:
-                    chain_iadd(acc, self._contract_step(product(h, y), alpha, x, cell), m)
+                    self._contract_step(product(h, y), alpha, x, cell, acc, m * mult)
                     break
-        return acc
 
     def check_boundary_squared(self) -> None:
         """Raise if the composite of two differentials is nonzero anywhere."""

@@ -243,27 +243,29 @@ def dual_typeA_structure(n: int) -> GaussianStructure:
     names = {perm: f"t{i}{j}" for (i, j), perm in transpositions}
     atom_list = [perm for _, perm in transpositions]
 
-    def divides_on_right(t, u):
-        return refl_len(_perm_mul(u, t)) == refl_len(u) - 1
+    # per interval element, the transpositions dividing it on the right, in
+    # atom order; the interval is closed under divisors, so these tables
+    # cover every element met below
+    right_divisors = {
+        u: [t for t in atom_list if refl_len(_perm_mul(u, t)) == refl_len(u) - 1] for u in interval
+    }
 
     def expand(u):
         """Write an interval element as a word of transpositions (smallest last factor first)."""
         word = []
         while refl_len(u) > 0:
-            for t in atom_list:
-                if divides_on_right(t, u):
-                    word.append(names[t])
-                    u = _perm_mul(u, t)
-                    break
-            else:
+            if not right_divisors[u]:
                 raise PreconditionError("element admits no transposition divisor")
+            t = right_divisors[u][0]
+            word.append(names[t])
+            u = _perm_mul(u, t)
         word.reverse()
         return word
 
     atoms = [(names[t], "*", "*", 1) for t in atom_list]
     lcms = []
     for a, b in itertools.combinations(atom_list, 2):
-        common = [w for w in interval if divides_on_right(a, w) and divides_on_right(b, w)]
+        common = [w for w in interval if a in right_divisors[w] and b in right_divisors[w]]
         least = min(refl_len(w) for w in common)
         minimal = [w for w in common if refl_len(w) == least]
         if len(minimal) != 1:

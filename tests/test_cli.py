@@ -357,6 +357,38 @@ def test_large_primes():
         assert str(MR_BOUND) in err
 
 
+def test_laurent_entry_span_over_the_limit_exits_2(tmp_path):
+    # a Laurent entry is a dense coefficient list over its exponent span:
+    # t^L - 1 on the 1-cell [a] would hold L + 1 coefficients, so a span
+    # over the limit is refused before any list is made
+    import time
+
+    from garside_homology.coefficients import MAX_LAURENT_SPAN
+
+    def commuting(length):
+        path = tmp_path / f"a{length}.gs"
+        path.write_text(
+            "GAUSSIAN-STRUCTURE v1\nOBJECT *\n"
+            f"ATOM a * * {length}\nATOM b * * 1\nLCM a b COMPL b a\n"
+        )
+        return ["homology", "--structure", str(path), "--coeffs", "laurent"]
+
+    start = time.monotonic()
+    code, out, err = run_cli(commuting(10**23))
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: a Laurent entry spans {10**23} exponents, over the limit of {MAX_LAURENT_SPAN}\n"
+    code, out, _ = run_cli(commuting(1000))
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "H_0 = Q[t,t^-1]/(t-1 = Phi_1)",
+        "H_1 = Q[t,t^-1]/(t-1 = Phi_1)",
+        "H_2 = 0",
+    ]
+    # trivial coefficients hold no exponents, so they take any length
+    assert run_cli(commuting(10**23)[:-2])[0] == 0
+
+
 def _table(lines):
     return "GAUSSIAN-STRUCTURE v1\nOBJECT *\n" + "".join(f"{line}\n" for line in lines)
 

@@ -284,7 +284,9 @@ def reduce_elem(res, f, cell):
     if not cell.atoms:
         src = res.kernel.src[f]
         return {(src, Cell((), src)): 1}
-    return res._act_contract(f, res._differential(cell).items())
+    acc = {}
+    res._act_contract(f, res._differential(cell).items(), acc, 1)
+    return acc
 
 
 def contracting_chain(res, chain):
@@ -606,6 +608,37 @@ def test_reductions_match_the_reference_contraction(name, data):
         assert chain_sub({(u, rest): 1}, d) == expected, (name, cell)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(LOWER_STRUCTS)), st.data())
+def test_contraction_adds_into_the_given_chain(name, data):
+    # _act_contract(g, items, acc, m) adds m times the contraction of g
+    # times a chain to acc in place: acc ends as a copy of it plus m times
+    # the contraction into {}, and entries that cancel are deleted.  The
+    # chain is a drawn boundary, so zero cells (below a 1-cell) and the
+    # recursion's steps are both met
+    struct = LOWER_STRUCTS[name]()
+    ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
+    res = build_complex(struct, ordering).resolution
+    kernel = res.kernel
+    cell = data.draw(st.sampled_from([cell for layer in res.cells[1:] for cell in layer]))
+    g = data.draw(st.sampled_from([node for node in range(len(kernel.last)) if kernel.target(node) == cell.src]))
+    m = data.draw(st.sampled_from([1, -1, 2, -3]))
+    items = list(res._differential(cell).items())
+    fresh = {}
+    res._act_contract(g, items, fresh, 1)
+    # the start cancels some terms of m times the contraction, shifts
+    # others, and holds one term the contraction cannot reach
+    acc = {(kernel.src[g], Cell((), kernel.src[g])): 7}
+    for key, k in fresh.items():
+        start = data.draw(st.sampled_from([-m * k, 0, 1]))
+        if start:
+            acc[key] = start
+    expected = chain_iadd(dict(acc), fresh, m)
+    res._act_contract(g, items, acc, m)
+    assert acc == expected, (name, cell, g, m)
+    assert all(acc.values()), (name, cell, g, m)
+
+
 def lower_rows(res, w, cell):
     """The reference for res._lower(w, cell), L the cell's lcm: for each
     atom alpha below the cell's first one, reverse w*L against alpha for p
@@ -669,6 +702,16 @@ def test_e7_complex_work_bound():
     struct = artin_named("E7")
     res = build_complex(struct, optimize_ordering(struct), max_dim=6).resolution
     assert len(res.kernel.last) <= 14_000
+
+
+def test_h4_complex_work_bound():
+    # 12,667 trie nodes under the auto ordering; the word kernel takes its
+    # trivial steps (a quotient by the last atom, an early refusal, a
+    # product already in the memo) in place, and must not create nodes
+    # that the calls would not
+    struct = artin_named("H4")
+    res = build_complex(struct, optimize_ordering(struct), max_dim=5).resolution
+    assert len(res.kernel.last) <= 12_700
 
 
 def test_build_complex_shape():

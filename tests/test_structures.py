@@ -1,6 +1,7 @@
 """Built-in generators and the interchange format."""
 
 import io
+import itertools
 import sys
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import rewriting
 from garside_homology import (
     CoxeterMatrix,
+    GaussianStructure,
     ParseError,
     PreconditionError,
     Word,
@@ -111,6 +113,65 @@ def test_dual_typeA_small():
     assert d3.validate(depth=3).ok
     with pytest.raises(PreconditionError):
         dual_typeA_structure(9)
+
+
+def dual_typeA_reference(n):
+    """The dual type-A_n table by a search per pair and per element: an
+    atom t right-divides u when u*t^-1 = u*t has reflection length one
+    less, asked again for every pair and every interval element."""
+    size = n + 1
+    cox = tuple((i + 1) % size for i in range(size))
+
+    def mul(p, q):  # apply p, then q
+        return tuple(q[p[i]] for i in range(size))
+
+    def refl_len(p):
+        seen, cycles = set(), 0
+        for i in range(size):
+            if i not in seen:
+                cycles += 1
+                while i not in seen:
+                    seen.add(i)
+                    i = p[i]
+        return size - cycles
+
+    def inverse(p):
+        return tuple(sorted(range(size), key=p.__getitem__))
+
+    group = list(itertools.permutations(range(size)))
+    interval = [p for p in group if refl_len(p) + refl_len(mul(inverse(p), cox)) == n]
+    atom_list, names = [], {}
+    for i, j in itertools.combinations(range(size), 2):
+        t = list(range(size))
+        t[i], t[j] = j, i
+        atom_list.append(tuple(t))
+        names[tuple(t)] = f"t{i}{j}"
+
+    def divides_on_right(t, u):
+        return refl_len(mul(u, t)) == refl_len(u) - 1
+
+    def expand(u):
+        word = []
+        while refl_len(u) > 0:
+            t = next(t for t in atom_list if divides_on_right(t, u))
+            word.append(names[t])
+            u = mul(u, t)
+        return word[::-1]
+
+    lcms = []
+    for a, b in itertools.combinations(atom_list, 2):
+        common = [w for w in interval if divides_on_right(a, w) and divides_on_right(b, w)]
+        least = min(refl_len(w) for w in common)
+        (join,) = [w for w in common if refl_len(w) == least]
+        lcms.append((names[a], names[b], (expand(mul(join, a)), expand(mul(join, b)))))
+    atoms = [(names[t], "*", "*", 1) for t in atom_list]
+    return GaussianStructure(["*"], atoms, lcms, label=f"dual:A{n}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dual_typeA_table_matches_the_per_pair_search(n):
+    # the generator reads right divisors off one table per interval element
+    assert serialize_structure(dual_typeA_structure(n)) == serialize_structure(dual_typeA_reference(n))
 
 
 def test_builtin_registry():
