@@ -4,7 +4,9 @@ Three systems act through the length of a morphism: trivial (every atom acts
 by 1), sign (atoms of length 1 act by -1), and Laurent (they act by t).  On a
 category with several objects the action is transported to the group at the
 basepoint through chosen connecting paths; only their lengths matter, so a
-structure file ships a path length per object rather than the paths.
+structure file ships a path length per object rather than the paths.  A
+morphism thus acts by its exponent alone, which `node_exponent` reads off
+the word kernel's node, its length and its endpoints, without spelling it.
 
 Specializing a cell complex turns each chain-valued differential into a
 matrix over the integers or over the Laurent ring F[t, t^-1] itself, whose
@@ -17,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
-from .gaussian import GaussianStructure, PreconditionError, Word
+from .gaussian import PreconditionError, WordKernel
 from .linalg import IntegerDomain, LaurentDomain, ScalarMatrix
 from .resolution import CellComplex
 from .rings import (
@@ -81,25 +83,21 @@ def make_system(kind: str, field: Optional[str] = None, p: Optional[int] = None)
     raise PreconditionError(f"unknown field {field!r}")
 
 
-def word_exponent(struct: GaussianStructure, word: Word) -> int:
-    """Length of the transported morphism: len(u_src) + len(word) - len(u_tgt).
-
-    For a one-object structure this is just the word length.  May be
-    negative on categories.
-    """
-    e = struct.word_length(word)
-    if len(struct.object_names) == 1:
-        return e
-    if struct.path_lengths is None:
-        raise PreconditionError(
-            "structure has several objects but no basepoint path lengths for transport"
-        )
-    return e + struct.path_lengths[word.src] - struct.path_lengths[struct.word_target(word)]
-
-
-def _exponent(struct: GaussianStructure, system: CoefficientSystem, word: Word) -> int:
-    """The exponent a morphism acts by; 0 for the trivial action, which needs no transport."""
-    return 0 if system.kind == "trivial" else word_exponent(struct, word)
+def node_exponent(kernel: WordKernel, system: CoefficientSystem) -> Callable[[int], int]:
+    """The exponent each node acts by, as a function of the node: its
+    length transported to the basepoint, len(u_src) + length - len(u_tgt),
+    which may be negative on categories; 0 for the trivial action, which
+    needs no transport."""
+    length = kernel.length
+    if system.kind == "trivial":
+        return lambda node: 0
+    if kernel.n_objects == 1:
+        return length.__getitem__
+    path = kernel.struct.path_lengths
+    if path is None:
+        raise PreconditionError("structure has several objects but no basepoint path lengths for transport")
+    src, target = kernel.src, kernel.target
+    return lambda node: length[node] + path[src[node]] - path[target(node)]
 
 
 def _element(system: CoefficientSystem, domain, terms: dict[int, int]):
@@ -117,36 +115,34 @@ def _element(system: CoefficientSystem, domain, terms: dict[int, int]):
     return domain.from_exponents(terms)
 
 
-def scalar_of(struct: GaussianStructure, system: CoefficientSystem, word: Word):
-    """Image of a morphism in the coefficient ring."""
-    return _element(system, system.domain(), {_exponent(struct, system, word): 1})
-
-
 def specialize(cell_complex: CellComplex, system: CoefficientSystem) -> list[Optional[ScalarMatrix]]:
     """Matrices of the differentials over the coefficient ring.
 
     Entry (B, A) of matrix n is the sum over the terms f[B] of the boundary
-    of the n-cell A of multiplicity * scalar_of(f), built once from its
-    exponent -> multiplicity sums; a Laurent entry whose exponents span
-    more than MAX_LAURENT_SPAN raises PreconditionError before its
-    coefficient list is made.  Index 0 of the returned list is None:
+    of the n-cell A of multiplicity times the action of f's exponent
+    (`node_exponent`), built once from its exponent -> multiplicity sums.
+    PreconditionError is raised on a term of a structure with several
+    objects and no path lengths unless the action is trivial, and on a
+    Laurent entry whose exponents span more than MAX_LAURENT_SPAN before
+    its coefficient list is made.  Index 0 of the returned list is None:
     degree zero has no outgoing differential here, the resolution continues
     by the augmentation.
     """
     cell_complex.check_facets()
-    struct = cell_complex.structure
+    cells, res = cell_complex.cells, cell_complex.resolution
+    # every cell of dimension >= 1 has a term; without one nothing is transported
+    exponent = node_exponent(res.kernel, system) if len(cells) > 1 and cells[1] else None
     mats: list[Optional[ScalarMatrix]] = [None]
     domain = system.domain()
-    for n in range(1, len(cell_complex.cells)):
-        rows = cell_complex.cells[n - 1]
-        cols = cell_complex.cells[n]
+    for n in range(1, len(cells)):
+        rows, cols = cells[n - 1], cells[n]
         row_index = {cell: i for i, cell in enumerate(rows)}
         entries = [[domain.zero] * len(cols) for _ in rows]
         for j, cell in enumerate(cols):
             sums: dict[int, dict[int, int]] = {}
-            for (word, facet), mult in cell_complex.boundaries[n][cell].items():
+            for (node, facet), mult in res.differential(cell).items():
                 terms = sums.setdefault(row_index[facet], {})
-                e = _exponent(struct, system, word)
+                e = exponent(node)
                 terms[e] = terms.get(e, 0) + mult
             for i, terms in sums.items():
                 entries[i][j] = _element(system, domain, terms)

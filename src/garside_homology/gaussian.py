@@ -259,17 +259,18 @@ class GaussianStructure:
             ids.append(self.atom_index[name])
         src = self.atom_source[ids[0]] if ids else self.atom_source[endpoint]
         word = Word(src, tuple(ids))
-        self._check_word(word)
-        if self.word_target(word) != self.atom_source[endpoint]:
+        if self._check_word(word) != self.atom_source[endpoint]:
             raise PreconditionError(f"{context}: complement does not compose with its atom")
         return word
 
-    def _check_word(self, w: Word) -> None:
+    def _check_word(self, w: Word) -> int:
+        """The target of w; PreconditionError if it does not compose."""
         at = w.src
         for a in w.atoms:
             if self.atom_source[a] != at:
                 raise PreconditionError(f"word {w} is not composable")
             at = self.atom_target[a]
+        return at
 
     # -- basic word bookkeeping ------------------------------------------
 
@@ -290,9 +291,6 @@ class GaussianStructure:
         ids = [self.atom_index[n] for n in names]
         src = None if src_name is None else self.object_index[src_name]
         return self.word(ids, src)
-
-    def word_target(self, w: Word) -> int:
-        return self.atom_target[w.atoms[-1]] if w.atoms else w.src
 
     def word_length(self, w: Word) -> int:
         return sum(self.atom_length[a] for a in w.atoms)
@@ -430,7 +428,7 @@ class GaussianStructure:
                             if kernel.fold_bound is None and node is not None and node >= 0:
                                 # on a Gaussian table every order reverses only
                                 # nodes no longer than the subset's lcm
-                                kernel.fold_bound = self.word_length(kernel.word(node))
+                                kernel.fold_bound = kernel.length[node]
                     finally:
                         kernel.fold_bound = None
                     if None in results:
@@ -469,8 +467,10 @@ class WordKernel:
 
     Canonical words are closed under prefixes, so they are interned in a
     prefix trie: ids 0..n_objects-1 are the identities, and every other
-    node stores its parent, its last atom and its source.  A node is a
-    morphism, and its last atom is its least right-divisor.  Two
+    node stores its parent, its last atom, its source and its length (the
+    sum of its atoms' lengths; identities have length 0).  A node is a
+    morphism, and its last atom is its least right-divisor.  `_child` is
+    the only place that creates nodes.  Two
     primitives, which call each other directly, make up the arithmetic:
     `div` divides a node by an atom and `mul` multiplies it by one, both
     returning canonical nodes.  Each nested call works on a strictly
@@ -525,6 +525,7 @@ class WordKernel:
         self.parent: list[int] = [-1] * n_obj
         self.last: list[int] = [-1] * n_obj
         self.src: list[int] = list(range(n_obj))
+        self.length: list[int] = [0] * n_obj
         # node * n_atoms + atom -> canonical node of the product; this is
         # also the trie's child table, since canon(x*b) is the child of x
         # when b is the least divisor of x*b
@@ -544,6 +545,7 @@ class WordKernel:
             self.parent.append(node)
             self.last.append(atom)
             self.src.append(self.src[node])
+            self.length.append(self.length[node] + self.struct.atom_length[atom])
         return child
 
     def div(self, x: int, a: int) -> int:
@@ -636,7 +638,7 @@ class WordKernel:
         self._lcm_steps += 1
         if self._lcm_steps > _FOLD_STEP_LIMIT:
             raise ConsistencyError("lcm reversing did not converge; lcm table is inconsistent")
-        if self.fold_bound is not None and self.struct.word_length(self.word(x)) > self.fold_bound:
+        if self.fold_bound is not None and self.length[x] > self.fold_bound:
             raise ConsistencyError("lcm reversing outgrew the fold bound; lcm table is inconsistent")
         if self.div(x, b) >= 0:
             res = self.src[x]

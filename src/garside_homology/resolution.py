@@ -20,8 +20,9 @@ gaussian.py): an int id that is the morphism itself, since the kernel
 interns canonical words only.  The least divisor of a node is its last atom,
 so the degree-0 contraction just walks up the trie.  Every method of
 `OrderResolution`, `differential` included, takes and returns node-keyed
-chains; `build_complex` spells each boundary out once, so the chains of
-`CellComplex.boundaries` are keyed by `Word`.
+chains, and specialization reads them as they are: a node's length is
+kept in the kernel.  Only `CellComplex.boundaries`, a view for readers
+outside the computation, spells the chains out with `Word` coefficients.
 A boundary is built in one accumulator: `_act_contract(g, items, acc, mult)`
 and `_contract_step` add mult times their terms straight into the caller's
 chain acc, deleting entries that cancel, and return nothing, so each term
@@ -50,6 +51,7 @@ ConsistencyError too.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -252,10 +254,6 @@ class OrderResolution:
             chain_iadd(acc, self._act(w, self.differential(cell)), m)
         return acc
 
-    def augmentation(self, chain: Chain) -> int:
-        """Degree-0 augmentation: every elementary 0-chain maps to 1."""
-        return sum(chain.values())
-
     def _contract_step(self, g: int, alpha: int, x: int, cell: Cell, acc: Chain, mult: int) -> None:
         """Add mult times the homotopy on a reducible term (g*x)[cell] to
         acc, alpha being its least divisor and x alpha's complement:
@@ -350,29 +348,38 @@ class OrderResolution:
                 if composite:
                     raise ConsistencyError(f"boundary of boundary is nonzero on {cell}")
         for cell in self.cells[1] if len(self.cells) > 1 else []:
-            if self.augmentation(self._differential(cell)) != 0:
+            if sum(self._differential(cell).values()):  # the augmentation maps 0-cells to 1
                 raise ConsistencyError(f"augmented boundary is nonzero on {cell}")
 
 
 @dataclass
 class CellComplex:
-    """Cells plus all cached differentials, ready for specialization."""
+    """Cells and their resolution's node-keyed differentials, ready for specialization."""
 
     structure: GaussianStructure
     ordering: AtomOrdering
     cells: list[list[Cell]]
-    boundaries: list[dict[Cell, Chain]]
     resolution: OrderResolution
 
     def cell_counts(self) -> list[int]:
         return [len(layer) for layer in self.cells]
 
+    @functools.cached_property
+    def boundaries(self) -> list[dict[Cell, Chain]]:
+        """Per dimension n, each n-cell's boundary with its coefficients
+        spelled out as `Word`s (index 0 is empty); spelled on first read."""
+        word, differential = self.resolution.kernel.word, self.resolution.differential
+        return [{}] + [
+            {cell: {(word(w), facet): m for (w, facet), m in differential(cell).items()} for cell in layer}
+            for layer in self.cells[1:]
+        ]
+
     def check_facets(self) -> None:
         """Raise if a boundary meets a facet outside the enumerated cells."""
         for n in range(1, len(self.cells)):
             facets = set(self.cells[n - 1])
-            for cell, chain in self.boundaries[n].items():
-                for _, facet in chain:
+            for cell in self.cells[n]:
+                for _, facet in self.resolution.differential(cell):
                     if facet not in facets:
                         raise ConsistencyError(f"the boundary of {cell} meets {facet}, which is not a cell")
 
@@ -382,17 +389,11 @@ def build_complex(
     ordering: Optional[AtomOrdering] = None,
     max_dim: Optional[int] = None,
 ) -> CellComplex:
-    """Enumerate cells up to max_dim and compute every differential,
-    spelled out with Word coefficients."""
+    """Enumerate cells up to max_dim and compute every differential."""
     res = OrderResolution(struct, ordering, max_dim)
-    word = res.kernel.word
-    boundaries: list[dict[Cell, Chain]] = [{}]
-    for n in range(1, len(res.cells)):
-        boundaries.append({
-            cell: {(word(node), facet): m for (node, facet), m in res.differential(cell).items()}
-            for cell in res.cells[n]
-        })
-    return CellComplex(struct, res.ordering, res.cells, boundaries, res)
+    for cell in itertools.chain.from_iterable(res.cells[1:]):
+        res.differential(cell)
+    return CellComplex(struct, res.ordering, res.cells, res)
 
 
 # -- two-cell statistics and ordering optimization -----------------------------

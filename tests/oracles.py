@@ -73,6 +73,19 @@ def degrees(m, nodes):
     return PATH_DEGREES[tuple(labels)]
 
 
+def graded_euler(coxeter):
+    """Sum over the subsets X of the generators of (-1)^|X| t^|lcm X|, as
+    {exponent: coefficient} without zero coefficients: the inverse growth
+    series of the Artin monoid.  |lcm X|, the length of the longest element
+    of W_X, is the sum of d - 1 over the degrees d of X's components."""
+    out = {}
+    for k in range(coxeter.n + 1):
+        for subset in itertools.combinations(range(coxeter.n), k):
+            e = sum(d - 1 for comp in _components(coxeter.m, subset) for d in degrees(coxeter.m, comp))
+            out[e] = out.get(e, 0) + (-1) ** k
+    return {e: c for e, c in out.items() if c}
+
+
 def _components(m, subset):
     left, out = set(subset), []
     while left:

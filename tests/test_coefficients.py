@@ -8,13 +8,13 @@ import pytest
 from garside_homology import PreconditionError, Word, artin_named, circulating_structure
 from garside_homology.coefficients import (
     CoefficientSystem,
+    _element,
     cyclotomic_factorization,
     cyclotomic_poly,
     format_cyclotomic,
     make_system,
-    scalar_of,
+    node_exponent,
     specialize,
-    word_exponent,
 )
 from garside_homology.linalg import homology_at
 from garside_homology.resolution import build_complex
@@ -47,61 +47,84 @@ def test_system_construction():
         CoefficientSystem("frobnicate")
 
 
-def test_scalar_of_basics():
+def scalar(struct, system, word):
+    """The image of a morphism in the coefficient ring: the action of its
+    node's exponent, as specialize makes it."""
+    kernel = struct.kernel()
+    return _element(system, system.domain(), {node_exponent(kernel, system)(kernel.intern(word)): 1})
+
+
+def test_node_scalar_basics():
     struct = artin_named("A2")
     one = struct.identity(0)
     atom = struct.word_from_names(["a"])
-    assert scalar_of(struct, make_system("trivial"), atom) == 1
-    assert scalar_of(struct, make_system("sign"), one) == 1
-    assert scalar_of(struct, make_system("sign"), atom) == -1
-    laurent = scalar_of(struct, make_system("laurent", "Q"), atom)
+    assert scalar(struct, make_system("trivial"), atom) == 1
+    assert scalar(struct, make_system("sign"), one) == 1
+    assert scalar(struct, make_system("sign"), atom) == -1
+    laurent = scalar(struct, make_system("laurent", "Q"), atom)
     assert laurent == (1, (QQ.one,))
 
 
 def test_scalar_transport(two_cycle_category):
     s = two_cycle_category  # path lengths: x -> 0, y -> 3
     system = make_system("laurent", "Q")
+    kernel = s.kernel()
+    exponent = node_exponent(kernel, system)
     u = s.word_from_names(["u"])  # x -> y, length 2
     v = s.word_from_names(["v"])  # y -> x, length 1
     uv = s.word_from_names(["u", "v"])  # loop at x, length 3
-    assert word_exponent(s, u) == 2 + 0 - 3
-    assert scalar_of(s, system, u) == (-1, (QQ.one,))
-    assert word_exponent(s, v) == 1 + 3 - 0
-    assert word_exponent(s, uv) == 3
+    vu = s.word_from_names(["v", "u"])  # loop at y, length 3
+    assert exponent(kernel.intern(u)) == 2 + 0 - 3
+    assert scalar(s, system, u) == (-1, (QQ.one,))
+    assert exponent(kernel.intern(v)) == 1 + 3 - 0
+    assert exponent(kernel.intern(uv)) == exponent(kernel.intern(vu)) == 3
     # sign through transport: exponents -1, 4, 3
-    assert scalar_of(s, make_system("sign"), u) == -1
-    assert scalar_of(s, make_system("sign"), v) == 1
-    assert scalar_of(s, make_system("sign"), s.word_from_names(["v", "u"])) == -1
+    assert scalar(s, make_system("sign"), u) == -1
+    assert scalar(s, make_system("sign"), v) == 1
+    assert scalar(s, make_system("sign"), vu) == -1
+    # and through specialize: the column of [u] is -1 at x and u's -1 at
+    # y, the column of [v] is v's +1 at x and -1 at y
+    m = specialize(build_complex(s, max_dim=1), make_system("sign"))[1]
+    assert sorted(map(tuple, m.entries)) == [(-1, -1), (-1, 1)]
 
 
 def test_scalar_requires_transport_data(cospan_category):
     with pytest.raises(PreconditionError):
-        scalar_of(cospan_category, make_system("sign"), cospan_category.word_from_names(["p"]))
+        node_exponent(cospan_category.kernel(), make_system("sign"))
+    with pytest.raises(PreconditionError):
+        specialize(build_complex(cospan_category), make_system("sign"))
     # trivial does not need it
-    assert scalar_of(cospan_category, make_system("trivial"), cospan_category.word_from_names(["p"])) == 1
+    assert scalar(cospan_category, make_system("trivial"), cospan_category.word_from_names(["p"])) == 1
+    assert specialize(build_complex(cospan_category), make_system("trivial"))[1].entries
 
 
-def test_scalar_is_multiplicative():
+def test_node_exponent_is_additive():
+    # the exponent of a product is the sum of its factors', so the scalars
+    # made from it are multiplicative
     rng = random.Random(99)
     struct = circulating_structure("G13")
-    system = make_system("laurent", "Q")
-    mul = system.domain().mul
-    sign = make_system("sign")
+    kernel = struct.kernel()
+    exponent = node_exponent(kernel, make_system("laurent", "Q"))
+    mul = make_system("laurent", "Q").domain().mul
     for _ in range(50):
-        m = rng.randint(0, 4)
-        u = Word(0, tuple(rng.randrange(3) for _ in range(m)))
+        u = Word(0, tuple(rng.randrange(3) for _ in range(rng.randint(0, 4))))
         v = Word(0, tuple(rng.randrange(3) for _ in range(rng.randint(0, 4))))
         uv = Word(0, u.atoms + v.atoms)
-        assert scalar_of(struct, system, uv) == mul(scalar_of(struct, system, u), scalar_of(struct, system, v))
-        assert scalar_of(struct, sign, uv) == scalar_of(struct, sign, u) * scalar_of(struct, sign, v)
+        assert exponent(kernel.intern(uv)) == exponent(kernel.intern(u)) + exponent(kernel.intern(v))
+        for system, times in ((make_system("laurent", "Q"), mul), (make_system("sign"), int.__mul__)):
+            assert scalar(struct, system, uv) == times(scalar(struct, system, u), scalar(struct, system, v))
 
 
 def test_single_object_scalar_depends_on_length_only():
+    # aba and bab are one morphism, so interning makes them one node
     struct = artin_named("A2")
-    system = make_system("laurent", "Q")
+    kernel = struct.kernel()
     aba = struct.word_from_names(["a", "b", "a"])
     bab = struct.word_from_names(["b", "a", "b"])
-    assert scalar_of(struct, system, aba) == scalar_of(struct, system, bab)
+    assert kernel.intern(aba) == kernel.intern(bab)
+    assert node_exponent(kernel, make_system("laurent", "Q"))(kernel.intern(aba)) == 3
+    for system in (make_system("sign"), make_system("laurent", "Q")):
+        assert scalar(struct, system, aba) == scalar(struct, system, bab)
 
 
 def test_specialized_edge_column(two_cycle_category):

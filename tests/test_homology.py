@@ -6,9 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from garside_homology import homology, linalg, parse_structure
+from conftest import FREE_CATEGORY_TWO_CYCLE
+from garside_homology import (
+    artin_named,
+    circulating_structure,
+    dual_typeA_structure,
+    homology,
+    linalg,
+    optimize_ordering,
+    parse_structure,
+)
 from garside_homology.coefficients import make_system
-from garside_homology.gaussian import AtomOrdering
+from garside_homology.gaussian import AtomOrdering, WordKernel
 from garside_homology.homology import compute_homology, format_group, default_max_dim
 from garside_homology.linalg import HomologyGroup, IntegerDomain, LaurentDomain, ScalarMatrix, homology_at
 from garside_homology.rings import Rationals, poly_from_ints
@@ -37,6 +46,42 @@ def test_two_cycle_category_homology(two_cycle_category):
     sign = compute_homology(two_cycle_category, make_system("sign"))
     assert (sign.groups[0].free_rank, sign.groups[0].torsion) == (0, [2])
     assert sign.groups[1].is_trivial()
+
+
+# (make, argument, system) per homology run; the two-cycle category's
+# Laurent run transports its exponents to the basepoint
+SPELLING_FREE_RUNS = [
+    (artin_named, "A3", ("laurent", "Q")),
+    (circulating_structure, "G13", ("sign",)),
+    (parse_structure, FREE_CATEGORY_TWO_CYCLE, ("laurent", "Q")),
+]
+
+
+def _rows_and_reports(orderings):
+    """Rows of the runs on fresh structures under the given orderings, and
+    the violations that validate reports on G13 and dual A3."""
+    rows = []
+    for (make, arg, kind), ordering in zip(SPELLING_FREE_RUNS, orderings):
+        system = make_system(*kind)
+        result = compute_homology(make(arg), system, ordering)
+        rows.append([format_group(g, system) for g in result.groups])
+    reports = [s.validate().violations for s in (circulating_structure("G13"), dual_typeA_structure(3))]
+    return rows, reports
+
+
+def test_homology_path_spells_nothing(monkeypatch):
+    # build -> specialize -> SNF and validate read lengths off kernel nodes
+    # and never spell a node out as a Word; optimize_ordering does, for its
+    # tie-break, so the orderings are made before the kernel refuses
+    orderings = [optimize_ordering(make(arg)) for make, arg, _ in SPELLING_FREE_RUNS]
+    expected = _rows_and_reports(orderings)
+    assert expected[1] == [[], []]
+
+    def refuse(self, node):
+        raise AssertionError(f"node {node} was spelled out")
+
+    monkeypatch.setattr(WordKernel, "word", refuse)
+    assert _rows_and_reports(orderings) == expected
 
 
 def test_cospan_category_homology(cospan_category):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import rewriting
 from test_cli import INCONSISTENT_TABLES
 from garside_homology import (
@@ -18,6 +19,7 @@ from garside_homology import (
     Word,
     artin_named,
     circulating_structure,
+    coxeter_matrix,
     dual_typeA_structure,
     parse_structure,
 )
@@ -714,6 +716,36 @@ def test_h4_complex_work_bound():
     assert len(res.kernel.last) <= 12_700
 
 
+def test_kernel_lengths_match_spelled_words(builtins, two_cycle_category):
+    # every node the kernel creates carries its length, which atom lengths
+    # other than 1 (the two-cycle category's are 2 and 1) set apart from
+    # its depth in the trie
+    for name, struct in [*builtins.items(), ("two-cycle", two_cycle_category)]:
+        kernel = build_complex(struct).resolution.kernel
+        assert len(kernel.length) == len(kernel.last), name
+        for node in range(len(kernel.last)):
+            assert kernel.length[node] == struct.word_length(kernel.word(node)), (name, node)
+
+
+def test_cells_satisfy_the_graded_euler_identity():
+    # sum over n-cells c of (-1)^n t^|lcm c| is the inverse growth series
+    # of the monoid, so under any ordering it equals the same sum over the
+    # subsets of the atoms (tests/oracles.py)
+    rng = random.Random(4242)
+    for name in ["A2", "A3", "B3", "B4", "D4", "D5", "I2(7)", "F4", "H3", "H4", "E6", "E7"]:
+        struct = artin_named(name)
+        expected = oracles.graded_euler(coxeter_matrix(name))
+        for _ in range(3):
+            order = rng.sample(range(struct.n_atoms), struct.n_atoms)
+            res = OrderResolution(struct, AtomOrdering.from_sequence(order))
+            series = {}
+            for n, layer in enumerate(res.cells):
+                for cell in layer:
+                    e = res.kernel.length[res._cell_lcm(cell)]
+                    series[e] = series.get(e, 0) + (-1) ** n
+            assert {e: c for e, c in series.items() if c} == expected, (name, order)
+
+
 def test_build_complex_shape():
     cx = build_complex(artin_named("A3"), max_dim=3)
     assert cx.cell_counts() == [1, 3, 3, 1]
@@ -735,10 +767,11 @@ def test_checks_flag_a_tampered_complex():
     # each on a built A3 complex with one boundary edited
     cx = build_complex(artin_named("A3"))
     top = cx.cells[3][0]
-    (word, facet), m = next(iter(cx.boundaries[3][top].items()))
+    boundary = cx.resolution.differential(top)
+    (node, facet), m = next(iter(boundary.items()))
     off = Cell(facet.atoms[::-1], facet.src)
     assert off not in cx.cells[2]
-    cx.boundaries[3][top] = {**cx.boundaries[3][top], (word, off): m}
+    cx.resolution._diff_cache[top] = {**boundary, (node, off): m}
     with pytest.raises(ConsistencyError, match="which is not a cell"):
         cx.check_facets()
 
