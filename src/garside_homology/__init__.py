@@ -28,7 +28,6 @@ from .structures import (
 )
 from .resolution import (
     Cell,
-    CellComplex,
     OrderResolution,
     build_complex,
     optimize_ordering,
@@ -41,7 +40,6 @@ from .homology import HomologyResult, compute_homology, format_group
 __all__ = [
     "AtomOrdering",
     "Cell",
-    "CellComplex",
     "CoefficientSystem",
     "ConsistencyError",
     "CoxeterMatrix",

@@ -8,7 +8,7 @@ structure file ships a path length per object rather than the paths.  A
 morphism thus acts by its exponent alone, which `node_exponent` reads off
 the word kernel's node, its length and its endpoints, without spelling it.
 
-Specializing a cell complex turns each chain-valued differential into a
+Specializing a resolution turns each chain-valued differential into a
 matrix over the integers or over the Laurent ring F[t, t^-1] itself, whose
 elements are (valuation, polynomial) pairs (linalg.LaurentDomain); negative
 exponents need no rescaling.  The cyclotomic polynomials name the divisors
@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from .gaussian import PreconditionError, WordKernel
 from .linalg import IntegerDomain, LaurentDomain, ScalarMatrix
-from .resolution import CellComplex
+from .resolution import OrderResolution
 from .rings import (
     Poly,
     PrimeField,
@@ -115,7 +115,7 @@ def _element(system: CoefficientSystem, domain, terms: dict[int, int]):
     return domain.from_exponents(terms)
 
 
-def specialize(cell_complex: CellComplex, system: CoefficientSystem) -> list[Optional[ScalarMatrix]]:
+def specialize(res: OrderResolution, system: CoefficientSystem) -> list[Optional[ScalarMatrix]]:
     """Matrices of the differentials over the coefficient ring.
 
     Entry (B, A) of matrix n is the sum over the terms f[B] of the boundary
@@ -128,8 +128,8 @@ def specialize(cell_complex: CellComplex, system: CoefficientSystem) -> list[Opt
     degree zero has no outgoing differential here, the resolution continues
     by the augmentation.
     """
-    cell_complex.check_facets()
-    cells, res = cell_complex.cells, cell_complex.resolution
+    res.check_facets()
+    cells = res.cells
     # every cell of dimension >= 1 has a term; without one nothing is transported
     exponent = node_exponent(res.kernel, system) if len(cells) > 1 and cells[1] else None
     mats: list[Optional[ScalarMatrix]] = [None]

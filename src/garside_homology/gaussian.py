@@ -444,10 +444,10 @@ class GaussianStructure:
 
         dim = min(depth, default_max_dim(self))
         try:
-            cx = build_complex(self, self._default_ordering, dim)
+            res = build_complex(self, self._default_ordering, dim)
         except (ConsistencyError, RecursionError) as exc:
             return ValidationReport([f"complex to dimension {dim} failed: {exc}"])
-        for check in (cx.check_facets, cx.resolution.check_boundary_squared):
+        for check in (res.check_facets, res.check_boundary_squared):
             try:
                 check()
             except (ConsistencyError, RecursionError) as exc:

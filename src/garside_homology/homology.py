@@ -18,15 +18,14 @@ from .coefficients import (
 )
 from .gaussian import AtomOrdering, GaussianStructure, PreconditionError
 from .linalg import HomologyGroup, homology_at
-from .resolution import CellComplex, build_complex, default_max_dim
+from .resolution import OrderResolution, build_complex, default_max_dim
 from .rings import poly_str
 
 
 @dataclass
 class HomologyResult:
-    structure: GaussianStructure
     system: CoefficientSystem
-    cell_complex: CellComplex
+    resolution: OrderResolution
     groups: list[HomologyGroup]  # degrees 0..max_dim
 
 
@@ -47,15 +46,11 @@ def compute_homology(
         max_dim = default_max_dim(struct)
     if max_dim < 0:
         raise PreconditionError(f"max_dim must be >= 0, got {max_dim}")
-    cx = build_complex(struct, ordering, max_dim + 1)
-    mats = specialize(cx, system)
+    res = build_complex(struct, ordering, max_dim + 1)
+    mats = specialize(res, system)
     domain = system.domain()
-    groups = []
-    for n in range(max_dim + 1):
-        b_out = mats[n] if 1 <= n < len(mats) else None
-        b_in = mats[n + 1] if n + 1 < len(mats) else None
-        groups.append(homology_at(b_in, b_out, len(cx.cells[n]), domain))
-    return HomologyResult(struct, system, cx, groups)
+    groups = [homology_at(mats[n + 1], mats[n], len(res.cells[n]), domain) for n in range(max_dim + 1)]
+    return HomologyResult(system, res, groups)
 
 
 # -- formatting -------------------------------------------------------------------

@@ -21,7 +21,7 @@ interns canonical words only.  The least divisor of a node is its last atom,
 so the degree-0 contraction just walks up the trie.  Every method of
 `OrderResolution`, `differential` included, takes and returns node-keyed
 chains, and specialization reads them as they are: a node's length is
-kept in the kernel.  Only `CellComplex.boundaries`, a view for readers
+kept in the kernel.  Only `OrderResolution.boundaries`, a view for readers
 outside the computation, spells the chains out with `Word` coefficients.
 A boundary is built in one accumulator: `_act_contract(g, items, acc, mult)`
 and `_contract_step` add mult times their terms straight into the caller's
@@ -104,11 +104,16 @@ def default_max_dim(struct: GaussianStructure) -> int:
 
 
 class OrderResolution:
-    """The free resolution attached to a structure and an atom ordering.
+    """The free resolution attached to a structure and an atom ordering:
+    the cell complex itself.
 
-    The recursion runs on the canonical nodes of the ordering's word kernel
-    (see gaussian.py): every chain it takes or returns maps (node, cell) to
-    a multiplicity, and `kernel.word` spells a node out.  All methods are
+    It enumerates its cells up to max_dim on construction (`cells`, one
+    layer per dimension, empty layers included), computes each boundary on
+    first request (`differential`; `build_complex` computes them all), and
+    checks them (`check_facets`, `check_boundary_squared`).  The recursion
+    runs on the canonical nodes of the ordering's word kernel (see
+    gaussian.py): every chain it takes or returns maps (node, cell) to a
+    multiplicity, and `kernel.word` spells a node out.  All methods are
     deterministic functions of (structure, ordering); a resolution shares
     the word kernel its structure keeps for the ordering, so it must not be
     used from several threads at once.  It caches the lcm of each
@@ -231,7 +236,7 @@ class OrderResolution:
             self._act_contract(u, self._differential(rest).items(), out, -1)
         else:
             src = self.kernel.src[u]
-            chain_iadd(out, {(src, self.zero_cell(src)): 1}, -1)
+            out[(src, self.zero_cell(src))] = -1
         # every term of the reduction precedes u[rest], so it stays first
         if next(iter(out.items()), None) != ((u, rest), 1):
             raise ConsistencyError("the boundary of a cell lost its leading term; lcm table is inconsistent")
@@ -351,49 +356,39 @@ class OrderResolution:
             if sum(self._differential(cell).values()):  # the augmentation maps 0-cells to 1
                 raise ConsistencyError(f"augmented boundary is nonzero on {cell}")
 
-
-@dataclass
-class CellComplex:
-    """Cells and their resolution's node-keyed differentials, ready for specialization."""
-
-    structure: GaussianStructure
-    ordering: AtomOrdering
-    cells: list[list[Cell]]
-    resolution: OrderResolution
-
-    def cell_counts(self) -> list[int]:
-        return [len(layer) for layer in self.cells]
-
-    @functools.cached_property
-    def boundaries(self) -> list[dict[Cell, Chain]]:
-        """Per dimension n, each n-cell's boundary with its coefficients
-        spelled out as `Word`s (index 0 is empty); spelled on first read."""
-        word, differential = self.resolution.kernel.word, self.resolution.differential
-        return [{}] + [
-            {cell: {(word(w), facet): m for (w, facet), m in differential(cell).items()} for cell in layer}
-            for layer in self.cells[1:]
-        ]
-
     def check_facets(self) -> None:
         """Raise if a boundary meets a facet outside the enumerated cells."""
         for n in range(1, len(self.cells)):
             facets = set(self.cells[n - 1])
             for cell in self.cells[n]:
-                for _, facet in self.resolution.differential(cell):
+                for _, facet in self.differential(cell):
                     if facet not in facets:
                         raise ConsistencyError(f"the boundary of {cell} meets {facet}, which is not a cell")
+
+    @functools.cached_property
+    def boundaries(self) -> list[dict[Cell, Chain]]:
+        """Per dimension n, each n-cell's boundary with its coefficients
+        spelled out as `Word`s (index 0 is empty); spelled on first read.
+        Its one reader is the benchmark's tracing
+        (`perfbench/tracing.py::_observe_complex`); the computation reads
+        the node-keyed `differential`."""
+        word, differential = self.kernel.word, self.differential
+        return [{}] + [
+            {cell: {(word(w), facet): m for (w, facet), m in differential(cell).items()} for cell in layer}
+            for layer in self.cells[1:]
+        ]
 
 
 def build_complex(
     struct: GaussianStructure,
     ordering: Optional[AtomOrdering] = None,
     max_dim: Optional[int] = None,
-) -> CellComplex:
-    """Enumerate cells up to max_dim and compute every differential."""
+) -> OrderResolution:
+    """The resolution with cells up to max_dim and every differential computed."""
     res = OrderResolution(struct, ordering, max_dim)
     for cell in itertools.chain.from_iterable(res.cells[1:]):
         res.differential(cell)
-    return CellComplex(struct, res.ordering, res.cells, res)
+    return res
 
 
 # -- two-cell statistics and ordering optimization -----------------------------

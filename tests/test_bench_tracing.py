@@ -46,7 +46,7 @@ def test_compute_homology_calls_through_traced_globals(monkeypatch, tracing, bui
 
 def test_observers_read_real_complexes(tracing):
     # the span observers read cell counts off an OrderResolution and the
-    # spelled-out Word coefficients of CellComplex.boundaries
+    # spelled-out Word coefficients of OrderResolution.boundaries
     tracer = tracing.Tracer()
     tracer.command = 0
     tracer.details[0] = []

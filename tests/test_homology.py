@@ -221,7 +221,7 @@ def test_kept_factors_match_fresh_copies(builtins, data):
     domain = result.system.domain()
     for n, group in enumerate(result.groups):
         b_out = mats[n].copy() if n >= 1 else None
-        fresh = homology_at(mats[n + 1].copy(), b_out, len(result.cell_complex.cells[n]), domain)
+        fresh = homology_at(mats[n + 1].copy(), b_out, len(result.resolution.cells[n]), domain)
         assert (group.free_rank, group.torsion) == (fresh.free_rank, fresh.torsion), (name, n)
     row = [(group.free_rank, group.torsion) for group in result.groups]
     assert row == default_ordering_row(struct, system), name

@@ -529,7 +529,7 @@ def test_universal_coefficient_rank_inequality():
         for kind in ("trivial", "sign"):
             system = make_system(kind)
             integral = compute_homology(struct, system)
-            cx = integral.cell_complex
+            cx = integral.resolution
             mats = specialize(cx, system)
             for p in (2, 3, 5):
                 dom = LaurentDomain(PrimeField(p))

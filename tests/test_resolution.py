@@ -19,8 +19,10 @@ from garside_homology import (
     Word,
     artin_named,
     circulating_structure,
+    compute_homology,
     coxeter_matrix,
     dual_typeA_structure,
+    make_system,
     parse_structure,
 )
 from garside_homology.resolution import (
@@ -422,9 +424,6 @@ def test_all_orderings_of_rank_two_monoids():
     # exhaust the six total orderings: the complex must square to zero and
     # satisfy the homotopy identity under each, and homology must not depend
     # on the ordering
-    from garside_homology.coefficients import make_system
-    from garside_homology.homology import compute_homology
-
     rng = random.Random(1618)
     for family in ["G7", "G12", "G13", "G15", "G22"]:
         struct = circulating_structure(family)
@@ -565,7 +564,7 @@ def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
     # and the quotient by its complement as least_over does
     struct = LOWER_STRUCTS[name]()  # cold kernels, so every example draws alike
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
-    res = build_complex(struct, ordering).resolution
+    res = build_complex(struct, ordering)
     kernel = res.kernel
     by_target: dict[int, list[int]] = {x: [x] for x in range(kernel.n_objects)}
     for node in range(kernel.n_objects, len(kernel.last)):
@@ -598,7 +597,7 @@ def test_reductions_match_the_reference_contraction(name, data):
     # reduction of u[C], the contraction of u times the boundary of C
     struct = LOWER_STRUCTS[name]()
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
-    res = build_complex(struct, ordering).resolution
+    res = build_complex(struct, ordering)
     cells = [cell for n in range(2, len(res.cells)) for cell in res.cells[n]]
     assert cells
     for cell in cells:
@@ -620,7 +619,7 @@ def test_contraction_adds_into_the_given_chain(name, data):
     # recursion's steps are both met
     struct = LOWER_STRUCTS[name]()
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
-    res = build_complex(struct, ordering).resolution
+    res = build_complex(struct, ordering)
     kernel = res.kernel
     cell = data.draw(st.sampled_from([cell for layer in res.cells[1:] for cell in layer]))
     g = data.draw(st.sampled_from([node for node in range(len(kernel.last)) if kernel.target(node) == cell.src]))
@@ -668,7 +667,7 @@ def test_lower_rows_match_the_reference(name, data):
     # the least atom at its target (such terms are never reducible)
     struct = LOWER_STRUCTS[name]()
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
-    res = build_complex(struct, ordering).resolution
+    res = build_complex(struct, ordering)
     cached = dict(res._lower_cache)
     for (w, cell), rows in cached.items():
         assert rows == lower_rows(res, w, cell), (name, w, cell)
@@ -691,7 +690,7 @@ def test_e6_complex_work_bound():
     # formed f*w through _act and found least divisors over per-cell
     # complements
     struct = artin_named("E6")
-    res = build_complex(struct, optimize_ordering(struct)).resolution
+    res = build_complex(struct, optimize_ordering(struct))
     assert len(res.kernel.last) <= 10_500
     # terms whose cell starts with the least atom at its target, the only
     # ones with no rows on E6, never reach the row cache
@@ -702,7 +701,7 @@ def test_e7_complex_work_bound():
     # 13,432 trie nodes to dimension 6 with rows from lcm(w, x), 21,714
     # when each row formed w*L
     struct = artin_named("E7")
-    res = build_complex(struct, optimize_ordering(struct), max_dim=6).resolution
+    res = build_complex(struct, optimize_ordering(struct), max_dim=6)
     assert len(res.kernel.last) <= 14_000
 
 
@@ -712,7 +711,7 @@ def test_h4_complex_work_bound():
     # product already in the memo) in place, and must not create nodes
     # that the calls would not
     struct = artin_named("H4")
-    res = build_complex(struct, optimize_ordering(struct), max_dim=5).resolution
+    res = build_complex(struct, optimize_ordering(struct), max_dim=5)
     assert len(res.kernel.last) <= 12_700
 
 
@@ -721,20 +720,41 @@ def test_kernel_lengths_match_spelled_words(builtins, two_cycle_category):
     # other than 1 (the two-cycle category's are 2 and 1) set apart from
     # its depth in the trie
     for name, struct in [*builtins.items(), ("two-cycle", two_cycle_category)]:
-        kernel = build_complex(struct).resolution.kernel
+        kernel = build_complex(struct).kernel
         assert len(kernel.length) == len(kernel.last), name
         for node in range(len(kernel.last)):
             assert kernel.length[node] == struct.word_length(kernel.word(node)), (name, node)
 
 
+def rewriting_euler(name):
+    """Sum over the subsets X of the atoms a, b, c of (-1)^|X| t^|lcm X|,
+    each lcm found by rewriting the presentation in tests/rewriting.py:
+    the pairs' by `rewriting.lcm`, the triple's as the shortest common
+    left-multiple of lcm(a, b) and c."""
+    atoms = rewriting.PRESENTATIONS[name][0]
+    assert atoms == "abc"
+    out = {0: 1, 1: -3}
+    for a, b in itertools.combinations(atoms, 2):
+        e = len(rewriting.lcm(name, a, b))
+        out[e] = out.get(e, 0) + 1
+    multiples = rewriting.common_left_multiples(name, rewriting.lcm(name, "a", "b"), ("c",), 6)
+    e = min(len(w) for w in multiples)
+    out[e] = out.get(e, 0) - 1
+    return {e: c for e, c in out.items() if c}
+
+
 def test_cells_satisfy_the_graded_euler_identity():
     # sum over n-cells c of (-1)^n t^|lcm c| is the inverse growth series
     # of the monoid, so under any ordering it equals the same sum over the
-    # subsets of the atoms (tests/oracles.py)
+    # subsets of the atoms: for Artin types from the degrees
+    # (tests/oracles.py), for the rank-two monoids of the complex braid
+    # groups from their presentations alone
     rng = random.Random(4242)
-    for name in ["A2", "A3", "B3", "B4", "D4", "D5", "I2(7)", "F4", "H3", "H4", "E6", "E7"]:
-        struct = artin_named(name)
-        expected = oracles.graded_euler(coxeter_matrix(name))
+    cases = [
+        (name, artin_named(name), oracles.graded_euler(coxeter_matrix(name)))
+        for name in ["A2", "A3", "B3", "B4", "D4", "D5", "I2(7)", "F4", "H3", "H4", "E6", "E7"]
+    ] + [(name, circulating_structure(name), rewriting_euler(name)) for name in ["G7", "G12", "G13", "G15", "G22"]]
+    for name, struct, expected in cases:
         for _ in range(3):
             order = rng.sample(range(struct.n_atoms), struct.n_atoms)
             res = OrderResolution(struct, AtomOrdering.from_sequence(order))
@@ -746,12 +766,30 @@ def test_cells_satisfy_the_graded_euler_identity():
             assert {e: c for e, c in series.items() if c} == expected, (name, order)
 
 
+def spelled(res):
+    """Each boundary of dimension >= 1, its coefficients spelled as Words."""
+    word = res.kernel.word
+    return {
+        cell: {(word(w), facet): m for (w, facet), m in res.differential(cell).items()}
+        for layer in res.cells[1:]
+        for cell in layer
+    }
+
+
 def test_build_complex_shape():
-    cx = build_complex(artin_named("A3"), max_dim=3)
-    assert cx.cell_counts() == [1, 3, 3, 1]
-    assert set(cx.boundaries[2]) == set(cx.cells[2])
+    # build_complex returns the resolution with one cached chain per
+    # enumerated cell of dimension >= 1; compute_homology keeps it
+    struct = artin_named("A3")
+    res = build_complex(struct, max_dim=3)
+    assert isinstance(res, OrderResolution)
+    assert res.cell_counts() == [1, 3, 3, 1]
+    assert sorted(res._diff_cache) == sorted(cell for layer in res.cells[1:] for cell in layer)
+    chains = spelled(res)
+    assert {cell for cell in chains if cell.dim == 2} == set(res.cells[2])
+    assert all(isinstance(w, Word) for chain in chains.values() for w, _ in chain)
     with pytest.raises(PreconditionError):
-        cx.resolution.differential(cx.cells[0][0])
+        res.differential(res.cells[0][0])
+    assert compute_homology(struct, make_system("trivial")).resolution.struct is struct
 
 
 def test_dual_a3_counts():
@@ -765,17 +803,17 @@ def test_dual_a3_counts():
 def test_checks_flag_a_tampered_complex():
     # the two consistency checks that validate runs after build_complex,
     # each on a built A3 complex with one boundary edited
-    cx = build_complex(artin_named("A3"))
-    top = cx.cells[3][0]
-    boundary = cx.resolution.differential(top)
+    res = build_complex(artin_named("A3"))
+    top = res.cells[3][0]
+    boundary = res.differential(top)
     (node, facet), m = next(iter(boundary.items()))
     off = Cell(facet.atoms[::-1], facet.src)
-    assert off not in cx.cells[2]
-    cx.resolution._diff_cache[top] = {**boundary, (node, off): m}
+    assert off not in res.cells[2]
+    res._diff_cache[top] = {**boundary, (node, off): m}
     with pytest.raises(ConsistencyError, match="which is not a cell"):
-        cx.check_facets()
+        res.check_facets()
 
-    res = build_complex(artin_named("A3")).resolution
+    res = build_complex(artin_named("A3"))
     cell = res.cells[2][0]
     boundary = res._differential(cell)
     res._diff_cache[cell] = chain_iadd(dict(boundary), dict([next(iter(boundary.items()))]))
@@ -842,19 +880,16 @@ BOUNDARIES_AT_AUTO_ORDERING = {
 }
 
 
-def spell_boundaries(struct, cx):
+def spell_boundaries(struct, res):
     def spell(atoms):
         return "".join(struct.atom_names[a] for a in atoms)
 
-    out = {}
-    for n in range(1, len(cx.boundaries)):
-        for cell in cx.cells[n]:
-            terms = sorted(
-                f"{m:+d} {spell(w.atoms) or '1'}[{spell(c.atoms)}]"
-                for (w, c), m in cx.boundaries[n][cell].items()
-            )
-            out[spell(cell.atoms)] = "  ".join(terms)
-    return out
+    return {
+        spell(cell.atoms): "  ".join(
+            sorted(f"{m:+d} {spell(w.atoms) or '1'}[{spell(c.atoms)}]" for (w, c), m in chain.items())
+        )
+        for cell, chain in spelled(res).items()
+    }
 
 
 def test_differentials_match_recorded():
@@ -881,11 +916,11 @@ def test_orderings_on_one_structure_keep_their_own_ids():
         shared = make(name)
         identity, other = shared.default_ordering(), second(shared)
         assert identity != other
-        first = build_complex(shared, identity).boundaries
-        then = build_complex(shared, other).boundaries
+        first = spelled(build_complex(shared, identity))
+        then = spelled(build_complex(shared, other))
         assert shared.kernel(identity) is not shared.kernel(other)
-        assert first == build_complex(make(name), identity).boundaries
-        assert then == build_complex(make(name), other).boundaries
+        assert first == spelled(build_complex(make(name), identity))
+        assert then == spelled(build_complex(make(name), other))
         assert first != then
 
 

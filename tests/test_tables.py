@@ -149,7 +149,7 @@ def test_a6_laurent_f2_row():
         (0, [poly_from_ints(f2, [1] * 7)]),
         (0, []),
     ]
-    cx = result.cell_complex
+    cx = result.resolution
     mats = specialize(cx, result.system)
     for n, group in enumerate(result.groups):
         b_in = test_linalg.oracle_factors(mats[n + 1]) if n + 1 < len(mats) else []
@@ -181,7 +181,7 @@ def test_laurent_q_rows_of_a6_and_e6(name):
     result = run(name, "laurent", "Q")
     assert [laurent_torsion(g) for g in result.groups] == LAURENT_Q_ROWS[name]
     assert all(g.free_rank == 0 for g in result.groups)
-    cx = result.cell_complex
+    cx = result.resolution
     mats = specialize(cx, result.system)
     dom = mats[1].domain
     for n, group in enumerate(result.groups):
@@ -202,7 +202,7 @@ def test_dual_a4_laurent_row_under_a_shuffled_ordering():
     shuffled = AtomOrdering.from_sequence([struct.atom_names.index(n) for n in names])
     system = make_system("laurent", "Fp", 3)
     result = compute_homology(struct, system, shuffled)
-    assert result.cell_complex.cell_counts()[:5] == [1, 10, 33, 43, 19]
+    assert result.resolution.cell_counts()[:5] == [1, 10, 33, 43, 19]
     auto = compute_homology(struct, system, optimize_ordering(struct))
     assert groups_data(result) == groups_data(auto)
 
@@ -242,7 +242,7 @@ def test_e8_laurent_f3_row_to_degree_4_matches_the_salvetti_complex():
     system = make_system("laurent", "Fp", 3)
     expected = oracles.salvetti_homology(coxeter_matrix("E8"), system)[:5]
     result = compute_homology(artin_named("E8"), system, max_dim=4)
-    assert result.cell_complex.cell_counts() == [1, 8, 28, 56, 70, 56]
+    assert result.resolution.cell_counts() == [1, 8, 28, 56, 70, 56]
     assert groups_data(result) == [(g.free_rank, list(g.torsion)) for g in expected]
 
 
