@@ -4,8 +4,8 @@ Given a structure and a total ordering of its atoms, the n-cells are the
 increasing atom tuples [a1, ..., an] with a common target such that each a_i
 is the least right-divisor of lcm(a_i, ..., an).  They index a free
 resolution of the trivial module; the differential is defined recursively
-together with a contracting homotopy s (`_act_contract`) and a reduction
-map r: the boundary of a cell [a, A] is u[A] - r(u[A]), u*lcm(A) being its
+together with a contracting homotopy s (`_contract`) and a reduction map
+r: the boundary of a cell [a, A] is u[A] - r(u[A]), u*lcm(A) being its
 lcm, and r(u[A]) is the contraction of u times the boundary of A (the class
 of u's source when A is a zero cell).  The recursion reduces only such
 complement terms u[A], each the leading term of the cell it comes from, so
@@ -18,35 +18,40 @@ coefficients kept canonical so that collecting terms is exact.  Inside the
 recursion a coefficient is a node of the ordering's word kernel (see
 gaussian.py): an int id that is the morphism itself, since the kernel
 interns canonical words only.  The least divisor of a node is its last atom,
-so the degree-0 contraction just walks up the trie.  Every method of
-`OrderResolution`, `differential` included, takes and returns node-keyed
-chains, and specialization reads them as they are: a node's length is
-kept in the kernel.  Only `OrderResolution.boundaries`, a view for readers
-outside the computation, spells the chains out with `Word` coefficients.
-A boundary is built in one accumulator: `_act_contract(g, items, acc, mult)`
-and `_contract_step` add mult times their terms straight into the caller's
-chain acc, deleting entries that cancel, and return nothing, so each term
-is added once however deep the steps nest.  Every other chain is a value:
-never mutate a chain you were given, a cached boundary least of all.
+so the degree-0 contraction, which only the boundary of a 2-cell needs,
+just walks up the trie.  Every method of `OrderResolution`, `differential`
+included, takes and returns node-keyed chains, and specialization reads
+them as they are: a node's length is kept in the kernel.  Only
+`OrderResolution.boundaries`, a view for readers outside the computation,
+spells the chains out with `Word` coefficients.  A boundary is built in one
+accumulator: `_contract(g, entries, acc, mult)` adds mult times its terms
+straight into the caller's chain acc, deleting entries that cancel, and
+returns nothing, so each term is added once however deep the steps nest.
+Every other chain is a value: never mutate a chain you were given, a
+cached boundary least of all.
 
 The caches are per resolution: cell lcms (as nodes) keyed by atom tuple,
-written only by enumeration, differentials per cell, and per term
-(w, cell) the nodes p with p*w*lcm = lcm(a, w*lcm) for the atoms a below
-the cell's first one.  The contracting homotopy acts on a differential
+written only by enumeration, differentials per cell, per term (w, cell)
+the rows of `_lower`, and per cell a contraction has stepped onto its
+prepared tail (`_tail`).  The contracting homotopy acts on a differential
 times a coefficient g, and most of the terms g*w[cell] it meets are
 irreducible and contract to 0: exactly those whose g is a multiple of no
-such p.  They are dropped, and the others contracted from g/p, without
+row's p, where p*w*lcm = lcm(a, w*lcm) for an atom a below the cell's
+first one.  They are dropped, and the others contracted from g/p, without
 building g*w.  A cell whose first atom is the least at its target has no
-atom below it, so its terms are dropped before the cache is consulted.
-With x*lcm = lcm(a, lcm) the complement, which comes from the word
-kernel's own memos (they live on the structure, one kernel per ordering),
-p*w is the left-lcm of w and x, so a row never forms w*lcm.  On a table
-that is not Gaussian that lcm can miss a multiple of the cell's; the
-contraction step then meets a tuple [a, cell] that enumeration did not
-make a cell (x*lcm does not end in a), and raises ConsistencyError.  Each
-term of a reduction precedes the term it reduces, so the leading term of a
-boundary survives; where a table breaks that, building the boundary raises
-ConsistencyError too.
+atom below it, so its terms never enter a tail.  With x*lcm = lcm(a, lcm)
+the complement, which comes from the word kernel's own memos (they live on
+the structure, one kernel per ordering), p*w is the left-lcm of w and x,
+so a row never forms w*lcm.  A row also holds what a step onto it needs:
+the rank of p's last atom, which refuses most g without a division, the
+cell [a, cell] and the atoms of y = p*w/x.  So each step takes one frame
+and walks rows prepared once per cell.  On a table that is not Gaussian
+that lcm can miss a multiple of the cell's; the row then holds no cell
+(x*lcm does not end in a), and a contraction that steps onto it raises
+ConsistencyError.  Each term of a reduction precedes the term it reduces,
+so the leading term of a boundary survives; where a table breaks that,
+building the boundary raises ConsistencyError too.  No contraction steps
+onto a cell of the top enumerated dimension, so those cells get no tail.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .gaussian import (
     AtomOrdering,
@@ -118,8 +123,10 @@ class OrderResolution:
     the word kernel its structure keeps for the ordering, so it must not be
     used from several threads at once.  It caches the lcm of each
     enumerated cell, differentials per cell (a reduction is read off the
-    differential of the cell it leads), and per term the nodes that decide
-    whether a multiple of it is reducible (`_lower`).
+    differential of the cell it leads), per term the rows that decide
+    whether a multiple of it is reducible and where its contraction steps
+    (`_lower`), and per cell below the top dimension that a contraction
+    steps onto, its boundary's tail as such rows (`_tail`).
     """
 
     def __init__(
@@ -141,7 +148,8 @@ class OrderResolution:
         self._atom_cells = [Cell((a,), src) for a, src in enumerate(struct.atom_source)]
         self._lcms: dict[tuple[int, ...], int] = {}  # cell atoms -> node of the cell lcm
         self._diff_cache: dict[Cell, Chain] = {}
-        self._lower_cache: dict[tuple[int, Cell], tuple[tuple[int, int, int, int], ...]] = {}
+        self._lower_cache: dict[tuple[int, Cell], tuple] = {}
+        self._tails: dict[Cell, tuple] = {}
         if max_dim is None:
             max_dim = default_max_dim(struct)
         if max_dim < 0:
@@ -228,14 +236,32 @@ class OrderResolution:
         if cached is not None:
             return cached
         rest = self._rest_cell(cell)
-        u = self.kernel.divide(self._cell_lcm(cell), self._cell_lcm(rest))
+        kernel = self.kernel
+        u = kernel.divide(self._cell_lcm(cell), self._cell_lcm(rest))
         if u < 0:
             raise ConsistencyError("cell lcm is not a multiple of its facet lcm")
         out: Chain = {(u, rest): 1}
-        if rest.atoms:
-            self._act_contract(u, self._differential(rest).items(), out, -1)
+        if rest.dim >= 2:
+            # the boundary of rest leads with a term whose cell starts above
+            # rest's first atom, so the least-first filter never drops it
+            w, facet = next(iter(self._differential(rest)))
+            self._contract(u, ((1, self._lower(w, facet)),) + self._tail(rest), out, -1)
+        elif rest.atoms:
+            # the boundary of a 1-cell is on zero cells, where u*w telescopes
+            # down its canonical decomposition: the last atoms up the trie
+            parent, last, atom_cells = kernel.parent, kernel.last, self._atom_cells
+            for (w, _), m in self._differential(rest).items():
+                f = kernel.product(u, w)
+                while f >= kernel.n_objects:
+                    key = (parent[f], atom_cells[last[f]])
+                    new = out.get(key, 0) - m
+                    if new:
+                        out[key] = new
+                    else:
+                        del out[key]
+                    f = parent[f]
         else:
-            src = self.kernel.src[u]
+            src = kernel.src[u]
             out[(src, self.zero_cell(src))] = -1
         # every term of the reduction precedes u[rest], so it stays first
         if next(iter(out.items()), None) != ((u, rest), 1):
@@ -259,40 +285,24 @@ class OrderResolution:
             chain_iadd(acc, self._act(w, self.differential(cell)), m)
         return acc
 
-    def _contract_step(self, g: int, alpha: int, x: int, cell: Cell, acc: Chain, mult: int) -> None:
-        """Add mult times the homotopy on a reducible term (g*x)[cell] to
-        acc, alpha being its least divisor and x alpha's complement:
-        x*lcm(cell) = lcm(alpha, lcm(cell)).  It is g[alpha, cell] plus the
-        contraction of g times the reduction of x[cell], which is x[cell]
-        minus the boundary of [alpha, cell]: the boundary's terms after its
-        leading one, negated."""
-        new_cell = Cell((alpha,) + cell.atoms, self.kernel.src[x])
-        if new_cell.atoms not in self._lcms:
-            raise ConsistencyError("an lcm over a term is not a multiple of the cell's")
-        key = (g, new_cell)
-        new = acc.get(key, 0) + mult
-        if new:
-            acc[key] = new
-        else:
-            del acc[key]
-        tail = itertools.islice(self._differential(new_cell).items(), 1, None)
-        self._act_contract(g, tail, acc, -mult)
-
-    def _lower(self, w: int, cell: Cell) -> tuple[tuple[int, int, int, int], ...]:
-        """For a term w[cell] of dimension >= 1, L its cell's lcm: the
-        tuples (p, alpha, x, y), in increasing order of the atoms alpha
-        below the cell's first atom that have a left-lcm with w*L, where
-        p*w*L is that lcm, x*L = lcm(alpha, L) and y*x = p*w.  The first
-        atom divides L, so g*w[cell] is reducible exactly when some p
-        right-divides g (cancel w*L on the right); for the first one,
-        g = h*p, its least divisor is alpha and g*w = h*y*x.  Any common
-        multiple of alpha and w*L is one of x*L, so lcm(alpha, w*L) =
-        lcm(x, w)*L, and p*w = y*x = lcm(w, x) gives both p and y without
-        forming w*L.  Cached per term."""
+    def _lower(self, w: int, cell: Cell) -> tuple[tuple[int, int, Optional[Cell], tuple[int, ...]], ...]:
+        """For a term w[cell] of dimension >= 1, L its cell's lcm: one row
+        (p, rank, new_cell, ys) per atom alpha below the cell's first atom
+        that has a left-lcm with w*L, in increasing order of alpha, where
+        p*w*L is that lcm, x*L = lcm(alpha, L), y*x = p*w, new_cell is
+        [alpha, cell] (None when enumeration did not make it a cell), ys
+        are y's atoms and rank is the rank of p's last atom (-1 when p is an
+        identity).  The first atom divides L, so g*w[cell] is reducible
+        exactly when some p right-divides g (cancel w*L on the right); for
+        the first one, g = h*p, its least divisor is alpha and g*w = h*y*x.
+        Any common multiple of alpha and w*L is one of x*L, so lcm(alpha,
+        w*L) = lcm(x, w)*L, and p*w = y*x = lcm(w, x) gives both p and y
+        without forming w*L.  Cached per term."""
         key = (w, cell)
         lower = self._lower_cache.get(key)
         if lower is None:
             kernel = self.kernel
+            parent, last, ranks, n_objects = kernel.parent, kernel.last, self.ordering.ranks, kernel.n_objects
             lcm = self._cell_lcm(cell)
             first = cell.atoms[0]
             rows = []
@@ -300,50 +310,84 @@ class OrderResolution:
                 if alpha == first:
                     break
                 x = kernel.lcm(lcm, alpha)
-                if x >= 0:
-                    py = kernel.left_lcm(w, x)
-                    if py is not None:
-                        rows.append((py[0], alpha, x, py[1]))
+                if x < 0:
+                    continue
+                py = kernel.left_lcm(w, x)
+                if py is None:
+                    continue
+                p, y = py
+                atoms = (alpha,) + cell.atoms
+                new_cell = Cell(atoms, kernel.src[x]) if atoms in self._lcms else None
+                ys = []
+                while y >= n_objects:
+                    ys.append(last[y])
+                    y = parent[y]
+                rank = ranks[last[p]] if p >= n_objects else -1
+                rows.append((p, rank, new_cell, tuple(reversed(ys))))
             lower = tuple(rows)
             self._lower_cache[key] = lower
         return lower
 
-    def _act_contract(self, g: int, items: Iterable, acc: Chain, mult: int) -> None:
+    def _tail(self, cell: Optional[Cell]) -> tuple[tuple[int, tuple], ...]:
+        """The prepared tail of a cell of dimension >= 2 that a contraction
+        steps onto: (multiplicity, rows of `_lower`) per term of its
+        boundary after the leading one, leaving out the terms whose cell
+        starts with the least atom at its target (irreducible whatever
+        multiplies them).  Built on the first step onto the cell.  A step
+        onto a tuple that enumeration did not make a cell raises
+        ConsistencyError."""
+        tail = self._tails.get(cell)
+        if tail is None:
+            if cell is None:
+                raise ConsistencyError("an lcm over a term is not a multiple of the cell's")
+            least, lower = self._least_at_target, self._lower
+            terms = itertools.islice(self._differential(cell).items(), 1, None)
+            tail = self._tails[cell] = tuple((m, lower(w, c)) for (w, c), m in terms if not least[c.atoms[0]])
+        return tail
+
+    def _contract(self, g: int, entries: tuple, acc: Chain, mult: int) -> None:
         """Add mult times the contracting homotopy of g times a chain, given
-        by its items, to acc, term by term.  On a zero cell g*w telescopes
-        down its canonical decomposition, whose least divisors are the last
-        atoms up the trie.  Otherwise g*w is not formed: the irreducible
-        terms contract to 0, and the others go straight to their step.  A
-        term whose cell starts with the least atom at its target is
-        irreducible whatever g is, and g is tested against each distinct p
-        once."""
+        as prepared entries (see `_tail`), to acc, term by term; g*w is not
+        formed.  A term contracts to 0 when no p of its rows right-divides
+        g.  A p whose last atom ranks below g's cannot, so that row is
+        skipped in place; an identity p divides every g.  With g = h*p for
+        the first p that does, the term is (h*y*x)[C], alpha its least
+        divisor: it contracts to (h*y)[alpha, C] plus the contraction of
+        h*y times the reduction of x[C], which is x[C] minus the boundary
+        of [alpha, C]: that cell's tail, negated.  So each step is one
+        frame, and a step onto a cell with an empty tail takes none."""
         kernel = self.kernel
-        divide, product, n_objects = kernel.divide, kernel.product, kernel.n_objects
-        parent, last, atom_cells = kernel.parent, kernel.last, self._atom_cells
-        least = self._least_at_target
+        ranks, last, divide, mul, memo, n = kernel.ranks, kernel.last, kernel.divide, kernel.mul, kernel._mul, kernel.n_atoms
+        tails = self._tails
+        g_rank = ranks[last[g]]  # an identity g reads an arbitrary rank; divide then refuses
         quotients: dict[int, int] = {}  # p -> g/p or -1
-        for (w, cell), m in items:
-            if not cell.atoms:
-                m *= mult
-                f = product(g, w)
-                while f >= n_objects:
-                    key = (parent[f], atom_cells[last[f]])
-                    new = acc.get(key, 0) + m
-                    if new:
-                        acc[key] = new
-                    else:
-                        del acc[key]
-                    f = parent[f]
-                continue
-            if least[cell.atoms[0]]:
-                continue
-            for p, alpha, x, y in self._lower(w, cell):
-                h = quotients.get(p)
-                if h is None:
-                    h = quotients[p] = divide(g, p)
-                if h >= 0:
-                    self._contract_step(product(h, y), alpha, x, cell, acc, m * mult)
-                    break
+        for m, rows in entries:
+            for p, rank, cell, ys in rows:
+                if rank < g_rank:
+                    if rank >= 0:
+                        continue
+                    h = g
+                else:
+                    h = quotients.get(p)
+                    if h is None:
+                        h = quotients[p] = divide(g, p)
+                    if h < 0:
+                        continue
+                tail = tails.get(cell)
+                if tail is None:
+                    tail = self._tail(cell)
+                for b in ys:
+                    h = memo.get(h * n + b) or mul(h, b)
+                step = m * mult
+                key = (h, cell)
+                new = acc.get(key, 0) + step
+                if new:
+                    acc[key] = new
+                else:
+                    del acc[key]
+                if tail:
+                    self._contract(h, tail, acc, -step)
+                break
 
     def check_boundary_squared(self) -> None:
         """Raise if the composite of two differentials is nonzero anywhere."""

@@ -1,4 +1,5 @@
-"""Independent oracle for Artin rows: the De Concini–Salvetti complex.
+"""Independent oracles: the De Concini–Salvetti complex for Artin rows, and
+Fox calculus for the rank-two rows of the complex braid groups.
 
 For a spherical Artin group on the generators S the complex has one cell
 e_G per subset G of S, of dimension |G|, and
@@ -18,11 +19,29 @@ Coxeter matrix and the invariant factors (through homology_at) are shared.
 
 References: Salvetti, Math. Res. Lett. 1 (1994); De Concini and Salvetti,
 "Cohomology of Artin groups", Math. Res. Lett. 3 (1996).
+
+`fox_homology` reads only a presentation of tests/rewriting.py.  H_0 and
+H_1 of a group depend only on the 2-skeleton of a K(pi, 1), so the
+presentation complex (one 0-cell, a 1-cell per generator, a 2-cell per
+relation) gives them: d_1 has the entries x - 1, and a relation U = V
+the column of Fox derivatives, sum over i with U_i = a of x^i minus the
+same over V, every generator acting by x (t for Laurent, -1 for sign, +1
+for trivial coefficients).  The complex braid groups there have
+cohomological dimension at most 2 (Bessis), so H_2 is free and every
+higher degree 0; the rank of H_2 follows from the Euler characteristic,
+the sum of (-1)^|X| over the sets X of generators with a common multiple
+(the Charney–Meier–Whittlesey and Squier complex), found by rewriting.
+
+References: Fox, "Free differential calculus I", Ann. of Math. 57 (1953);
+Bessis, "Finite complex reflection arrangements are K(pi,1)", Ann. of
+Math. 181 (2015); Charney, Meier and Whittlesey, Geom. Dedicata 105
+(2004); Squier, Math. Scand. 75 (1994).
 """
 
 import itertools
 
-from garside_homology.linalg import ScalarMatrix, homology_at
+import rewriting
+from garside_homology.linalg import HomologyGroup, ScalarMatrix, homology_at
 
 # arm lengths from the branch node -> degrees
 E_DEGREES = {
@@ -160,3 +179,55 @@ def salvetti_homology(coxeter, system):
         homology_at(mats[k + 1] if k < n else None, mats[k], len(cells[k]), domain)
         for k in range(n + 1)
     ]
+
+
+def _scalar(terms, system, domain):
+    """sum of m * x^e over the exponent -> integer map terms, at x = t,
+    -1 or +1."""
+    if system.kind == "laurent":
+        return domain.from_exponents(terms)
+    if system.kind == "sign":
+        return sum(m * (-1) ** e for e, m in terms.items())
+    return sum(terms.values())
+
+
+def _has_common_multiple(name, atoms, max_len=6):
+    """Whether the generators have a common left-multiple of length at
+    most max_len, folding their least ones in order."""
+    multiple = (atoms[0],)
+    for b in atoms[1:]:
+        found = rewriting.common_left_multiples(name, multiple, (b,), max_len)
+        if not found:
+            return False
+        multiple = min(found, key=len)
+    return True
+
+
+def fox_homology(name, system):
+    """HomologyGroups H_0, H_1, H_2 of the group of a presentation in
+    tests/rewriting.py of cohomological dimension at most 2, with
+    coefficients in the CoefficientSystem."""
+    gens, relations = rewriting.PRESENTATIONS[name]
+    domain = system.domain()
+    d1 = ScalarMatrix.zero(1, len(gens), domain)
+    for col in range(len(gens)):
+        d1.entries[0][col] = _scalar({1: 1, 0: -1}, system, domain)
+    d2 = ScalarMatrix.zero(len(gens), len(relations), domain)
+    for col, relation in enumerate(relations):
+        lhs, rhs = relation.split("=")
+        for row, a in enumerate(gens):
+            terms = {}
+            for sign, side in ((1, lhs), (-1, rhs)):
+                for i, letter in enumerate(side):
+                    if letter == a:
+                        terms[i] = terms.get(i, 0) + sign
+            d2.entries[row][col] = _scalar(terms, system, domain)
+    h0 = homology_at(d1, None, 1, domain)
+    h1 = homology_at(d2, d1, len(gens), domain)
+    chi = sum(
+        (-1) ** k
+        for k in range(len(gens) + 1)
+        for subset in itertools.combinations(gens, k)
+        if not subset or _has_common_multiple(name, subset)
+    )
+    return [h0, h1, HomologyGroup(chi - h0.free_rank + h1.free_rank, [], domain)]

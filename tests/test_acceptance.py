@@ -30,6 +30,8 @@ from garside_homology.homology import compute_homology
 from garside_homology.resolution import OrderResolution, optimize_ordering, two_cell_bounds
 from garside_homology.rings import PrimeField, Rationals, poly_from_ints, poly_mul
 
+import oracles
+import rewriting
 import test_gaussian
 import test_linalg
 import test_resolution
@@ -138,6 +140,17 @@ INTEGRAL_ROWS = {
     "B3": [(1, []), (2, []), (2, []), (1, [])],
     "F4": [(1, []), (2, []), (2, []), (2, []), (1, [])],
 }
+
+
+def test_integral_rows_agree_with_fox_calculus():
+    # the rank-two rows above against an oracle that reads only the
+    # presentations in tests/rewriting.py (oracles.fox_homology)
+    names = sorted(set(INTEGRAL_ROWS) & set(rewriting.PRESENTATIONS))
+    assert names == ["A2", "G12", "G13", "G15", "G22", "G7"]
+    for name in names:
+        fox = [(g.free_rank, list(g.torsion)) for g in oracles.fox_homology(name, make_system("trivial"))]
+        expected = INTEGRAL_ROWS[name]
+        assert expected[:3] == fox and all(g == (0, []) for g in expected[3:]), name
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRAL_ROWS))

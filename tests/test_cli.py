@@ -271,6 +271,25 @@ def test_escaping_recursion_error_exits_4(monkeypatch):
     assert "recursion" in err
 
 
+def test_recursion_too_deep_for_a_structure_exits_4():
+    # nothing patched: the H4 run nests deeper than 40 frames below the
+    # caller (enumeration's lcm folds, then the contraction steps), and
+    # main reports the RecursionError as one line and exits 4
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        code, out, err = run_cli(["homology", "--structure", "builtin:artin:H4"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (4, "")
+    assert err == "internal error: recursion too deep for this structure\n"
+
+
 A3_TRIVIAL = "# artin:A3, coefficients Z (trivial action)\nH_0 = Z\nH_1 = Z\nH_2 = Z_2\nH_3 = 0\n"
 
 

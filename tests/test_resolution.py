@@ -281,15 +281,28 @@ def least_over(res, f, cell):
     raise AssertionError(f"no atom divides {f}*lcm({cell})")
 
 
+def prepared(res, cell):
+    """The boundary of a cell of dimension >= 2 as the engine's contraction
+    reads it: (multiplicity, rows of _lower) per term, leaving out the
+    terms whose cell starts with the least atom at its target."""
+    least = res.kernel.candidates[res.cell_target(cell)][0]
+    return tuple((m, res._lower(w, c)) for (w, c), m in res._differential(cell).items() if c.atoms[0] != least)
+
+
 def reduce_elem(res, f, cell):
     """The engine's reduction of the elementary chain f[cell]: the class of
     f's source on a zero cell, otherwise its contraction of f times the
-    boundary of the cell."""
+    boundary of the cell.  The engine telescopes zero cells only inside
+    the boundary of a 2-cell, so on a 1-cell this is the reference's
+    telescoping (which test_reductions_match_the_reference_contraction
+    holds the engine's to)."""
     if not cell.atoms:
         src = res.kernel.src[f]
         return {(src, Cell((), src)): 1}
+    if cell.dim == 1:
+        return contracting_chain(res, res._act(f, res._differential(cell)))
     acc = {}
-    res._act_contract(f, res._differential(cell).items(), acc, 1)
+    res._contract(f, prepared(res, cell), acc, 1)
     return acc
 
 
@@ -561,11 +574,13 @@ def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
     # forming g*w when no p of _lower(w, C) right-divides g; that must
     # happen exactly when g*w[C] is irreducible, decided by least_over.
     # Otherwise the first p that does, g = h*p, gives the least divisor
-    # and the quotient by its complement as least_over does
+    # and the quotient by its complement as least_over does.  A row whose
+    # p has a last atom ranking below g's, which the contraction skips
+    # without dividing, must be one that p does not divide
     struct = LOWER_STRUCTS[name]()  # cold kernels, so every example draws alike
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
     res = build_complex(struct, ordering)
-    kernel = res.kernel
+    kernel, ranks = res.kernel, res.ordering.ranks
     by_target: dict[int, list[int]] = {x: [x] for x in range(kernel.n_objects)}
     for node in range(kernel.n_objects, len(kernel.last)):
         by_target[kernel.target(node)].append(node)
@@ -581,11 +596,19 @@ def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
     for w, cell in terms:
         for g in rng.sample(by_target[kernel.src[w]], min(4, len(by_target[kernel.src[w]]))):
             gw = kernel.product(g, w)
-            hits = [(kernel.divide(g, p), alpha, x, y) for p, alpha, x, y in res._lower(w, cell)]
-            hits = [(alpha, x, kernel.product(h, y)) for h, alpha, x, y in hits if h >= 0]
+            hits = []
+            for p, rank, new_cell, ys in res._lower(w, cell):
+                assert rank == (ranks[kernel.last[p]] if p >= kernel.n_objects else -1)
+                h = kernel.divide(g, p)
+                if 0 <= rank < ranks[kernel.last[g]]:
+                    assert h < 0, (name, w, cell, g, p)
+                if h >= 0:
+                    hits.append((new_cell, kernel.product(h, kernel.intern(Word(kernel.src[p], ys)))))
             assert (not hits) == irreducible(res, gw, cell), (name, w, cell, g)
             if hits:
-                assert hits[0] == least_over(res, gw, cell), (name, w, cell, g)
+                # only the first hit is a step, so only its [alpha, C] must be a cell
+                alpha, x, quotient = least_over(res, gw, cell)
+                assert hits[0] == (Cell((alpha,) + cell.atoms, kernel.src[x]), quotient), (name, w, cell, g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -612,21 +635,21 @@ def test_reductions_match_the_reference_contraction(name, data):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(LOWER_STRUCTS)), st.data())
 def test_contraction_adds_into_the_given_chain(name, data):
-    # _act_contract(g, items, acc, m) adds m times the contraction of g
+    # _contract(g, entries, acc, m) adds m times the contraction of g
     # times a chain to acc in place: acc ends as a copy of it plus m times
     # the contraction into {}, and entries that cancel are deleted.  The
-    # chain is a drawn boundary, so zero cells (below a 1-cell) and the
-    # recursion's steps are both met
+    # chain is a drawn boundary of dimension >= 2 (zero cells telescope
+    # only inside _differential), so the recursion's steps are met
     struct = LOWER_STRUCTS[name]()
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
     res = build_complex(struct, ordering)
     kernel = res.kernel
-    cell = data.draw(st.sampled_from([cell for layer in res.cells[1:] for cell in layer]))
+    cell = data.draw(st.sampled_from([cell for layer in res.cells[2:] for cell in layer]))
     g = data.draw(st.sampled_from([node for node in range(len(kernel.last)) if kernel.target(node) == cell.src]))
     m = data.draw(st.sampled_from([1, -1, 2, -3]))
-    items = list(res._differential(cell).items())
+    entries = prepared(res, cell)
     fresh = {}
-    res._act_contract(g, items, fresh, 1)
+    res._contract(g, entries, fresh, 1)
     # the start cancels some terms of m times the contraction, shifts
     # others, and holds one term the contraction cannot reach
     acc = {(kernel.src[g], Cell((), kernel.src[g])): 7}
@@ -635,15 +658,65 @@ def test_contraction_adds_into_the_given_chain(name, data):
         if start:
             acc[key] = start
     expected = chain_iadd(dict(acc), fresh, m)
-    res._act_contract(g, items, acc, m)
+    res._contract(g, entries, acc, m)
     assert acc == expected, (name, cell, g, m)
     assert all(acc.values()), (name, cell, g, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(LOWER_STRUCTS)), st.data())
+def test_prepared_tails_match_their_definition(name, data):
+    # a cell's tail, built on the first step onto it, is (multiplicity,
+    # _lower rows) per term of its boundary after the leading one, minus
+    # the terms whose cell starts with the least atom at its target.  The
+    # top enumerated degree is terminal: nothing steps onto its cells, so
+    # none of them has a tail
+    struct = LOWER_STRUCTS[name]()
+    ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
+    res = build_complex(struct, ordering)
+    # each boundary of dimension >= 3 walks its rest's tail
+    assert {cell.atoms[1:] for layer in res.cells[3:] for cell in layer} <= {cell.atoms for cell in res._tails}
+    for cell, tail in res._tails.items():
+        assert 2 <= cell.dim < len(res.cells) - 1, (name, cell)
+        assert tail == prepared(res, cell)[1:], (name, cell)
+
+
+def test_contraction_divides_by_an_identity_p():
+    # a row of _lower whose p is an identity (alpha already divides w*L)
+    # divides every g, so the contraction must never skip it, whatever
+    # rank g's last atom has.  The boundary of a cell of dimension >= 3
+    # meets such rows in the leading term of its rest's boundary.  Under
+    # the reversed ordering ranks[-1], the rank an identity's last atom
+    # (-1) would read, is the lowest, so every g taken here ranks above it
+    checked = 0
+    for struct in [artin_named("A3"), artin_named("H3"), dual_typeA_structure(3)]:
+        n = struct.n_atoms
+        res = build_complex(struct, AtomOrdering.from_sequence(range(n)[::-1]))
+        kernel, ranks = res.kernel, res.ordering.ranks
+        for (w, cell), rows in list(res._lower_cache.items()):
+            identity_row = next((row for row in rows if row[0] < kernel.n_objects), None)
+            if identity_row is None:
+                continue
+            for g in range(kernel.n_objects, min(len(kernel.last), 300)):
+                if kernel.target(g) != kernel.src[w] or ranks[kernel.last[g]] <= ranks[n - 1]:
+                    continue
+                # g*w[cell] contracts through the identity row when its alpha is least
+                gw = kernel.product(g, w)
+                if least_over(res, gw, cell)[0] != identity_row[2].atoms[0]:
+                    continue
+                acc = {}
+                res._contract(g, ((1, rows),), acc, 1)
+                assert acc and acc == contracting_chain(res, {(gw, cell): 1}), (w, cell, g)
+                checked += 1
+    assert checked
 
 
 def lower_rows(res, w, cell):
     """The reference for res._lower(w, cell), L the cell's lcm: for each
     atom alpha below the cell's first one, reverse w*L against alpha for p
-    with p*w*L = lcm(alpha, w*L), then y = p*w/x with x*L = lcm(alpha, L)."""
+    with p*w*L = lcm(alpha, w*L), then y = p*w/x with x*L = lcm(alpha, L);
+    the row holds p, the rank of p's last atom (-1 for an identity), the
+    cell [alpha, C] when it is one, and y spelled."""
     kernel = res.kernel
     lcm = res._cell_lcm(cell)
     wl = kernel.product(w, lcm)
@@ -654,7 +727,11 @@ def lower_rows(res, w, cell):
         p = kernel.lcm(wl, alpha)
         if p >= 0:
             x = kernel.lcm(lcm, alpha)
-            rows.append((p, alpha, x, kernel.divide(kernel.product(p, w), x)))
+            y = kernel.divide(kernel.product(p, w), x)
+            atoms = (alpha,) + cell.atoms
+            new_cell = res.make_cell(atoms) if is_cell(res, atoms) else None
+            rank = res.ordering.rank(kernel.word(p).atoms[-1]) if p >= kernel.n_objects else -1
+            rows.append((p, rank, new_cell, kernel.word(y).atoms))
     return tuple(rows)
 
 
@@ -924,21 +1001,41 @@ def test_orderings_on_one_structure_keep_their_own_ids():
         assert first != then
 
 
+def stack_depth():
+    depth = 0
+    frame = sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
 def test_e8_cells_enumerate_within_depth_bound():
     # enumeration reverses lcms of atom sets, each a divisor of E8's Delta
     # (120 atoms), nesting once per atom at most; it takes about 115
     # frames under the optimized ordering, so 160 leave room to spare
     struct = artin_named("E8")
     ordering = optimize_ordering(struct)
-    depth = 0
-    frame = sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 160)
+    sys.setrecursionlimit(stack_depth() + 160)
     try:
         res = OrderResolution(struct, ordering)
     finally:
         sys.setrecursionlimit(limit)
     assert res.cell_counts() == [math.comb(8, k) for k in range(9)]
+
+
+def test_h4_complex_builds_within_depth_bound():
+    # each contraction step is one frame, nested once per step of the
+    # longest chain of steps, with the word kernel's own nesting on top:
+    # the H4 build takes 53 frames under the optimized ordering, so 60
+    # hold it, and two frames per step (67) would not fit
+    struct = artin_named("H4")
+    ordering = optimize_ordering(struct)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 60)
+    try:
+        res = build_complex(struct, ordering)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.cell_counts() == [1, 4, 6, 4, 1]
