@@ -30,26 +30,28 @@ returns nothing, so each term is added once however deep the steps nest.
 Every other chain is a value: never mutate a chain you were given, a
 cached boundary least of all.
 
-The caches are per resolution: cell lcms (as nodes) keyed by atom tuple,
-written only by enumeration, differentials per cell, per term (w, cell)
-the rows of `_lower`, and per cell a contraction has stepped onto its
-prepared tail (`_tail`).  The contracting homotopy acts on a differential
-times a coefficient g, and most of the terms g*w[cell] it meets are
-irreducible and contract to 0: exactly those whose g is a multiple of no
-row's p, where p*w*lcm = lcm(a, w*lcm) for an atom a below the cell's
-first one.  They are dropped, and the others contracted from g/p, without
-building g*w.  A cell whose first atom is the least at its target has no
-atom below it, so its terms never enter a tail.  With x*lcm = lcm(a, lcm)
-the complement, which comes from the word kernel's own memos (they live on
-the structure, one kernel per ordering), p*w is the left-lcm of w and x,
-so a row never forms w*lcm.  A row also holds what a step onto it needs:
-the rank of p's last atom, which refuses most g without a division, the
-cell [a, cell] and the atoms of y = p*w/x.  So each step takes one frame
-and walks rows prepared once per cell.  On a table that is not Gaussian
-that lcm can miss a multiple of the cell's; the row then holds no cell
-(x*lcm does not end in a), and a contraction that steps onto it raises
-ConsistencyError.  Each term of a reduction precedes the term it reduces,
-so the leading term of a boundary survives; where a table breaks that,
+The caches are per resolution.  Enumeration writes two: cell lcms (as nodes)
+keyed by atom tuple, and per cell C below the top dimension the atoms above
+it (`_above`): (a, x, [a, C]) per atom a below C's first one with x*lcm =
+lcm(a, lcm), [a, C] being the enumerated cell or None, so only enumeration
+decides the cell condition.  The others are differentials per cell, and per
+cell a contraction has stepped onto its prepared tail (`_tail`).  The
+contracting homotopy acts on a differential times a coefficient g, and most
+of the terms g*w[cell] it meets are irreducible and contract to 0: exactly
+those whose g is a multiple of no row's p, where p*w*lcm = lcm(a, w*lcm)
+for an atom a above the cell.  They are dropped, and the others contracted
+from g/p, without building g*w.  A cell with no atom above it (its first
+atom least at its target, say) puts no term into a tail.  With x the
+complement enumeration recorded, p*w is the left-lcm of w and x (from the
+word kernel's memos, which live on the structure, one kernel per ordering),
+so a row never forms w*lcm.  A row also holds what a step onto it needs: the
+rank of p's last atom, which refuses most g without a division, the cell
+[a, cell] and the atoms of y = p*w/x.  So each step takes one frame and
+walks rows prepared once per cell.  On a table that is not Gaussian that lcm
+can miss a multiple of the cell's; the row then holds no cell (x*lcm does
+not end in a), and a contraction that steps onto it raises
+ConsistencyError.  Each term of a reduction precedes the term it reduces, so
+the leading term of a boundary survives; where a table breaks that,
 building the boundary raises ConsistencyError too.  No contraction steps
 onto a cell of the top enumerated dimension, so those cells get no tail.
 """
@@ -122,11 +124,13 @@ class OrderResolution:
     deterministic functions of (structure, ordering); a resolution shares
     the word kernel its structure keeps for the ordering, so it must not be
     used from several threads at once.  It caches the lcm of each
-    enumerated cell, differentials per cell (a reduction is read off the
-    differential of the cell it leads), per term the rows that decide
-    whether a multiple of it is reducible and where its contraction steps
-    (`_lower`), and per cell below the top dimension that a contraction
-    steps onto, its boundary's tail as such rows (`_tail`).
+    enumerated cell, per cell below the top dimension the atoms above it
+    and the cells they make (`_above`, both written by enumeration),
+    differentials per cell (a reduction is read off the differential of the
+    cell it leads), and per cell below the top dimension that a contraction
+    steps onto, its boundary's tail as the rows that decide whether a
+    multiple of a term is reducible and where its contraction steps
+    (`_lower`, `_tail`).
     """
 
     def __init__(
@@ -140,15 +144,13 @@ class OrderResolution:
         if len(self.ordering.ranks) != struct.n_atoms:
             raise PreconditionError("ordering does not cover the atoms")
         self.kernel = struct.kernel(self.ordering)
-        # per atom: whether it is the least atom at its target
-        self._least_at_target = [
-            self.kernel.candidates[target][0] == a for a, target in enumerate(struct.atom_target)
-        ]
         # per atom a, the 1-cell [a]; the zero-cell contraction steps onto it
         self._atom_cells = [Cell((a,), src) for a, src in enumerate(struct.atom_source)]
         self._lcms: dict[tuple[int, ...], int] = {}  # cell atoms -> node of the cell lcm
+        # cell C below the top dimension -> (alpha, x, [alpha, C] or None) per atom
+        # alpha below C's first atom with x*lcm(C) = lcm(alpha, lcm(C)), by rank
+        self._above: dict[Cell, tuple[tuple[int, int, Optional[Cell]], ...]] = {}
         self._diff_cache: dict[Cell, Chain] = {}
-        self._lower_cache: dict[tuple[int, Cell], tuple] = {}
         self._tails: dict[Cell, tuple] = {}
         if max_dim is None:
             max_dim = default_max_dim(struct)
@@ -190,6 +192,7 @@ class OrderResolution:
             for cell in dims[-1]:
                 bound = ranks[cell.atoms[0]] if cell.atoms else len(ranks)
                 lcm = self._cell_lcm(cell)
+                above = []
                 for alpha in kernel.candidates[self.cell_target(cell)]:
                     if ranks[alpha] >= bound:
                         break
@@ -198,10 +201,13 @@ class OrderResolution:
                         continue
                     # [alpha, cell] is a cell when alpha is least in x*lcm
                     joined = kernel.product(x, lcm)
+                    new = None
                     if kernel.last[joined] == alpha:
                         new = Cell((alpha,) + cell.atoms, kernel.src[joined])
                         self._lcms[new.atoms] = joined
                         layer.append(new)
+                    above.append((alpha, x, new))
+                self._above[cell] = tuple(above)
             layer.sort(key=lambda c: tuple(ranks[a] for a in c.atoms))
             dims.append(layer)
         return dims
@@ -242,8 +248,8 @@ class OrderResolution:
             raise ConsistencyError("cell lcm is not a multiple of its facet lcm")
         out: Chain = {(u, rest): 1}
         if rest.dim >= 2:
-            # the boundary of rest leads with a term whose cell starts above
-            # rest's first atom, so the least-first filter never drops it
+            # the boundary of rest leads with a term whose cell has rest's
+            # first atom above it, so the tail's filter would not drop it
             w, facet = next(iter(self._differential(rest)))
             self._contract(u, ((1, self._lower(w, facet)),) + self._tail(rest), out, -1)
         elif rest.atoms:
@@ -287,52 +293,37 @@ class OrderResolution:
 
     def _lower(self, w: int, cell: Cell) -> tuple[tuple[int, int, Optional[Cell], tuple[int, ...]], ...]:
         """For a term w[cell] of dimension >= 1, L its cell's lcm: one row
-        (p, rank, new_cell, ys) per atom alpha below the cell's first atom
-        that has a left-lcm with w*L, in increasing order of alpha, where
-        p*w*L is that lcm, x*L = lcm(alpha, L), y*x = p*w, new_cell is
-        [alpha, cell] (None when enumeration did not make it a cell), ys
-        are y's atoms and rank is the rank of p's last atom (-1 when p is an
-        identity).  The first atom divides L, so g*w[cell] is reducible
-        exactly when some p right-divides g (cancel w*L on the right); for
-        the first one, g = h*p, its least divisor is alpha and g*w = h*y*x.
-        Any common multiple of alpha and w*L is one of x*L, so lcm(alpha,
-        w*L) = lcm(x, w)*L, and p*w = y*x = lcm(w, x) gives both p and y
-        without forming w*L.  Cached per term."""
-        key = (w, cell)
-        lower = self._lower_cache.get(key)
-        if lower is None:
-            kernel = self.kernel
-            parent, last, ranks, n_objects = kernel.parent, kernel.last, self.ordering.ranks, kernel.n_objects
-            lcm = self._cell_lcm(cell)
-            first = cell.atoms[0]
-            rows = []
-            for alpha in kernel.candidates[self.cell_target(cell)]:
-                if alpha == first:
-                    break
-                x = kernel.lcm(lcm, alpha)
-                if x < 0:
-                    continue
-                py = kernel.left_lcm(w, x)
-                if py is None:
-                    continue
-                p, y = py
-                atoms = (alpha,) + cell.atoms
-                new_cell = Cell(atoms, kernel.src[x]) if atoms in self._lcms else None
-                ys = []
-                while y >= n_objects:
-                    ys.append(last[y])
-                    y = parent[y]
-                rank = ranks[last[p]] if p >= n_objects else -1
-                rows.append((p, rank, new_cell, tuple(reversed(ys))))
-            lower = tuple(rows)
-            self._lower_cache[key] = lower
-        return lower
+        (p, rank, new_cell, ys) per entry (alpha, x, new_cell) of the cell's
+        `_above` whose x has a left-lcm with w, in increasing order of alpha,
+        where p*w*L = lcm(alpha, w*L), y*x = p*w, ys are y's atoms and rank
+        is the rank of p's last atom (-1 when p is an identity).  The first
+        atom divides L, so g*w[cell] is reducible exactly when some p
+        right-divides g (cancel w*L on the right); for the first one, g =
+        h*p, its least divisor is alpha and g*w = h*y*x.  Any common
+        multiple of alpha and w*L is one of x*L, so lcm(alpha, w*L) =
+        lcm(x, w)*L, and p*w = y*x = lcm(w, x) gives both p and y without
+        forming w*L."""
+        kernel = self.kernel
+        parent, last, ranks, n_objects = kernel.parent, kernel.last, self.ordering.ranks, kernel.n_objects
+        rows = []
+        for _, x, new_cell in self._above[cell]:
+            py = kernel.left_lcm(w, x)
+            if py is None:
+                continue
+            p, y = py
+            ys = []
+            while y >= n_objects:
+                ys.append(last[y])
+                y = parent[y]
+            rank = ranks[last[p]] if p >= n_objects else -1
+            rows.append((p, rank, new_cell, tuple(reversed(ys))))
+        return tuple(rows)
 
     def _tail(self, cell: Optional[Cell]) -> tuple[tuple[int, tuple], ...]:
         """The prepared tail of a cell of dimension >= 2 that a contraction
         steps onto: (multiplicity, rows of `_lower`) per term of its
         boundary after the leading one, leaving out the terms whose cell
-        starts with the least atom at its target (irreducible whatever
+        has no atom above it (no entry in `_above`: irreducible whatever
         multiplies them).  Built on the first step onto the cell.  A step
         onto a tuple that enumeration did not make a cell raises
         ConsistencyError."""
@@ -340,9 +331,9 @@ class OrderResolution:
         if tail is None:
             if cell is None:
                 raise ConsistencyError("an lcm over a term is not a multiple of the cell's")
-            least, lower = self._least_at_target, self._lower
+            above, lower = self._above, self._lower
             terms = itertools.islice(self._differential(cell).items(), 1, None)
-            tail = self._tails[cell] = tuple((m, lower(w, c)) for (w, c), m in terms if not least[c.atoms[0]])
+            tail = self._tails[cell] = tuple((m, lower(w, c)) for (w, c), m in terms if above[c])
         return tail
 
     def _contract(self, g: int, entries: tuple, acc: Chain, mult: int) -> None:

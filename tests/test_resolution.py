@@ -284,9 +284,25 @@ def least_over(res, f, cell):
 def prepared(res, cell):
     """The boundary of a cell of dimension >= 2 as the engine's contraction
     reads it: (multiplicity, rows of _lower) per term, leaving out the
-    terms whose cell starts with the least atom at its target."""
-    least = res.kernel.candidates[res.cell_target(cell)][0]
-    return tuple((m, res._lower(w, c)) for (w, c), m in res._differential(cell).items() if c.atoms[0] != least)
+    terms whose cell has no atom above it (an empty _above)."""
+    return tuple((m, res._lower(w, c)) for (w, c), m in res._differential(cell).items() if res._above[c])
+
+
+def walked_rows(res):
+    """The rows of _lower that building the complex walked, per term (w, C):
+    those held in the tails, and for each rest of a cell of dimension >= 3
+    the rows of its boundary's leading term, which _differential reads
+    without a tail."""
+    rows = {}
+    for cell, tail in res._tails.items():
+        terms = [term for term in itertools.islice(res._differential(cell), 1, None) if res._above[term[1]]]
+        assert len(terms) == len(tail), cell
+        rows.update((term, term_rows) for term, (_, term_rows) in zip(terms, tail))
+    for layer in res.cells[3:]:
+        for cell in layer:
+            w, facet = next(iter(res._differential(res._rest_cell(cell))))
+            rows[(w, facet)] = res._lower(w, facet)
+    return rows
 
 
 def reduce_elem(res, f, cell):
@@ -693,7 +709,7 @@ def test_contraction_divides_by_an_identity_p():
         n = struct.n_atoms
         res = build_complex(struct, AtomOrdering.from_sequence(range(n)[::-1]))
         kernel, ranks = res.kernel, res.ordering.ranks
-        for (w, cell), rows in list(res._lower_cache.items()):
+        for (w, cell), rows in walked_rows(res).items():
             identity_row = next((row for row in rows if row[0] < kernel.n_objects), None)
             if identity_row is None:
                 continue
@@ -739,16 +755,52 @@ def lower_rows(res, w, cell):
 @given(st.sampled_from(sorted(LOWER_STRUCTS)), st.data())
 def test_lower_rows_match_the_reference(name, data):
     # _lower reads each row off the left-lcm of w and x and never forms
-    # w*L: every row that build_complex cached must be the one reversing
-    # w*L against alpha gives, and no cell of a cached term starts with
+    # w*L: every row that build_complex walked must be the one reversing
+    # w*L against alpha gives, and no cell of a walked term starts with
     # the least atom at its target (such terms are never reducible)
     struct = LOWER_STRUCTS[name]()
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
     res = build_complex(struct, ordering)
-    cached = dict(res._lower_cache)
-    for (w, cell), rows in cached.items():
+    walked = walked_rows(res)
+    assert walked or not any(res.cells[3:]), name
+    for (w, cell), rows in walked.items():
         assert rows == lower_rows(res, w, cell), (name, w, cell)
         assert res.kernel.candidates[res.cell_target(cell)][0] != cell.atoms[0], (name, w, cell)
+
+
+def cells_above(res, cell):
+    """The reference for res._above[cell], L the cell's lcm: for each atom
+    alpha at the cell's target ranking below its first atom (every atom
+    there, for a zero cell), in increasing rank, with x*L = lcm(alpha, L)
+    when that lcm exists: alpha, x and the cell [alpha, C] when the cell
+    condition holds, else None."""
+    kernel, ranks, struct = res.kernel, res.ordering.ranks, res.struct
+    target, bound = res.cell_target(cell), ranks[cell.atoms[0]] if cell.atoms else len(ranks)
+    lcm = res._cell_lcm(cell)
+    above = []
+    for alpha in sorted(range(struct.n_atoms), key=ranks.__getitem__):
+        if struct.atom_target[alpha] != target or ranks[alpha] >= bound:
+            continue
+        x = kernel.lcm(lcm, alpha)
+        if x >= 0:
+            atoms = (alpha,) + cell.atoms
+            above.append((alpha, x, res.make_cell(atoms) if is_cell(res, atoms) else None))
+    return tuple(above)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(LOWER_STRUCTS)), st.data())
+def test_cells_above_match_their_definition(name, data):
+    # enumeration decides once, per cell C below the top dimension, which
+    # atoms alpha below C's first one have an lcm over C and whether
+    # [alpha, C] is a cell; _lower and _tail only read that record
+    struct = LOWER_STRUCTS[name]()
+    ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
+    res = OrderResolution(struct, ordering)
+    below_top = [cell for layer in res.cells[:-1] for cell in layer]
+    assert sorted(res._above) == sorted(below_top), name
+    for cell in below_top:
+        assert res._above[cell] == cells_above(res, cell), (name, cell)
 
 
 def test_term_lcm_off_the_cell_lcm_is_refused():
@@ -770,8 +822,8 @@ def test_e6_complex_work_bound():
     res = build_complex(struct, optimize_ordering(struct))
     assert len(res.kernel.last) <= 10_500
     # terms whose cell starts with the least atom at its target, the only
-    # ones with no rows on E6, never reach the row cache
-    assert () not in res._lower_cache.values()
+    # ones with no rows on E6, are never walked
+    assert all(walked_rows(res).values())
 
 
 def test_e7_complex_work_bound():
