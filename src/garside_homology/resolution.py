@@ -17,43 +17,45 @@ Chains are plain dicts mapping (coefficient, cell) to a nonzero integer, with
 coefficients kept canonical so that collecting terms is exact.  Inside the
 recursion a coefficient is a node of the ordering's word kernel (see
 gaussian.py): an int id that is the morphism itself, since the kernel
-interns canonical words only.  The least divisor of a node is its last atom,
-so the degree-0 contraction, which only the boundary of a 2-cell needs,
-just walks up the trie.  Every method of `OrderResolution`, `differential`
-included, takes and returns node-keyed chains, and specialization reads
-them as they are: a node's length is kept in the kernel.  Only
-`OrderResolution.boundaries`, a view for readers outside the computation,
-spells the chains out with `Word` coefficients.  A boundary is built in one
-accumulator: `_contract(g, entries, acc, mult)` adds mult times its terms
-straight into the caller's chain acc, deleting entries that cancel, and
-returns nothing, so each term is added once however deep the steps nest.
-Every other chain is a value: never mutate a chain you were given, a
-cached boundary least of all.
+interns canonical words only.  Every method of `OrderResolution`,
+`differential` included, takes and returns node-keyed chains, and
+specialization reads them as they are: a node's length is kept in the
+kernel.  Only `OrderResolution.boundaries`, a view for readers outside the
+computation, spells the chains out with `Word` coefficients.  A boundary
+is built in one accumulator: `_contract(g, entries, acc, mult)` adds mult
+times its terms straight into the caller's chain acc, deleting entries
+that cancel, and returns nothing, so each term is added once however deep
+the steps nest.  The steps run off an explicit work stack, not the call
+stack: a zero-cell term telescopes down its word one atom per step, so a
+chain of steps can be as long as a word.  Every other chain is a value:
+never mutate a chain you were given, a cached boundary least of all.
 
 The caches are per resolution.  Enumeration writes two: cell lcms (as nodes)
 keyed by atom tuple, and per cell C below the top dimension the atoms above
-it (`_above`): (a, x, [a, C]) per atom a below C's first one with x*lcm =
-lcm(a, lcm), [a, C] being the enumerated cell or None, so only enumeration
-decides the cell condition.  The others are differentials per cell, and per
-cell a contraction has stepped onto its prepared tail (`_tail`).  The
-contracting homotopy acts on a differential times a coefficient g, and most
-of the terms g*w[cell] it meets are irreducible and contract to 0: exactly
-those whose g is a multiple of no row's p, where p*w*lcm = lcm(a, w*lcm)
-for an atom a above the cell.  They are dropped, and the others contracted
-from g/p, without building g*w.  A cell with no atom above it (its first
-atom least at its target, say) puts no term into a tail.  With x the
-complement enumeration recorded, p*w is the left-lcm of w and x (from the
-word kernel's memos, which live on the structure, one kernel per ordering),
-so a row never forms w*lcm.  A row also holds what a step onto it needs: the
-rank of p's last atom, which refuses most g without a division, the cell
-[a, cell] and the atoms of y = p*w/x.  So each step takes one frame and
-walks rows prepared once per cell.  On a table that is not Gaussian that lcm
-can miss a multiple of the cell's; the row then holds no cell (x*lcm does
-not end in a), and a contraction that steps onto it raises
-ConsistencyError.  Each term of a reduction precedes the term it reduces, so
-the leading term of a boundary survives; where a table breaks that,
-building the boundary raises ConsistencyError too.  No contraction steps
-onto a cell of the top enumerated dimension, so those cells get no tail.
+it (`_above`): (a, x, [a, C]) per atom a below C's first one (every atom at
+a zero cell's object, with x = a) with x*lcm = lcm(a, lcm), [a, C] being
+the enumerated cell or None, so only enumeration decides the cell
+condition.  The others are differentials per cell, and per cell a
+contraction has stepped onto its prepared tail (`_tail`).  The contracting
+homotopy acts on a differential times a coefficient g, in every degree
+alike (a 2-cell's zero-cell terms included), and most of the terms
+g*w[cell] it meets are irreducible and contract to 0: exactly those whose
+g is a multiple of no row's p, where p*w*lcm = lcm(a, w*lcm) for an atom a
+above the cell.  They are dropped, and the others contracted from g/p,
+without building g*w.  A term whose cell has an empty `_above` puts
+nothing into a tail.  With x the complement enumeration recorded, p*w is
+the left-lcm of w and x (from the word kernel's memos, which live on the
+structure, one kernel per ordering), so a row never forms w*lcm.  A row
+also holds what a step onto it needs: the rank of p's last atom, which
+refuses most g without a division, the cell [a, cell] and the atoms of y =
+p*w/x.  So each step pushes one item onto the work stack and walks rows
+prepared once per cell.  On a table that is not Gaussian that lcm can miss
+a multiple of the cell's; the row then holds no cell (x*lcm does not end
+in a), and a contraction that steps onto it raises ConsistencyError.  Each
+term of a reduction precedes the term it reduces, so the leading term of a
+boundary survives; where a table breaks that, building the boundary raises
+ConsistencyError too.  No contraction steps onto a cell of the top
+enumerated dimension, so those cells get no tail.
 """
 
 from __future__ import annotations
@@ -144,8 +146,6 @@ class OrderResolution:
         if len(self.ordering.ranks) != struct.n_atoms:
             raise PreconditionError("ordering does not cover the atoms")
         self.kernel = struct.kernel(self.ordering)
-        # per atom a, the 1-cell [a]; the zero-cell contraction steps onto it
-        self._atom_cells = [Cell((a,), src) for a, src in enumerate(struct.atom_source)]
         self._lcms: dict[tuple[int, ...], int] = {}  # cell atoms -> node of the cell lcm
         # cell C below the top dimension -> (alpha, x, [alpha, C] or None) per atom
         # alpha below C's first atom with x*lcm(C) = lcm(alpha, lcm(C)), by rank
@@ -247,25 +247,11 @@ class OrderResolution:
         if u < 0:
             raise ConsistencyError("cell lcm is not a multiple of its facet lcm")
         out: Chain = {(u, rest): 1}
-        if rest.dim >= 2:
+        if rest.atoms:
             # the boundary of rest leads with a term whose cell has rest's
             # first atom above it, so the tail's filter would not drop it
             w, facet = next(iter(self._differential(rest)))
             self._contract(u, ((1, self._lower(w, facet)),) + self._tail(rest), out, -1)
-        elif rest.atoms:
-            # the boundary of a 1-cell is on zero cells, where u*w telescopes
-            # down its canonical decomposition: the last atoms up the trie
-            parent, last, atom_cells = kernel.parent, kernel.last, self._atom_cells
-            for (w, _), m in self._differential(rest).items():
-                f = kernel.product(u, w)
-                while f >= kernel.n_objects:
-                    key = (parent[f], atom_cells[last[f]])
-                    new = out.get(key, 0) - m
-                    if new:
-                        out[key] = new
-                    else:
-                        del out[key]
-                    f = parent[f]
         else:
             src = kernel.src[u]
             out[(src, self.zero_cell(src))] = -1
@@ -292,14 +278,16 @@ class OrderResolution:
         return acc
 
     def _lower(self, w: int, cell: Cell) -> tuple[tuple[int, int, Optional[Cell], tuple[int, ...]], ...]:
-        """For a term w[cell] of dimension >= 1, L its cell's lcm: one row
-        (p, rank, new_cell, ys) per entry (alpha, x, new_cell) of the cell's
-        `_above` whose x has a left-lcm with w, in increasing order of alpha,
-        where p*w*L = lcm(alpha, w*L), y*x = p*w, ys are y's atoms and rank
-        is the rank of p's last atom (-1 when p is an identity).  The first
+        """For a term w[cell], L its cell's lcm: one row (p, rank,
+        new_cell, ys) per entry (alpha, x, new_cell) of the cell's `_above`
+        whose x has a left-lcm with w, in increasing order of alpha, where
+        p*w*L = lcm(alpha, w*L), y*x = p*w, ys are y's atoms and rank is
+        the rank of p's last atom (-1 when p is an identity).  The first
         atom divides L, so g*w[cell] is reducible exactly when some p
         right-divides g (cancel w*L on the right); for the first one, g =
-        h*p, its least divisor is alpha and g*w = h*y*x.  Any common
+        h*p, its least divisor is alpha and g*w = h*y*x.  For a zero cell L
+        is the identity and x = alpha, one row per atom at its object, so
+        some p divides g exactly when g*w is not an identity.  Any common
         multiple of alpha and w*L is one of x*L, so lcm(alpha, w*L) =
         lcm(x, w)*L, and p*w = y*x = lcm(w, x) gives both p and y without
         forming w*L."""
@@ -320,7 +308,7 @@ class OrderResolution:
         return tuple(rows)
 
     def _tail(self, cell: Optional[Cell]) -> tuple[tuple[int, tuple], ...]:
-        """The prepared tail of a cell of dimension >= 2 that a contraction
+        """The prepared tail of a cell of dimension >= 1 that a contraction
         steps onto: (multiplicity, rows of `_lower`) per term of its
         boundary after the leading one, leaving out the terms whose cell
         has no atom above it (no entry in `_above`: irreducible whatever
@@ -345,40 +333,46 @@ class OrderResolution:
         the first p that does, the term is (h*y*x)[C], alpha its least
         divisor: it contracts to (h*y)[alpha, C] plus the contraction of
         h*y times the reduction of x[C], which is x[C] minus the boundary
-        of [alpha, C]: that cell's tail, negated.  So each step is one
-        frame, and a step onto a cell with an empty tail takes none."""
+        of [alpha, C]: that cell's tail, negated.  Each (g, entries, mult)
+        is one item of a work stack, and a step pushes (h*y, that tail,
+        -step) rather than recursing, so the steps take no frames however
+        long their chain; a step onto a cell with an empty tail pushes
+        nothing."""
         kernel = self.kernel
         ranks, last, divide, mul, memo, n = kernel.ranks, kernel.last, kernel.divide, kernel.mul, kernel._mul, kernel.n_atoms
         tails = self._tails
-        g_rank = ranks[last[g]]  # an identity g reads an arbitrary rank; divide then refuses
-        quotients: dict[int, int] = {}  # p -> g/p or -1
-        for m, rows in entries:
-            for p, rank, cell, ys in rows:
-                if rank < g_rank:
-                    if rank >= 0:
-                        continue
-                    h = g
-                else:
-                    h = quotients.get(p)
-                    if h is None:
-                        h = quotients[p] = divide(g, p)
-                    if h < 0:
-                        continue
-                tail = tails.get(cell)
-                if tail is None:
-                    tail = self._tail(cell)
-                for b in ys:
-                    h = memo.get(h * n + b) or mul(h, b)
-                step = m * mult
-                key = (h, cell)
-                new = acc.get(key, 0) + step
-                if new:
-                    acc[key] = new
-                else:
-                    del acc[key]
-                if tail:
-                    self._contract(h, tail, acc, -step)
-                break
+        todo = [(g, entries, mult)]
+        while todo:
+            g, entries, mult = todo.pop()
+            g_rank = ranks[last[g]]  # an identity g reads an arbitrary rank; divide then refuses
+            quotients: dict[int, int] = {}  # p -> g/p or -1
+            for m, rows in entries:
+                for p, rank, cell, ys in rows:
+                    if rank < g_rank:
+                        if rank >= 0:
+                            continue
+                        h = g
+                    else:
+                        h = quotients.get(p)
+                        if h is None:
+                            h = quotients[p] = divide(g, p)
+                        if h < 0:
+                            continue
+                    tail = tails.get(cell)
+                    if tail is None:
+                        tail = self._tail(cell)
+                    for b in ys:
+                        h = memo.get(h * n + b) or mul(h, b)
+                    step = m * mult
+                    key = (h, cell)
+                    new = acc.get(key, 0) + step
+                    if new:
+                        acc[key] = new
+                    else:
+                        del acc[key]
+                    if tail:
+                        todo.append((h, tail, -step))
+                    break
 
     def check_boundary_squared(self) -> None:
         """Raise if the composite of two differentials is nonzero anywhere."""

@@ -6,10 +6,13 @@ replaced by each word over the atoms of length min_len..max_len other than
 itself.  The order is fixed: lcm rows as serialized, the left complement
 before the right, shorter words first, words in atom order; nothing is
 drawn at random.  `run_commands(text, directory)` runs `COMMANDS` on one
-table in process, through `cli.main`.
+table in process, through `cli.main`, and `fox_rejects(text, runs)` names
+the homology runs that exited 0 with an H_0 or H_1 other than Fox
+calculus gives on the table's own presentation (tests/oracles.py).
 
 Run as a script, from the root of a checkout, it runs the whole `CAMPAIGN`
-and prints the exit-code counts per builtin and in total:
+and prints the exit-code counts per builtin and in total, and under each
+builtin the exit-0 runs that Fox calculus rejects:
 
     PYTHONPATH=src python tests/mutations.py
 """
@@ -21,8 +24,11 @@ import itertools
 import tempfile
 from pathlib import Path
 
+import oracles
 from garside_homology import builtin_structure, serialize_structure
 from garside_homology.cli import main
+from garside_homology.coefficients import make_system
+from garside_homology.homology import format_group
 
 COMMANDS = (
     ("validate",),
@@ -72,17 +78,54 @@ def run_commands(text, directory):
     return runs
 
 
+def presentation(text):
+    """(generators, relations) of a table with one object and atoms of
+    length 1: its atoms, and u.a = v.b per row `LCM a b COMPL u v`."""
+    lines = [line.split() for line in text.splitlines()]
+    assert sum(fields[:1] == ["OBJECT"] for fields in lines) == 1
+    gens, relations = [], []
+    for fields in lines:
+        if fields[:1] == ["ATOM"]:
+            assert fields[4] == "1", fields
+            gens.append(fields[1])
+        elif fields[:1] == ["LCM"]:
+            a, b, _, u, v = fields[1:]
+            relations.append((_letters(u) + [a], _letters(v) + [b]))
+    return gens, relations
+
+
+def _letters(token):
+    return [] if token == "-" else token.split(".")
+
+
+def fox_rejects(text, runs):
+    """The homology commands of COMMANDS that exited 0 on the table (runs
+    as run_commands gives them) with H_0 or H_1 lines other than Fox
+    calculus gives on the table's presentation."""
+    gens, relations = presentation(text)
+    rejected = []
+    for command, (code, out, _) in zip(COMMANDS, runs):
+        if code or command[0] != "homology":
+            continue
+        system = make_system("laurent" if "laurent" in command else "trivial")
+        fox = oracles.fox_homology(gens, relations, system)
+        if out.splitlines()[1:3] != [f"H_{n} = {format_group(group, system)}" for n, group in enumerate(fox)]:
+            rejected.append(command)
+    return rejected
+
+
 def campaign():
-    """Exit-code counts per builtin of the CAMPAIGN."""
-    counts = {}
+    """Per builtin of the CAMPAIGN, the exit-code counts and the exit-0
+    runs Fox calculus rejects, as (mutated lcm row, command)."""
+    counts, rejected = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for spec, min_len, max_len in CAMPAIGN:
-            counts[spec] = collections.Counter(
-                code
-                for _, text in mutations(spec, max_len, min_len)
-                for code, _, _ in run_commands(text, tmp)
-            )
-    return counts
+            counts[spec], rejected[spec] = collections.Counter(), []
+            for row, text in mutations(spec, max_len, min_len):
+                runs = run_commands(text, tmp)
+                counts[spec].update(code for code, _, _ in runs)
+                rejected[spec] += [(row, " ".join(command)) for command in fox_rejects(text, runs)]
+    return counts, rejected
 
 
 def _summary(counter):
@@ -90,8 +133,11 @@ def _summary(counter):
 
 
 if __name__ == "__main__":
-    counts = campaign()
+    counts, rejected = campaign()
     for spec, counter in counts.items():
-        print(f"{spec}: {sum(counter.values())} runs, {_summary(counter)}")
+        print(f"{spec}: {sum(counter.values())} runs, {_summary(counter)}; Fox calculus rejects {len(rejected[spec])}")
+        for row, command in rejected[spec]:
+            print(f"  {row}: {command}")
     total = sum(counts.values(), collections.Counter())
-    print(f"total: {sum(total.values())} runs, {_summary(total)}")
+    n_rejected = sum(map(len, rejected.values()))
+    print(f"total: {sum(total.values())} runs, {_summary(total)}; Fox calculus rejects {n_rejected}")

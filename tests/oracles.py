@@ -20,13 +20,14 @@ Coxeter matrix and the invariant factors (through homology_at) are shared.
 References: Salvetti, Math. Res. Lett. 1 (1994); De Concini and Salvetti,
 "Cohomology of Artin groups", Math. Res. Lett. 3 (1996).
 
-`fox_homology` reads only a presentation of tests/rewriting.py.  H_0 and
-H_1 of a group depend only on the 2-skeleton of a K(pi, 1), so the
+`fox_homology` reads only a presentation: generators and relations.  H_0
+and H_1 of a group depend only on the 2-skeleton of a K(pi, 1), so the
 presentation complex (one 0-cell, a 1-cell per generator, a 2-cell per
 relation) gives them: d_1 has the entries x - 1, and a relation U = V
 the column of Fox derivatives, sum over i with U_i = a of x^i minus the
 same over V, every generator acting by x (t for Laurent, -1 for sign, +1
-for trivial coefficients).  The complex braid groups there have
+for trivial coefficients).  `rank_two_homology` adds H_2 for the
+presentations of tests/rewriting.py.  The complex braid groups there have
 cohomological dimension at most 2 (Bessis), so H_2 is free and every
 higher degree 0; the rank of H_2 follows from the Euler characteristic,
 the sum of (-1)^|X| over the sets X of generators with a common multiple
@@ -203,31 +204,36 @@ def _has_common_multiple(name, atoms, max_len=6):
     return True
 
 
-def fox_homology(name, system):
-    """HomologyGroups H_0, H_1, H_2 of the group of a presentation in
-    tests/rewriting.py of cohomological dimension at most 2, with
-    coefficients in the CoefficientSystem."""
-    gens, relations = rewriting.PRESENTATIONS[name]
+def fox_homology(gens, relations, system):
+    """HomologyGroups H_0 and H_1 of the group with the generators and the
+    relations (lhs, rhs), each side a sequence of generators, with
+    coefficients in the CoefficientSystem: every generator acts by x."""
     domain = system.domain()
     d1 = ScalarMatrix.zero(1, len(gens), domain)
     for col in range(len(gens)):
         d1.entries[0][col] = _scalar({1: 1, 0: -1}, system, domain)
     d2 = ScalarMatrix.zero(len(gens), len(relations), domain)
     for col, relation in enumerate(relations):
-        lhs, rhs = relation.split("=")
         for row, a in enumerate(gens):
             terms = {}
-            for sign, side in ((1, lhs), (-1, rhs)):
+            for sign, side in zip((1, -1), relation):
                 for i, letter in enumerate(side):
                     if letter == a:
                         terms[i] = terms.get(i, 0) + sign
             d2.entries[row][col] = _scalar(terms, system, domain)
-    h0 = homology_at(d1, None, 1, domain)
-    h1 = homology_at(d2, d1, len(gens), domain)
+    return [homology_at(d1, None, 1, domain), homology_at(d2, d1, len(gens), domain)]
+
+
+def rank_two_homology(name, system):
+    """HomologyGroups H_0, H_1, H_2 of the group of a presentation in
+    tests/rewriting.py of cohomological dimension at most 2, with
+    coefficients in the CoefficientSystem."""
+    gens, relations = rewriting.PRESENTATIONS[name]
+    h0, h1 = fox_homology(gens, [relation.split("=") for relation in relations], system)
     chi = sum(
         (-1) ** k
         for k in range(len(gens) + 1)
         for subset in itertools.combinations(gens, k)
         if not subset or _has_common_multiple(name, subset)
     )
-    return [h0, h1, HomologyGroup(chi - h0.free_rank + h1.free_rank, [], domain)]
+    return [h0, h1, HomologyGroup(chi - h0.free_rank + h1.free_rank, [], system.domain())]

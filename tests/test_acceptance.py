@@ -144,11 +144,11 @@ INTEGRAL_ROWS = {
 
 def test_integral_rows_agree_with_fox_calculus():
     # the rank-two rows above against an oracle that reads only the
-    # presentations in tests/rewriting.py (oracles.fox_homology)
+    # presentations in tests/rewriting.py (oracles.rank_two_homology)
     names = sorted(set(INTEGRAL_ROWS) & set(rewriting.PRESENTATIONS))
     assert names == ["A2", "G12", "G13", "G15", "G22", "G7"]
     for name in names:
-        fox = [(g.free_rank, list(g.torsion)) for g in oracles.fox_homology(name, make_system("trivial"))]
+        fox = [(g.free_rank, list(g.torsion)) for g in oracles.rank_two_homology(name, make_system("trivial"))]
         expected = INTEGRAL_ROWS[name]
         assert expected[:3] == fox and all(g == (0, []) for g in expected[3:]), name
 

@@ -266,10 +266,10 @@ def reduce_chain(res, chain):
 
 
 def least_over(res, f, cell):
-    """(alpha, x, g) for the least atom alpha right-dividing f*lcm(cell) of a
-    cell of dimension >= 1, with x*lcm(cell) = lcm(alpha, lcm(cell)) and
-    g*x = f: the least-divisor search of Dehornoy and Lafont, read off
-    kernel.lcm and kernel.divide."""
+    """(alpha, x, g) for the least atom alpha right-dividing f*lcm(cell),
+    with x*lcm(cell) = lcm(alpha, lcm(cell)) (x = alpha on a zero cell,
+    whose lcm is an identity) and g*x = f: the least-divisor search of
+    Dehornoy and Lafont, read off kernel.lcm and kernel.divide."""
     kernel = res.kernel
     lcm = res._cell_lcm(cell)
     for alpha in kernel.candidates[res.cell_target(cell)]:
@@ -282,7 +282,7 @@ def least_over(res, f, cell):
 
 
 def prepared(res, cell):
-    """The boundary of a cell of dimension >= 2 as the engine's contraction
+    """The boundary of a cell of dimension >= 1 as the engine's contraction
     reads it: (multiplicity, rows of _lower) per term, leaving out the
     terms whose cell has no atom above it (an empty _above)."""
     return tuple((m, res._lower(w, c)) for (w, c), m in res._differential(cell).items() if res._above[c])
@@ -290,7 +290,7 @@ def prepared(res, cell):
 
 def walked_rows(res):
     """The rows of _lower that building the complex walked, per term (w, C):
-    those held in the tails, and for each rest of a cell of dimension >= 3
+    those held in the tails, and for each rest of a cell of dimension >= 2
     the rows of its boundary's leading term, which _differential reads
     without a tail."""
     rows = {}
@@ -298,7 +298,7 @@ def walked_rows(res):
         terms = [term for term in itertools.islice(res._differential(cell), 1, None) if res._above[term[1]]]
         assert len(terms) == len(tail), cell
         rows.update((term, term_rows) for term, (_, term_rows) in zip(terms, tail))
-    for layer in res.cells[3:]:
+    for layer in res.cells[2:]:
         for cell in layer:
             w, facet = next(iter(res._differential(res._rest_cell(cell))))
             rows[(w, facet)] = res._lower(w, facet)
@@ -308,15 +308,10 @@ def walked_rows(res):
 def reduce_elem(res, f, cell):
     """The engine's reduction of the elementary chain f[cell]: the class of
     f's source on a zero cell, otherwise its contraction of f times the
-    boundary of the cell.  The engine telescopes zero cells only inside
-    the boundary of a 2-cell, so on a 1-cell this is the reference's
-    telescoping (which test_reductions_match_the_reference_contraction
-    holds the engine's to)."""
+    boundary of the cell."""
     if not cell.atoms:
         src = res.kernel.src[f]
         return {(src, Cell((), src)): 1}
-    if cell.dim == 1:
-        return contracting_chain(res, res._act(f, res._differential(cell)))
     acc = {}
     res._contract(f, prepared(res, cell), acc, 1)
     return acc
@@ -601,12 +596,14 @@ def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
     for node in range(kernel.n_objects, len(kernel.last)):
         by_target[kernel.target(node)].append(node)
     # the terms of the reductions the recursion met: every boundary of a
-    # cell of dimension >= 2 after its leading term
+    # cell of dimension >= 2 after its leading term, and both zero-cell
+    # terms of each 1-cell's boundary (2-cell boundaries walk its leading
+    # term, and every step onto a 1-cell its tail)
     terms = sorted({
         term
-        for n in range(2, len(res.cells))
+        for n in range(1, len(res.cells))
         for cell in res.cells[n]
-        for term in itertools.islice(res._differential(cell), 1, None)
+        for term in itertools.islice(res._differential(cell), 0 if n == 1 else 1, None)
     })
     assert terms
     for w, cell in terms:
@@ -630,10 +627,11 @@ def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(LOWER_STRUCTS)), st.data())
 def test_reductions_match_the_reference_contraction(name, data):
-    # the engine's one contraction, _act_contract, against the least-divisor
-    # definition: the boundary of every cell c = [a, C] of dimension >= 2
-    # leads with u[C], u*lcm(C) = lcm(c), and the rest of it is minus the
-    # reduction of u[C], the contraction of u times the boundary of C
+    # the engine's contraction against the least-divisor definition, which
+    # telescopes zero-cell terms down the trie: the boundary of every cell
+    # c = [a, C] of dimension >= 2 leads with u[C], u*lcm(C) = lcm(c), and
+    # the rest of it is minus the reduction of u[C], the contraction of u
+    # times the boundary of C
     struct = LOWER_STRUCTS[name]()
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
     res = build_complex(struct, ordering)
@@ -654,13 +652,13 @@ def test_contraction_adds_into_the_given_chain(name, data):
     # _contract(g, entries, acc, m) adds m times the contraction of g
     # times a chain to acc in place: acc ends as a copy of it plus m times
     # the contraction into {}, and entries that cancel are deleted.  The
-    # chain is a drawn boundary of dimension >= 2 (zero cells telescope
-    # only inside _differential), so the recursion's steps are met
+    # chain is a drawn boundary of dimension >= 1, so the contraction's
+    # steps are met
     struct = LOWER_STRUCTS[name]()
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
     res = build_complex(struct, ordering)
     kernel = res.kernel
-    cell = data.draw(st.sampled_from([cell for layer in res.cells[2:] for cell in layer]))
+    cell = data.draw(st.sampled_from([cell for layer in res.cells[1:] for cell in layer]))
     g = data.draw(st.sampled_from([node for node in range(len(kernel.last)) if kernel.target(node) == cell.src]))
     m = data.draw(st.sampled_from([1, -1, 2, -3]))
     entries = prepared(res, cell)
@@ -684,23 +682,23 @@ def test_contraction_adds_into_the_given_chain(name, data):
 def test_prepared_tails_match_their_definition(name, data):
     # a cell's tail, built on the first step onto it, is (multiplicity,
     # _lower rows) per term of its boundary after the leading one, minus
-    # the terms whose cell starts with the least atom at its target.  The
-    # top enumerated degree is terminal: nothing steps onto its cells, so
-    # none of them has a tail
+    # the terms whose cell has an empty _above.  The top enumerated degree
+    # is terminal: nothing steps onto its cells, so none of them has a
+    # tail
     struct = LOWER_STRUCTS[name]()
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
     res = build_complex(struct, ordering)
-    # each boundary of dimension >= 3 walks its rest's tail
-    assert {cell.atoms[1:] for layer in res.cells[3:] for cell in layer} <= {cell.atoms for cell in res._tails}
+    # each boundary of dimension >= 2 walks its rest's tail
+    assert {cell.atoms[1:] for layer in res.cells[2:] for cell in layer} <= {cell.atoms for cell in res._tails}
     for cell, tail in res._tails.items():
-        assert 2 <= cell.dim < len(res.cells) - 1, (name, cell)
+        assert 1 <= cell.dim < len(res.cells) - 1, (name, cell)
         assert tail == prepared(res, cell)[1:], (name, cell)
 
 
 def test_contraction_divides_by_an_identity_p():
     # a row of _lower whose p is an identity (alpha already divides w*L)
     # divides every g, so the contraction must never skip it, whatever
-    # rank g's last atom has.  The boundary of a cell of dimension >= 3
+    # rank g's last atom has.  The boundary of a cell of dimension >= 2
     # meets such rows in the leading term of its rest's boundary.  Under
     # the reversed ordering ranks[-1], the rank an identity's last atom
     # (-1) would read, is the lowest, so every g taken here ranks above it
@@ -729,7 +727,8 @@ def test_contraction_divides_by_an_identity_p():
 
 def lower_rows(res, w, cell):
     """The reference for res._lower(w, cell), L the cell's lcm: for each
-    atom alpha below the cell's first one, reverse w*L against alpha for p
+    atom alpha below the cell's first one (every atom at a zero cell's
+    target, where L is the identity), reverse w*L against alpha for p
     with p*w*L = lcm(alpha, w*L), then y = p*w/x with x*L = lcm(alpha, L);
     the row holds p, the rank of p's last atom (-1 for an identity), the
     cell [alpha, C] when it is one, and y spelled."""
@@ -738,7 +737,7 @@ def lower_rows(res, w, cell):
     wl = kernel.product(w, lcm)
     rows = []
     for alpha in kernel.candidates[res.cell_target(cell)]:
-        if alpha == cell.atoms[0]:
+        if cell.atoms and alpha == cell.atoms[0]:
             break
         p = kernel.lcm(wl, alpha)
         if p >= 0:
@@ -756,16 +755,16 @@ def lower_rows(res, w, cell):
 def test_lower_rows_match_the_reference(name, data):
     # _lower reads each row off the left-lcm of w and x and never forms
     # w*L: every row that build_complex walked must be the one reversing
-    # w*L against alpha gives, and no cell of a walked term starts with
-    # the least atom at its target (such terms are never reducible)
+    # w*L against alpha gives, and no walked term's cell has an empty
+    # _above (such terms are never reducible)
     struct = LOWER_STRUCTS[name]()
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
     res = build_complex(struct, ordering)
     walked = walked_rows(res)
-    assert walked or not any(res.cells[3:]), name
+    assert walked or not any(res.cells[2:]), name
     for (w, cell), rows in walked.items():
         assert rows == lower_rows(res, w, cell), (name, w, cell)
-        assert res.kernel.candidates[res.cell_target(cell)][0] != cell.atoms[0], (name, w, cell)
+        assert res._above[cell], (name, w, cell)
 
 
 def cells_above(res, cell):
@@ -821,8 +820,8 @@ def test_e6_complex_work_bound():
     struct = artin_named("E6")
     res = build_complex(struct, optimize_ordering(struct))
     assert len(res.kernel.last) <= 10_500
-    # terms whose cell starts with the least atom at its target, the only
-    # ones with no rows on E6, are never walked
+    # terms whose cell has an empty _above, the only ones with no rows on
+    # E6, are never walked
     assert all(walked_rows(res).values())
 
 
@@ -1078,10 +1077,10 @@ def test_e8_cells_enumerate_within_depth_bound():
 
 
 def test_h4_complex_builds_within_depth_bound():
-    # each contraction step is one frame, nested once per step of the
-    # longest chain of steps, with the word kernel's own nesting on top:
-    # the H4 build takes 53 frames under the optimized ordering, so 60
-    # hold it, and two frames per step (67) would not fit
+    # the contraction steps run off an explicit stack, so a boundary nests
+    # once per dimension, and the deepest frames are enumeration's lcm
+    # folds: under the optimized ordering the H4 build takes 54 frames
+    # and its enumeration alone 53, so 60 hold it
     struct = artin_named("H4")
     ordering = optimize_ordering(struct)
     limit = sys.getrecursionlimit()
@@ -1091,3 +1090,19 @@ def test_h4_complex_builds_within_depth_bound():
     finally:
         sys.setrecursionlimit(limit)
     assert res.cell_counts() == [1, 4, 6, 4, 1]
+
+
+def test_long_two_cell_boundaries_build_within_depth_bound():
+    # the boundary of I2(300)'s 2-cell contracts its zero-cell terms one
+    # atom at a time, about 300 steps deep; they run off an explicit
+    # stack, so the Laurent-Q row computed 40 frames above the caller
+    # equals the row computed without that limit
+    system = make_system("laurent", "Q")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 40)
+    try:
+        guarded = compute_homology(artin_named("I2(300)"), system)
+    finally:
+        sys.setrecursionlimit(limit)
+    free = compute_homology(artin_named("I2(300)"), system)
+    assert [(g.free_rank, g.torsion) for g in guarded.groups] == [(g.free_rank, g.torsion) for g in free.groups]

@@ -247,7 +247,7 @@ def test_rank_two_rows_match_fox_calculus(name, system):
     # (tests/oracles.py): H_0 and H_1, H_2 free of the rank the Euler
     # characteristic gives, and nothing above
     system = make_system(*FOX_SYSTEMS[system])
-    expected = [(g.free_rank, list(g.torsion)) for g in oracles.fox_homology(name, system)]
+    expected = [(g.free_rank, list(g.torsion)) for g in oracles.rank_two_homology(name, system)]
     struct = circulating_structure(name)
     got = groups_data(compute_homology(struct, system, optimize_ordering(struct)))
     assert got[:3] == expected
