@@ -18,6 +18,8 @@ Inside, morphisms are canonical words: under an atom ordering, canon(f) =
 canon(f/a)*a with a the least atom right-dividing f.  Canonical words are
 closed under prefixes, so each ordering has a `WordKernel` holding them in a
 prefix trie of int ids, where the last atom of a node is its least divisor.
+The trie is stored flat, in arrays and lists indexed by node, and the
+product memo is a dense table of n_atoms slots per node.
 Its three primitives, `div` (divide by an atom), `mul` (multiply by an atom)
 and `lcm` (left-lcm with an atom), return canonical nodes; `mul` and `lcm`
 are memoized, `div` is recomputed on every call.  Interning a word folds
@@ -35,6 +37,7 @@ not be used from several threads at once.
 from __future__ import annotations
 
 import itertools
+from array import array
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -470,15 +473,32 @@ class WordKernel:
     node stores its parent, its last atom, its source and its length (the
     sum of its atoms' lengths; identities have length 0).  A node is a
     morphism, and its last atom is its least right-divisor.  `_child` is
-    the only place that creates nodes.  Two
-    primitives, which call each other directly, make up the arithmetic:
+    the only place that creates nodes.
+
+    The trie is stored flat, one entry per node in each field.  `_mul`,
+    the product memo and the trie's child table in one, is a dense
+    `array('i')` of n_atoms slots per node: `_mul[x * n_atoms + b]` is the
+    canonical node of x*b, or 0 while that product is unknown.  0 is safe
+    as "absent" because no product is an identity, so node 0 is never a
+    product.  `src` is an `array('i')` too.  `_child` appends to every
+    field, and n_atoms zero slots to `_mul`.  `parent`, `last` and
+    `length` stay lists.  `parent` and `last` are the hottest reads, and
+    the interpreter reads a list faster than an array, which also boxes a
+    new int for every node id it hands back.  A `parent` list pays for
+    that with an int object kept for most nodes, about 30 B each.  The
+    entries of `last` are atoms, small ints that Python shares, so that
+    list costs one pointer per node.  Lengths sum atom lengths, which may
+    exceed a C int.
+
+    Two primitives, which call each other directly, make up the arithmetic:
     `div` divides a node by an atom and `mul` multiplies it by one, both
     returning canonical nodes.  Each nested call works on a strictly
     shorter morphism, so the recursion is at most as deep as the word is
     long.  A third, `lcm`, reverses a node against an atom on top of them;
     its nested calls work on strictly shorter lcms.  The kernel keeps two
-    memos: `_mul`, which is also the trie's child table, and `_lcm`.
-    Quotients and longer products are recomputed from them on each call.
+    memos: the dense `_mul` and the dict `_lcm`, which holds far fewer
+    entries.  Quotients and longer products are recomputed from them on
+    each call.
 
     Most steps are trivial, so the loops of `div`, `mul`, `divide` and
     `product` take them in place and call `div` or `mul` only on the full
@@ -486,9 +506,9 @@ class WordKernel:
     last atom ranks above d is not divisible by d (an identity's last atom
     is -1, so the rank test reads an arbitrary rank, but both of its
     branches give -1, as no atom divides an identity); a product in `_mul`
-    is read from it (`_mul` holds no identity, so no node 0, and only a
-    miss falls through `or` to the call).  The calls are direct, so
-    division still nests one frame per atom.
+    is read from it (an unknown one reads 0 and falls through `or` to the
+    call).  The calls are direct, so division still nests one frame per
+    atom.
 
     Obtain one through GaussianStructure.kernel(ordering).
     """
@@ -524,12 +544,11 @@ class WordKernel:
         ]
         self.parent: list[int] = [-1] * n_obj
         self.last: list[int] = [-1] * n_obj
-        self.src: list[int] = list(range(n_obj))
+        self.src = array("i", range(n_obj))
         self.length: list[int] = [0] * n_obj
-        # node * n_atoms + atom -> canonical node of the product; this is
-        # also the trie's child table, since canon(x*b) is the child of x
-        # when b is the least divisor of x*b
-        self._mul: dict[int, int] = {}
+        # one node's row of _mul: n_atoms products, none known yet
+        self._no_products = array("i", [0]) * n
+        self._mul = self._no_products * n_obj
         self._lcm: dict[int, int] = {}  # node * n_atoms + atom -> node or -1
         self._lcm_steps = 0  # memo misses of lcm, against _FOLD_STEP_LIMIT
         # when set, the longest node lcm may reverse (see validate)
@@ -539,9 +558,10 @@ class WordKernel:
         """The trie node of node*atom, which the caller knows is canonical
         (atom is its least divisor); added if new."""
         key = node * self.n_atoms + atom
-        child = self._mul.get(key)
-        if child is None:
+        child = self._mul[key]
+        if not child:
             child = self._mul[key] = len(self.last)
+            self._mul += self._no_products
             self.parent.append(node)
             self.last.append(atom)
             self.src.append(self.src[node])
@@ -579,7 +599,7 @@ class WordKernel:
                     return -1
         memo, n = self._mul, self.n_atoms
         for d in comp_a:
-            res = memo.get(res * n + d) or self.mul(res, d)
+            res = memo[res * n + d] or self.mul(res, d)
         return res
 
     def mul(self, x: int, b: int) -> int:
@@ -590,8 +610,8 @@ class WordKernel:
         canon(x*b) = canon((x/comp_b)*comp_a)*a; without one it is b.
         """
         key = x * self.n_atoms + b
-        res = self._mul.get(key)
-        if res is not None:
+        res = self._mul[key]
+        if res:
             return res
         parent, last, ranks, memo, n = self.parent, self.last, self.ranks, self._mul, self.n_atoms
         for a, comp_a, comp_b_rev in self._below[b]:
@@ -608,7 +628,7 @@ class WordKernel:
                         break
             else:
                 for d in comp_a:
-                    h = memo.get(h * n + d) or self.mul(h, d)
+                    h = memo[h * n + d] or self.mul(h, d)
                 res = memo[key] = self._child(h, a)
                 return res
         return self._child(x, b)
@@ -738,14 +758,15 @@ class WordKernel:
     def product(self, g: int, w: int) -> int:
         """Canonical node of the composite g*w: mul folded over the atoms
         of w, read up the trie."""
-        if g < self.n_objects:
+        n_objects = self.n_objects
+        if g < n_objects:
             return w
         parent, last = self.parent, self.last
         atoms = []
-        while w >= self.n_objects:
+        while w >= n_objects:
             atoms.append(last[w])
             w = parent[w]
         memo, n = self._mul, self.n_atoms
         for b in reversed(atoms):
-            g = memo.get(g * n + b) or self.mul(g, b)
+            g = memo[g * n + b] or self.mul(g, b)
         return g

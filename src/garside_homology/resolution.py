@@ -362,7 +362,7 @@ class OrderResolution:
                     if tail is None:
                         tail = self._tail(cell)
                     for b in ys:
-                        h = memo.get(h * n + b) or mul(h, b)
+                        h = memo[h * n + b] or mul(h, b)
                     step = m * mult
                     key = (h, cell)
                     new = acc.get(key, 0) + step

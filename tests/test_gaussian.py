@@ -15,6 +15,7 @@ from garside_homology import (
     PreconditionError,
     Word,
     artin_named,
+    build_complex,
     circulating_structure,
     parse_structure,
     serialize_structure,
@@ -414,6 +415,32 @@ def test_kernel_trie_holds_canonical_words_only(case, data):
         for node in range(kernel.n_objects, len(kernel.last)):
             spelled = "".join(struct.word_names(kernel.word(node)))
             assert spelled[-1] == rewriting.md(name, spelled, kernel_order)
+
+
+def test_dense_product_table_matches_oracle():
+    # _mul holds n_atoms slots per node, 0 for a product not yet known;
+    # after a full build under the declaration order and its reverse, and
+    # every product of a node shorter than 5 with an atom, every filled
+    # slot _mul[x * n + b] is a node spelling a word equal to x*b
+    for name, struct in KERNEL_STRUCTS.items():
+        letters = rewriting.PRESENTATIONS[name][0]
+        struct = parse_structure(serialize_structure(struct))  # cold kernels
+        for order in (letters, letters[::-1]):
+            ordering = AtomOrdering.from_sequence([struct.atom_index[a] for a in order])
+            kernel = build_complex(struct, ordering).kernel
+            n = kernel.n_atoms
+            x = 0
+            while x < len(kernel.last):  # the trie grows under the loop
+                if kernel.length[x] < 5:
+                    for b in range(n):
+                        kernel.mul(x, b)
+                x += 1
+            assert len(kernel._mul) == n * len(kernel.last), (name, order)
+            spelled = ["".join(struct.word_names(kernel.word(node))) for node in range(len(kernel.last))]
+            for key, node in enumerate(kernel._mul):
+                if node:
+                    x, b = divmod(key, n)
+                    assert rewriting.equal(name, spelled[x] + struct.atom_names[b], spelled[node]), (name, order, key)
 
 
 def test_left_lcm_of_nodes_matches_oracle():
