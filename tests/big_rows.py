@@ -8,7 +8,7 @@ of the computation, its peak resident memory (`ru_maxrss`), the word
 kernel's trie nodes, the `_mul` slots filled out of those the dense table
 holds, the number of memoized lcms, and whether the row equals
 `oracles.salvetti_homology`'s as `format_group` text and the peak stays
-under `--max-rss-mb`.  The oracle runs after the measurement.  Rows run one
+under MAX_RSS_MB.  The oracle runs after the measurement.  Rows run one
 after another, so at most one child holds its memory at a time.
 
 Run from the root of a checkout; the default is the full E7 and E8 rows in
@@ -33,9 +33,11 @@ SYSTEMS = {
     "laurent-F3": ("laurent", "Fp", 3),
     "laurent-Q": ("laurent", "Q"),
 }
+MAX_RSS_MB = 1024  # peak resident memory a row may reach
+CAP_MB = 2048  # RLIMIT_AS of each child
 
 
-def child(name, system_name, max_rss_mb):
+def child(name, system_name):
     """Compute one row, print its line, and return the exit status."""
     import oracles
     from garside_homology import artin_named, compute_homology, coxeter_matrix, format_group, make_system
@@ -52,35 +54,32 @@ def child(name, system_name, max_rss_mb):
     got = [format_group(group, system) for group in result.groups]
     expected = [format_group(group, system) for group in oracles.salvetti_homology(coxeter_matrix(name), system)]
     verdict = "row equals the Salvetti complex" if got == expected else f"row {got} differs from {expected}"
-    if rss_mb > max_rss_mb:
-        verdict += f", over {max_rss_mb} MB"
+    if rss_mb > MAX_RSS_MB:
+        verdict += f", over {MAX_RSS_MB} MB"
     print(
         f"{name} {system_name}: {cpu:.1f} s CPU, {rss_mb:,.0f} MB ru_maxrss, {len(kernel.last):,} trie nodes, "
         f"{filled:,} of {len(kernel._mul):,} _mul slots filled ({filled / len(kernel._mul):.1%}), "
         f"{len(kernel._lcm):,} lcms; {verdict}",
         flush=True,
     )
-    return 0 if got == expected and rss_mb <= max_rss_mb else 1
+    return 0 if got == expected and rss_mb <= MAX_RSS_MB else 1
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("types", nargs="*", default=["E7", "E8"], help="Artin types (default: E7 E8)")
     parser.add_argument("--systems", nargs="+", choices=sorted(SYSTEMS), default=list(SYSTEMS))
-    parser.add_argument("--max-rss-mb", type=int, default=1024, help="peak resident memory a row may reach")
-    parser.add_argument("--cap-mb", type=int, default=2048, help="RLIMIT_AS of each child")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        cap = args.cap_mb << 20
+        cap = CAP_MB << 20
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
         (name,), (system_name,) = args.types, args.systems
-        return child(name, system_name, args.max_rss_mb)
+        return child(name, system_name)
     status = 0
     for name in args.types:
         for system_name in args.systems:
-            command = [sys.executable, __file__, name, "--systems", system_name, "--child",
-                       "--max-rss-mb", str(args.max_rss_mb), "--cap-mb", str(args.cap_mb)]
+            command = [sys.executable, __file__, name, "--systems", system_name, "--child"]
             code = subprocess.run(command).returncode
             if code:
                 status = 1

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -830,7 +831,10 @@ def test_e6_complex_work_bound():
 def test_e6_word_kernel_bytes_per_trie_node():
     # what the word kernel allocates while E6's complex is built, per trie
     # node: 94.6 B with _mul and src arrays, 99.2 with src a list, 181 with
-    # _mul a dict and every field a list (68.7 with parent an array too)
+    # _mul a dict and every field a list (68.7 with parent an array too).
+    # The traced bytes include spare capacity, which follows the
+    # interpreter's growth policy, so the bound sits between the flat
+    # layout and the dict one, and the types are checked on their own
     struct = artin_named("E6")
     ordering = optimize_ordering(struct)
     tracemalloc.start()
@@ -840,7 +844,8 @@ def test_e6_word_kernel_bytes_per_trie_node():
     finally:
         tracemalloc.stop()
     traced = sum(stat.size for stat in snapshot.statistics("filename"))
-    assert traced / len(res.kernel.last) <= 97
+    assert traced / len(res.kernel.last) <= 120
+    assert isinstance(res.kernel._mul, array) and isinstance(res.kernel.src, array)
 
 
 def test_e7_complex_work_bound():
