@@ -21,10 +21,10 @@ prefix trie of int ids, where the last atom of a node is its least divisor.
 The trie is stored flat, in arrays and lists indexed by node, and the
 product memo is a dense table of n_atoms slots per node.
 Its three primitives, `div` (divide by an atom), `mul` (multiply by an atom)
-and `lcm` (left-lcm with an atom), return canonical nodes; `mul` and `lcm`
-are memoized, `div` is recomputed on every call.  Interning a word folds
-`mul` over it, `join` folds `lcm` over a set of atoms, and `left_lcm`
-folds it over the atoms of a second node.  The four
+and `lcm` (left-lcm with an atom, as both complements), return canonical
+nodes; `mul` and `lcm` are memoized, `div` is recomputed on every call.
+Interning a word folds `mul` over it, `join` folds `lcm` over a set of
+atoms, and `left_lcm` folds it over the atoms of a second node.  The four
 `Word` methods `quotient_atom`, `least_divisor`, `canonical_form` and
 `lcm_with_atom` are adapters that intern their argument in
 `kernel(ordering)` (declaration order when none is given) and spell out the
@@ -32,6 +32,16 @@ result, so `quotient_atom` returns the canonical quotient; everything else
 works on the kernel's nodes.  The kernel's trie and memos grow for the
 structure's lifetime and assign ids in insertion order, so a structure must
 not be used from several threads at once.
+
+The table is checked once before any kernel is built on it:
+`_entry_violations` asks for nonempty complements and lcm sides of equal
+lengths, and `_cube_violations` for Dehornoy's cube condition on every
+triple of atoms at a common target, by left reversing words over the table
+itself.  A table that passes both is complete (Dehornoy, "Complete positive
+group presentations", J. Algebra 268, 2003): it presents a right-cancellative
+category with conditional left-lcms, and reversing computes them.  So the
+complements one reversal gives are exact, and no lcm needs to be formed as
+a word and divided.
 """
 
 from __future__ import annotations
@@ -130,6 +140,57 @@ class ValidationReport:
 # computes (its memo misses) and gives up past this many.
 _FOLD_STEP_LIMIT = 2_000_000
 
+# Reversing a word whose letters have no common multiple can go on forever
+# (the affine A2 relations do), so the cube check gives up on one word past
+# this many steps and reports its triple.  The builtins take at most a few
+# dozen.
+_REVERSING_STEP_LIMIT = 10_000
+
+
+# marks a missing memo entry where None is a value
+_UNKNOWN = object()
+
+
+class _ReversingLimit(Exception):
+    """Left reversing ran past _REVERSING_STEP_LIMIT steps."""
+
+
+def _reverse(table: dict, rules: dict, n: int, u: tuple, v: tuple) -> Optional[list[int]]:
+    """Left-reverse the signed word u*v^-1, u and v atom tuples ending at
+    one target, into p^-1*q with p*u = q*v.  Returns it as signed letters,
+    ~a standing for the inverse of the atom a: p's atoms inverted, last
+    first, then q's atoms; None when it meets a pair with no common
+    left-multiple.  A step replaces a*b^-1 by comp_a^-1*comp_b, the lcm
+    table entry `table[a * n + b]` being (comp_a, comp_b), and a*a^-1
+    cancels.  `done` holds the reversed prefix (inverses, then atoms) and
+    `todo` what is left, next letter last; `rules` keeps per pair the
+    letters a step pushes onto `todo`.  Raises _ReversingLimit past
+    _REVERSING_STEP_LIMIT steps."""
+    done = list(u)
+    todo = [~d for d in v]
+    steps = 0
+    while todo:
+        s = todo.pop()
+        if s >= 0 or not done or done[-1] < 0:
+            done.append(s)
+            continue
+        a = done.pop()
+        if a == ~s:
+            continue
+        key = a * n + ~s
+        rule = rules.get(key)
+        if rule is None:
+            pair = table[key]
+            if pair is None:
+                return None
+            # comp_a^-1 is read first, so it goes on top
+            rule = rules[key] = pair[1].atoms[::-1] + tuple([~d for d in pair[0].atoms])
+        steps += 1
+        if steps > _REVERSING_STEP_LIMIT:
+            raise _ReversingLimit
+        todo += rule
+    return done
+
 
 class GaussianStructure:
     """Immutable presentation data with word arithmetic on top.
@@ -137,7 +198,8 @@ class GaussianStructure:
     Construction takes name-based data (mirroring the interchange file
     format) and resolves it to dense integer ids.  Cheap structural checks
     (referential integrity, composability, table coverage) run here; the
-    deeper semantic checks live in :meth:`validate`.
+    entry and cube checks run when the first word kernel is built, and
+    :meth:`validate` reports them.
     """
 
     def __init__(
@@ -251,6 +313,7 @@ class GaussianStructure:
 
         self.n_objects = len(self.object_names)
         self._kernels: dict[tuple, WordKernel] = {}  # ordering ranks -> kernel
+        self._cube: Optional[list[str]] = None  # see _cube_violations
         self._default_ordering = AtomOrdering.identity(self.n_atoms)
 
     def _resolve_word(self, names: Sequence[str], endpoint: int, context: str) -> Word:
@@ -324,6 +387,64 @@ class GaussianStructure:
                 violations.append(f"{entry}: sides have different lengths")
         return violations
 
+    def _cube_violations(self) -> list[str]:
+        """One message per triple of atoms at a common target on which the
+        table fails Dehornoy's cube condition; worked out on the table,
+        never on a word kernel, on the first call and kept.
+
+        Write L(u, v) for the word p with p*u = q*v the left-lcm, read off
+        by left reversing u*v^-1 (`_reverse`); for two atoms it is the
+        table's complement.  For atoms x, y, z, both L(L(x, y), L(x, z))
+        and L(L(y, x), L(y, z)) spell lcm(x, y, z) over lcm(x, y), reversed
+        from x and from y.  The condition asks, for each choice of z in the
+        triple, that both are undefined, or that the first times the
+        second's inverse reverses to the empty word.  A table whose lcm
+        sides have equal lengths (`_entry_violations`) and that passes it
+        on every triple is complete (Dehornoy 2003): reversing decides
+        equality of words and computes left-lcms, and the category is
+        right-cancellative.  A triple whose reversing runs past
+        _REVERSING_STEP_LIMIT steps fails as well."""
+        if self._cube is not None:
+            return self._cube
+        n, names, table = self.n_atoms, self.atom_names, self._lcm_table
+        comps = {key: None if pair is None else pair[0].atoms for key, pair in table.items()}
+        rules: dict[int, tuple[int, ...]] = {}
+
+        def complement(u, v):
+            """L(u, v), None when undefined (also when u or v is)."""
+            if u is None or v is None:
+                return None
+            if len(u) == 1 == len(v):
+                return () if u == v else comps[u[0] * n + v[0]]
+            done = _reverse(table, rules, n, u, v)
+            return None if done is None else tuple([~d for d in reversed(done) if d < 0])
+
+        violations = []
+        for here in self.atoms_by_target:
+            for triple in itertools.combinations(here, 3):
+                a, b, c = triple
+                try:
+                    for x, y, z in (triple, (a, c, b), (b, c, a)):
+                        from_x = complement(comps[x * n + y], comps[x * n + z])
+                        from_y = complement(comps[y * n + x], comps[y * n + z])
+                        if from_x == from_y:
+                            continue
+                        x, y, z = names[x], names[y], names[z]
+                        if from_x is None or from_y is None:
+                            side = x if from_y is None else y
+                            reason = f"{z} has a common multiple with lcm({x},{y}) reversed from {side} only"
+                            break
+                        if _reverse(table, rules, n, from_x, from_y) != []:
+                            reason = f"lcm({x},{y},{z}) reversed from {x} and from {y} differ"
+                            break
+                    else:
+                        continue
+                except _ReversingLimit:
+                    reason = f"reversing ran past {_REVERSING_STEP_LIMIT} steps"
+                violations.append(f"cube condition fails on ({names[a]},{names[b]},{names[c]}): {reason}")
+        self._cube = violations
+        return violations
+
     def lcm_entries(self) -> list[tuple[int, int, Optional[tuple[Word, Word]]]]:
         """The table as (a, b, entry) with a < b, sorted; entry is None (no
         common left-multiple) or the complements (comp_a, comp_b) with
@@ -346,11 +467,10 @@ class GaussianStructure:
         """(x, y) with x*u = y*b the left-lcm of u and the atom b, as
         canonical words (declaration order); None when there is none."""
         kernel = self.kernel()
-        node = kernel.intern(u)
-        x = kernel.lcm(node, b)
-        if x < 0:
+        xy = kernel.lcm(kernel.intern(u), b)
+        if xy is None:
             return None
-        return kernel.word(x), kernel.word(kernel.exact_div(kernel.product(x, node), b))
+        return kernel.word(xy[0]), kernel.word(xy[1])
 
     # -- canonical forms ----------------------------------------------------
 
@@ -378,24 +498,29 @@ class GaussianStructure:
     # -- validation ----------------------------------------------------------
 
     def validate(self, depth: int = 3) -> ValidationReport:
-        """Bounded sanity check of the lcm table.
+        """Check of the lcm table: a passing report proves it complete.
 
-        Checks entry symmetry, nonempty complements and length homogeneity,
-        then the consistency of lcm folds over all atom subsets of size up
-        to `depth` at a common target: every fold order must succeed and
-        give the same lcm.  Once one order has given an lcm L, the others
-        stop as failed on reversing a node longer than L, which no fold of
-        a Gaussian table does.  When the folds pass, it builds the complex
-        under declaration order up to dimension `depth` (at most
-        `default_max_dim`) and checks that every boundary stays on the
-        enumerated cells and that d∘d = 0.  A passing report is evidence,
-        not proof, that the structure is Gaussian.
+        Checks nonempty complements and length homogeneity (one violation
+        per entry), then Dehornoy's cube condition (one per failing triple
+        of atoms, named by atom names; see `_cube_violations`).  A table
+        that passes these is complete, so it presents a right-cancellative,
+        right-Noetherian category with conditional left-lcms, which is what
+        the word kernel and the resolution assume.  The word kernel refuses
+        any other table.  The checks that follow are internal ones that no
+        complete table fails: the consistency of lcm folds over all atom
+        subsets of size up to `depth` at a common target (every fold order
+        must succeed and give the same lcm; once one order has given an lcm
+        L, the others stop as failed on reversing a node longer than L),
+        then the complex under declaration order up to dimension `depth`
+        (at most `default_max_dim`), checked to stay on the enumerated
+        cells with d∘d = 0.
         """
         if depth < 1:
             raise PreconditionError("depth must be positive")
-        violations = self._entry_violations()
-        if violations:  # the word kernel refuses such tables
-            return ValidationReport(violations)
+        refused = self._entry_violations() or self._cube_violations()
+        if refused:  # the word kernel refuses such tables
+            return ValidationReport(list(refused))
+        violations = []
         kernel = self.kernel()
         for a, b, pair in self.lcm_entries():
             names = (self.atom_names[a], self.atom_names[b])
@@ -494,11 +619,18 @@ class WordKernel:
     `div` divides a node by an atom and `mul` multiplies it by one, both
     returning canonical nodes.  Each nested call works on a strictly
     shorter morphism, so the recursion is at most as deep as the word is
-    long.  A third, `lcm`, reverses a node against an atom on top of them;
-    its nested calls work on strictly shorter lcms.  The kernel keeps two
-    memos: the dense `_mul` and the dict `_lcm`, which holds far fewer
-    entries.  Quotients and longer products are recomputed from them on
-    each call.
+    long.  A third, `lcm`, reverses a node x against an atom b on top of
+    them and returns both complements (p, y), p*x = y*b; its nested calls
+    work on strictly shorter lcms.  It is the one lcm primitive: `join`,
+    `left_lcm`, cell enumeration and `lcm_with_atom` read the pair.  The kernel keeps two
+    memos: the dense `_mul` and the dict `_lcm` of pairs, which holds far
+    fewer entries.  Quotients and longer products are recomputed from them
+    on each call.
+
+    A kernel is built only on a table that passes `_entry_violations` and
+    `_cube_violations`; on any other the constructor raises
+    ConsistencyError.  The structure runs the cube check once, so the
+    kernels of several orderings share it.
 
     Most steps are trivial, so the loops of `div`, `mul`, `divide` and
     `product` take them in place and call `div` or `mul` only on the full
@@ -517,7 +649,9 @@ class WordKernel:
         # Lengths make the recursion well founded; on a table that does not
         # preserve them, division can grow the trie without bound.  An empty
         # complement makes one atom a multiple of another, which no atom is.
-        bad = struct._entry_violations()
+        # The cube condition makes the table complete, so an lcm's two
+        # complements, as reversing gives them, are exact.
+        bad = struct._entry_violations() or struct._cube_violations()
         if bad:
             raise ConsistencyError(bad[0])
         self.struct = struct
@@ -549,7 +683,8 @@ class WordKernel:
         # one node's row of _mul: n_atoms products, none known yet
         self._no_products = array("i", [0]) * n
         self._mul = self._no_products * n_obj
-        self._lcm: dict[int, int] = {}  # node * n_atoms + atom -> node or -1
+        # node * n_atoms + atom -> (p, y) or None, see lcm
+        self._lcm: dict[int, Optional[tuple[int, int]]] = {}
         self._lcm_steps = 0  # memo misses of lcm, against _FOLD_STEP_LIMIT
         # when set, the longest node lcm may reverse (see validate)
         self.fold_bound: Optional[int] = None
@@ -633,52 +768,57 @@ class WordKernel:
                 return res
         return self._child(x, b)
 
-    def exact_div(self, x: int, a: int) -> int:
-        """div for an atom a that must divide x by construction."""
-        q = self.div(x, a)
-        if q < 0:
-            raise ConsistencyError("an lcm is not divisible by its atom; lcm table is inconsistent")
-        return q
-
-    def lcm(self, x: int, b: int) -> int:
-        """The canonical node p with p*x the left-lcm of x and the atom b,
-        or -1 when they have no common left-multiple.
+    def lcm(self, x: int, b: int) -> Optional[tuple[int, int]]:
+        """The canonical nodes (p, y) with p*x = y*b the left-lcm of the
+        node x and the atom b, or None when they have no common
+        left-multiple.
 
         With x = u*c for c its last atom and comp_b*b = comp_c*c the table's
         lcm, lcm(x, b) = lcm(u, comp_c)*c.  That lcm is folded over comp_c
-        from the right: p_d*cur = lcm(cur, d), then cur = p_d*cur/d.
-        Every node reversed on the way is shorter than the lcm it serves,
-        so when a fold's lcm is known to be no longer than `fold_bound`, a
-        miss on a longer x raises ConsistencyError.
+        from the right: q*cur = cur'*d = lcm(cur, d), so p collects the q
+        and cur steps to cur', and at the end p*u = cur*comp_c, so y =
+        cur*comp_b.  No lcm word is formed or divided: on a complete table
+        (see `GaussianStructure._cube_violations`) the complements
+        reversing gives are exact.  Every node reversed on the
+        way is shorter than the lcm it serves, so when a fold's lcm is
+        known to be no longer than `fold_bound`, a miss on a longer x
+        raises ConsistencyError.
         """
         key = x * self.n_atoms + b
-        res = self._lcm.get(key)
-        if res is not None:
+        res = self._lcm.get(key, _UNKNOWN)
+        if res is not _UNKNOWN:
             return res
         self._lcm_steps += 1
         if self._lcm_steps > _FOLD_STEP_LIMIT:
             raise ConsistencyError("lcm reversing did not converge; lcm table is inconsistent")
         if self.fold_bound is not None and self.length[x] > self.fold_bound:
             raise ConsistencyError("lcm reversing outgrew the fold bound; lcm table is inconsistent")
-        if self.div(x, b) >= 0:
-            res = self.src[x]
+        q = self.div(x, b)
+        res = None
+        if q >= 0:
+            res = (self.src[x], q)
         elif x < self.n_objects:
             struct = self.struct
-            res = self.mul(struct.atom_source[b], b) if struct.atom_target[b] == x else -1
+            if struct.atom_target[b] == x:
+                src = struct.atom_source[b]
+                res = (self.mul(src, b), src)
         else:
             entry = self._pairs.get(b * self.n_atoms + self.last[x])
-            if entry is None:  # different targets, or no common multiple
-                res = -1
-            else:
-                cur, res = self.parent[x], self.src[x]
-                lcm, product, exact_div = self.lcm, self.product, self.exact_div
-                for d in entry[1]:
-                    p = lcm(cur, d)
-                    if p < 0:
-                        res = -1
+            if entry is not None:  # else different targets, or no common multiple
+                comp_b, comp_c_rev = entry
+                cur, p = self.parent[x], self.src[x]
+                lcm, product = self.lcm, self.product
+                for d in comp_c_rev:
+                    step = lcm(cur, d)
+                    if step is None:
                         break
-                    cur = exact_div(product(p, cur), d)
-                    res = product(p, res)
+                    q, cur = step
+                    p = product(q, p)
+                else:
+                    memo, n = self._mul, self.n_atoms
+                    for d in comp_b:
+                        cur = memo[cur * n + d] or self.mul(cur, d)
+                    res = (p, cur)
         self._lcm[key] = res
         return res
 
@@ -688,31 +828,30 @@ class WordKernel:
         left-multiple.
 
         w is reversed against the atoms of x from the last one up: with
-        x = u*d and q*w = lcm(w, d), lcm(w, x) = lcm(q*w/d, u)*d.
+        x = u*d and q*w = z*d = lcm(w, d), lcm(w, x) = lcm(z, u)*d, z read
+        off `lcm`'s pair.
         """
-        parent, last, n_objects = self.parent, self.last, self.n_objects
-        lcm, product, exact_div = self.lcm, self.product, self.exact_div
+        parent, last, n_objects, lcm, product = self.parent, self.last, self.n_objects, self.lcm, self.product
         p, y = self.src[w], w
         while x >= n_objects:
-            d = last[x]
-            q = lcm(y, d)
-            if q < 0:
+            step = lcm(y, last[x])
+            if step is None:
                 return None
-            y = exact_div(product(q, y), d)
+            q, y = step
             p = product(q, p)
             x = parent[x]
         return p, y
 
     def join(self, atoms: Sequence[int]) -> int:
         """The canonical node of the left-lcm of a nonempty family of atoms
-        sharing one target, folded in the given order; -1 when none."""
+        sharing one target, folded in the given order; -1 when none.  Each
+        step's lcm p*node = y*b is one product, y*b."""
         node = self.struct.atom_target[atoms[0]]
-        lcm, product = self.lcm, self.product
         for b in atoms:
-            p = lcm(node, b)
-            if p < 0:
+            step = self.lcm(node, b)
+            if step is None:
                 return -1
-            node = product(p, node)
+            node = self.mul(step[1], b)
         return node
 
     def intern(self, w: Word) -> int:

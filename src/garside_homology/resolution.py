@@ -196,11 +196,13 @@ class OrderResolution:
                 for alpha in kernel.candidates[self.cell_target(cell)]:
                     if ranks[alpha] >= bound:
                         break
-                    x = kernel.lcm(lcm, alpha)
-                    if x < 0:
+                    xy = kernel.lcm(lcm, alpha)
+                    if xy is None:
                         continue
-                    # [alpha, cell] is a cell when alpha is least in x*lcm
-                    joined = kernel.product(x, lcm)
+                    # x*lcm = y*alpha; [alpha, cell] is a cell when alpha is
+                    # least in it
+                    x, y = xy
+                    joined = kernel.mul(y, alpha)
                     new = None
                     if kernel.last[joined] == alpha:
                         new = Cell((alpha,) + cell.atoms, kernel.src[joined])

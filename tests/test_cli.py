@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mutations
-from garside_homology import GaussianError, builtin_structure, parse_structure, serialize_structure
+from garside_homology import ConsistencyError, GaussianError, builtin_structure, parse_structure, serialize_structure
 from garside_homology.cli import main
 
 
@@ -428,7 +428,9 @@ ABC = ["ATOM a * * 1", "ATOM b * * 1", "ATOM c * * 1"]
 # that boundary would leave the enumerated cells), a reduction that cancels
 # the leading term of a boundary (ab.a = ab.b, so the 3-cell's boundary
 # would be 0 and the complex not exact), a cell whose lcm is not a multiple
-# of its rest's (bc.b = cc.c), and empty complements
+# of its rest's (bc.b = cc.c), and empty complements.  The word kernel
+# refuses those with even sides and nonempty complements up front, as they
+# fail the cube condition
 INCONSISTENT_TABLES = {
     "uneven sides": _table(
         ABC + ["LCM a b COMPL b c.a", "LCM a c COMPL b.c a.b", "LCM b c COMPL c.a a.b"]
@@ -469,29 +471,40 @@ def test_inconsistent_table_exits_4(tmp_path, table, command):
     assert err.startswith("internal inconsistency:")
 
 
+# what the cube check reports on a triple whose reversing runs past its step bound
+DIVERGING = "cube condition fails on (a,b,c): reversing ran past 10000 steps"
+
+
 def test_validate_flags_diverging_folds(tmp_path):
     # the affine A2~ relations: every pair has an lcm, the triple has no
-    # common multiple, and reversing it never ends
+    # common multiple, and reversing it never ends, so the cube check gives
+    # up at its step bound
     path = tmp_path / "affine.gs"
     path.write_text(
         _table(ABC + ["LCM a b COMPL a.b b.a", "LCM a c COMPL a.c c.a", "LCM b c COMPL b.c c.b"])
     )
     code, out, _ = run_cli(["validate", "--structure", str(path)])
     assert code == 3
-    assert out == "violation: lcm fold of (0, 1, 2) failed\n"
+    assert out == f"violation: {DIVERGING}\n"
 
 
 def test_validate_stops_a_fold_that_outgrows_another_order(tmp_path):
     # G13 with one complement changed: two orders of the triple fold to the
-    # same lcm of length 5, and the third reverses ever longer words: over
-    # 3,000 trie nodes and lcm steps before the recursion limit, without the
+    # same lcm of length 5, and the third reverses ever longer words.  The
+    # cube check gives up on the triple at its step bound, so validate
+    # reports it and no word kernel is built on the table.  Past the check
+    # (its result set to a pass), the fold loop still stops: over 3,000
+    # trie nodes and lcm steps before the recursion limit, without the
     # bound the first order's lcm puts on the others
     text = _mutated_builtin("circ:G13", "LCM a b ", "LCM a b COMPL c.a.b.c a.a.a.c")
     path = tmp_path / "g13.gs"
     path.write_text(text)
     code, out, _ = run_cli(["validate", "--structure", str(path)])
-    assert (code, out) == (3, "violation: lcm fold of (0, 1, 2) failed\n")
+    assert (code, out) == (3, f"violation: {DIVERGING}\n")
     struct = parse_structure(text)
+    with pytest.raises(ConsistencyError, match=r"^cube condition fails on \(a,b,c\): reversing ran past"):
+        struct.kernel()
+    struct._cube = []
     assert struct.validate().violations == ["lcm fold of (0, 1, 2) failed"]
     kernel = struct.kernel()
     assert len(kernel.last) <= 40 and kernel._lcm_steps <= 40
@@ -500,51 +513,59 @@ def test_validate_stops_a_fold_that_outgrows_another_order(tmp_path):
 
 @pytest.mark.parametrize("depth", ["3", "4", "6"])
 def test_validate_flags_boundary_off_the_cells(tmp_path, depth):
-    # every lcm fold of this table agrees, but building its complex meets a
-    # term whose lcm with a lower atom is not a multiple of the cell's, before
-    # any boundary leaves the cells or squares to nonzero (test_resolution's
-    # test_checks_flag_a_tampered_complex covers those two checks)
+    # every lcm fold of this table agrees, and building its complex would
+    # meet a term whose lcm with a lower atom is not a multiple of the
+    # cell's.  Five triples fail the cube condition, which validate reports
+    # before any fold, at every depth (test_resolution's
+    # test_checks_flag_a_tampered_complex covers the complex checks)
     path = tmp_path / "bad.gs"
     path.write_text(INCONSISTENT_TABLES["term lcm not a multiple"])
     code, out, _ = run_cli(["validate", "--structure", str(path), "--depth", depth])
     assert code == 3
-    assert out == (
-        f"violation: complex to dimension {depth} failed: "
-        "an lcm over a term is not a multiple of the cell's\n"
-    )
+    assert out.splitlines() == [
+        f"violation: cube condition fails on ({x},{y},{z}): lcm({x},{z},{y}) reversed from {x} and from {z} differ"
+        for x, y, z in [
+            ("t01", "t02", "t23"),
+            ("t01", "t12", "t23"),
+            ("t02", "t12", "t23"),
+            ("t03", "t12", "t23"),
+            ("t12", "t13", "t23"),
+        ]
+    ]
 
 
 def test_validate_flags_a_cancelled_leading_term(tmp_path):
-    # every lcm fold of this table agrees and its cells are those of A3,
-    # but the reduction of a boundary's leading term cancels it
+    # every lcm fold of this table agrees and its cells would be those of
+    # A3, but the reduction of a boundary's leading term would cancel it.
+    # Reversing the triple (ab.a = ab.b) runs past the cube check's step
+    # bound, so every command refuses the table
     path = tmp_path / "bad.gs"
     path.write_text(INCONSISTENT_TABLES["leading term cancelled"])
-    assert run_cli(["cells", "--structure", str(path), "--max-dim", "3"]) == (0, "1 3 3 1\n", "")
+    assert run_cli(["cells", "--structure", str(path), "--max-dim", "3"]) == (
+        4,
+        "",
+        f"internal inconsistency: {DIVERGING}\n",
+    )
     code, out, _ = run_cli(["validate", "--structure", str(path)])
     assert code == 3
-    assert out == (
-        "violation: complex to dimension 3 failed: "
-        "the boundary of a cell lost its leading term; lcm table is inconsistent\n"
-    )
+    assert out == f"violation: {DIVERGING}\n"
 
 
 def test_cell_lcm_off_its_facet_lcm_exits_4(tmp_path):
-    # the folds of the triple disagree, and the homology run meets a cell
-    # whose lcm its rest's lcm does not right-divide, which the cell's
-    # boundary refuses
+    # the folds of the triple disagree, and past the word kernel the
+    # homology run would meet a cell whose lcm its rest's lcm does not
+    # right-divide.  The triple fails the cube condition, so the run stops
+    # before it builds a cell
+    message = "cube condition fails on (a,b,c): lcm(a,b,c) reversed from a and from b differ"
     path = tmp_path / "bad.gs"
     path.write_text(INCONSISTENT_TABLES["cell lcm off its facet's"])
     for coeffs in ([], ["--coeffs", "laurent"]):
         assert run_cli(["homology", "--structure", str(path), "--max-dim", "3", *coeffs]) == (
             4,
             "",
-            "internal inconsistency: cell lcm is not a multiple of its facet lcm\n",
+            f"internal inconsistency: {message}\n",
         )
-    assert run_cli(["validate", "--structure", str(path)]) == (
-        3,
-        "violation: lcm fold of (0, 1, 2): value depends on fold order\n",
-        "",
-    )
+    assert run_cli(["validate", "--structure", str(path)]) == (3, f"violation: {message}\n", "")
 
 
 def test_one_complement_mutations_end_in_documented_exit_codes(tmp_path):
@@ -554,7 +575,8 @@ def test_one_complement_mutations_end_in_documented_exit_codes(tmp_path):
     # one line on stderr, and a homology run that exits 0 prints the H_0
     # and H_1 that Fox calculus gives on the table's own relations; the
     # counts are pinned, so a change that accepts or refuses another of
-    # these tables shows here
+    # these tables shows here.  No table off by one complement passes the
+    # cube condition, so no run exits 0
     codes = collections.Counter()
     for spec in ("artin:A3", "artin:I2(5)"):
         for row, text in mutations.mutations(spec, 2):
@@ -564,7 +586,7 @@ def test_one_complement_mutations_end_in_documented_exit_codes(tmp_path):
                 assert "Traceback" not in err and err.count("\n") <= 1, (spec, row)
                 codes[code] += 1
             assert not mutations.fox_rejects(text, runs), (spec, row)
-    assert codes == {4: 145, 3: 78, 0: 11}
+    assert codes == {4: 156, 3: 78}
 
 
 EMPTY_COMPLEMENT = "empty complement, so one atom divides the other"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -11,15 +12,19 @@ from hypothesis import strategies as st
 import rewriting
 from garside_homology import (
     AtomOrdering,
+    ConsistencyError,
     GaussianStructure,
     PreconditionError,
     Word,
     artin_named,
     build_complex,
+    builtin_structure,
     circulating_structure,
+    optimize_ordering,
     parse_structure,
     serialize_structure,
 )
+from garside_homology import gaussian
 
 ORACLE_STRUCTS = {
     "A2": artin_named("A2"),
@@ -257,7 +262,8 @@ def test_lcm_with_atom_matches_oracle():
                 for multiple in rewriting.common_left_multiples(name, u, b, 6):
                     assert rewriting.word_right_divides(name, lcm, multiple), (name, u, b)
                 node = kernel.intern(w)
-                p = kernel.lcm(node, struct.atom_index[b])
+                p, q = kernel.lcm(node, struct.atom_index[b])
+                assert kernel.product(p, node) == kernel.mul(q, struct.atom_index[b])
                 assert same_morphism(struct, kernel.word(kernel.product(p, node)), wordify(struct, lcm))
 
 
@@ -311,6 +317,111 @@ def test_validate_flags_length_violation():
     )
     report = bad.validate()
     assert any("length" in v for v in report.violations)
+
+
+CUBE_BUILTINS = [
+    "artin:A3", "artin:B5", "artin:D4", "artin:D6", "artin:F4", "artin:H3", "artin:H4", "artin:A6",
+    "artin:E6", "artin:E7", "artin:E8", "artin:I2(5)", "artin:I2(12)",
+    "circ:G7", "circ:G11", "circ:G12", "circ:G13", "circ:G15", "circ:G19", "circ:G22",
+    "dual:A3", "dual:A4",
+]
+
+
+def test_cube_condition_holds_on_the_builtins(builtins, two_cycle_category, cospan_category):
+    structs = dict(builtins, two_cycle=two_cycle_category, cospan=cospan_category)
+    structs.update((spec, builtin_structure(spec)) for spec in CUBE_BUILTINS)
+    for name, struct in structs.items():
+        assert struct._cube_violations() == [], name
+
+
+def _one_complement_off(spec, line):
+    """The builtin's table with the lcm row of line's pair replaced by line."""
+    pair = " ".join(line.split()[:3]) + " "
+    lines = serialize_structure(builtin_structure(spec)).splitlines()
+    return parse_structure("\n".join(line if row.startswith(pair) else row for row in lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "spec, line, first",
+    [
+        # bca = cab = abc and bca = aac, so abc = aac but bc != ac: not
+        # cancellative, and reversing the triple runs past the step bound
+        ("circ:G7", "LCM a c COMPL b.c a.a", "cube condition fails on (a,b,c): reversing ran past 10000 steps"),
+        (
+            "dual:A3",
+            "LCM t13 t23 COMPL t12 t12",
+            "cube condition fails on (t01,t03,t23): lcm(t01,t23,t03) reversed from t01 and from t23 differ",
+        ),
+    ],
+)
+def test_cube_condition_fails_on_tables_validate_used_to_pass(spec, line, first):
+    # both tables have lcm sides of equal lengths and nonempty complements,
+    # and homology printed an H_1 that Fox calculus on their relations
+    # rejects; the cube check names a failing triple, validate reports
+    # every one, and no word kernel is built on them
+    struct = _one_complement_off(spec, line)
+    assert struct._entry_violations() == []
+    violations = struct._cube_violations()
+    assert violations[0] == first
+    assert struct.validate().violations == violations
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(first)}$"):
+        struct.kernel()
+
+
+AFFINE_A2_ARGS = (
+    ["*"],
+    [("a", "*", "*", 1), ("b", "*", "*", 1), ("c", "*", "*", 1)],
+    [("a", "b", (["a", "b"], ["b", "a"])), ("a", "c", (["a", "c"], ["c", "a"])), ("b", "c", (["b", "c"], ["c", "b"]))],
+)
+
+
+def test_cube_check_stops_a_diverging_table_at_its_step_bound(monkeypatch):
+    # every pair of the affine A2 relations has an lcm, the triple has no
+    # common multiple, and reversing it never ends.  The check runs off a
+    # work list, not the call stack, under a few frames more than the
+    # caller's, and gives up at the step bound
+    message = "cube condition fails on (a,b,c): reversing ran past {} steps"
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        violations = GaussianStructure(*AFFINE_A2_ARGS)._cube_violations()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert violations == [message.format(10_000)]
+    monkeypatch.setattr(gaussian, "_REVERSING_STEP_LIMIT", 50)
+    assert GaussianStructure(*AFFINE_A2_ARGS)._cube_violations() == [message.format(50)]
+
+
+def test_cube_check_runs_once_per_structure():
+    # the kernels of two orderings share one check
+    struct = artin_named("A3")
+    struct.kernel()
+    checked = struct._cube
+    struct.kernel(AtomOrdering.from_sequence([2, 1, 0]))
+    assert checked == [] and struct._cube is checked
+
+
+def test_lcm_complements_are_exact(two_cycle_category, cospan_category):
+    # lcm reads y off its reversal; on every memoized lcm (x, b) -> (p, y)
+    # it is the quotient of p*x by b, so p*x = y*b
+    resolutions = [build_complex(s, optimize_ordering(s)) for s in (artin_named("E6"), artin_named("H4"))]
+    for struct in (two_cycle_category, cospan_category):
+        reverse = AtomOrdering.from_sequence(range(struct.n_atoms)[::-1])
+        resolutions += [build_complex(struct), build_complex(struct, reverse)]
+    for res in resolutions:
+        kernel = res.kernel
+        checked = 0
+        for key, pair in kernel._lcm.items():
+            if pair is None:
+                continue
+            (x, b), (p, y) = divmod(key, kernel.n_atoms), pair
+            assert kernel.mul(y, b) == kernel.product(p, x), (res.struct, x, b)
+            assert kernel.div(kernel.product(p, x), b) == y, (res.struct, x, b)
+            checked += 1
+        assert checked or not any(res.cells[1:]), res.struct
 
 
 def test_structure_precondition_errors():

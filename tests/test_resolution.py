@@ -276,8 +276,9 @@ def least_over(res, f, cell):
     kernel = res.kernel
     lcm = res._cell_lcm(cell)
     for alpha in kernel.candidates[res.cell_target(cell)]:
-        x = kernel.lcm(lcm, alpha)
-        if x >= 0:
+        xy = kernel.lcm(lcm, alpha)
+        if xy is not None:
+            x = xy[0]
             g = kernel.divide(f, x)
             if g >= 0:
                 return alpha, x, g
@@ -742,9 +743,9 @@ def lower_rows(res, w, cell):
     for alpha in kernel.candidates[res.cell_target(cell)]:
         if cell.atoms and alpha == cell.atoms[0]:
             break
-        p = kernel.lcm(wl, alpha)
-        if p >= 0:
-            x = kernel.lcm(lcm, alpha)
+        pq = kernel.lcm(wl, alpha)
+        if pq is not None:
+            p, x = pq[0], kernel.lcm(lcm, alpha)[0]
             y = kernel.divide(kernel.product(p, w), x)
             atoms = (alpha,) + cell.atoms
             new_cell = res.make_cell(atoms) if is_cell(res, atoms) else None
@@ -783,8 +784,9 @@ def cells_above(res, cell):
     for alpha in sorted(range(struct.n_atoms), key=ranks.__getitem__):
         if struct.atom_target[alpha] != target or ranks[alpha] >= bound:
             continue
-        x = kernel.lcm(lcm, alpha)
-        if x >= 0:
+        xy = kernel.lcm(lcm, alpha)
+        if xy is not None:
+            x = xy[0]
             atoms = (alpha,) + cell.atoms
             above.append((alpha, x, res.make_cell(atoms) if is_cell(res, atoms) else None))
     return tuple(above)
@@ -806,23 +808,24 @@ def test_cells_above_match_their_definition(name, data):
 
 
 def test_term_lcm_off_the_cell_lcm_is_refused():
-    # dual A3 with one complement changed: every lcm fold agrees, but the
-    # contraction meets a cell [alpha, C] whose lcm x*lcm(C) does not end
-    # in alpha, the least divisor of the term it came from
+    # dual A3 with one complement changed: every lcm fold agrees, but past
+    # the word kernel the contraction would meet a cell [alpha, C] whose lcm
+    # x*lcm(C) does not end in alpha, the least divisor of the term it came
+    # from.  The table fails the cube condition, so no kernel is built on it
     struct = parse_structure(INCONSISTENT_TABLES["term lcm not a multiple"])
-    with pytest.raises(ConsistencyError, match=r"^an lcm over a term is not a multiple of the cell's$"):
+    with pytest.raises(ConsistencyError, match=r"^cube condition fails on \(t01,t02,t23\): "):
         build_complex(struct, max_dim=3)
 
 
 def test_e6_complex_work_bound():
-    # the trie count is deterministic: 9,873 nodes when each row of _lower
-    # comes from the left-lcm of w and x; 14,454 when each row formed w*L
-    # and reversed it against every lower atom; 15,820 when reductions
-    # formed f*w through _act and found least divisors over per-cell
-    # complements
+    # the trie count is deterministic: 7,237 nodes when each lcm step reads
+    # both complements off one reversal; 9,873 when it formed the lcm word
+    # and divided it again; 14,454 when each row of _lower formed w*L and
+    # reversed it against every lower atom; 15,820 when reductions formed
+    # f*w through _act and found least divisors over per-cell complements
     struct = artin_named("E6")
     res = build_complex(struct, optimize_ordering(struct))
-    assert len(res.kernel.last) <= 10_500
+    assert len(res.kernel.last) <= 7_300
     # terms whose cell has an empty _above, the only ones with no rows on
     # E6, are never walked
     assert all(walked_rows(res).values())

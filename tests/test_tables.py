@@ -347,7 +347,7 @@ def test_big_rows_script_on_e6():
     )
     assert run.returncode == 0, run.stdout + run.stderr
     assert re.fullmatch(
-        r"E6 trivial: [\d.]+ s CPU, [\d,]+ MB ru_maxrss, 9,873 trie nodes, "
-        r"[\d,]+ of 59,238 _mul slots filled \([\d.]+%\), [\d,]+ lcms; row equals the Salvetti complex\n",
+        r"E6 trivial: [\d.]+ s CPU, [\d,]+ MB ru_maxrss, 7,237 trie nodes, "
+        r"[\d,]+ of 43,422 _mul slots filled \([\d.]+%\), [\d,]+ lcms; row equals the Salvetti complex\n",
         run.stdout,
     ), run.stdout
