@@ -138,7 +138,7 @@ def cmd_homology(args) -> int:
 
 def cmd_validate(args) -> int:
     struct = _load_structure(args.structure)
-    report = struct.validate(depth=args.depth)
+    report = struct.validate()
     if report.ok:
         print("ok")
         return EXIT_OK
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="bounds on the 2-cell count over orderings")
     p_order = sub.add_parser("order", help="optimize the atom ordering")
     p_hom = sub.add_parser("homology", help="homology of the structure's group")
-    p_val = sub.add_parser("validate", help="sanity-check the lcm table")
+    p_val = sub.add_parser("validate", help="check that the lcm table is complete")
     p_builtin = sub.add_parser("builtin", help="emit a builtin as a structure file")
     for p in (p_cells, p_bounds, p_order, p_hom, p_val, p_builtin):
         p.add_argument("--structure", required=True, help="builtin:<kind:name> or a file path")
@@ -178,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("--coeffs", default="trivial", choices=["trivial", "sign", "laurent"])
     p_hom.add_argument("--field", default=None, choices=["Q", "Fp"])
     p_hom.add_argument("--p", type=int, default=None, help="prime for --field Fp")
-    p_val.add_argument("--depth", type=int, default=3)
     return parser
 
 

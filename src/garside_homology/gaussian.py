@@ -41,7 +41,7 @@ itself.  A table that passes both is complete (Dehornoy, "Complete positive
 group presentations", J. Algebra 268, 2003): it presents a right-cancellative
 category with conditional left-lcms, and reversing computes them.  So the
 complements one reversal gives are exact, and no lcm needs to be formed as
-a word and divided.
+a word and divided.  `validate` reports these two checks and nothing more.
 """
 
 from __future__ import annotations
@@ -121,7 +121,8 @@ class AtomOrdering:
 
 
 class ValidationReport:
-    """Outcome of the bounded structure sanity check."""
+    """Outcome of the completeness check of an lcm table
+    (`GaussianStructure.validate`): one message per violation."""
 
     def __init__(self, violations: list[str]):
         self.violations = violations
@@ -134,11 +135,6 @@ class ValidationReport:
         status = "ok" if self.ok else f"{len(self.violations)} violation(s)"
         return f"ValidationReport({status})"
 
-
-# Safety valve for lcm reversing on corrupted tables: it is guaranteed to
-# terminate only for genuinely Gaussian input.  A kernel counts the lcms it
-# computes (its memo misses) and gives up past this many.
-_FOLD_STEP_LIMIT = 2_000_000
 
 # Reversing a word whose letters have no common multiple can go on forever
 # (the affine A2 relations do), so the cube check gives up on one word past
@@ -497,90 +493,20 @@ class GaussianStructure:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, depth: int = 3) -> ValidationReport:
-        """Check of the lcm table: a passing report proves it complete.
+    def validate(self) -> ValidationReport:
+        """The completeness check of the lcm table: a passing report proves
+        it complete.
 
         Checks nonempty complements and length homogeneity (one violation
         per entry), then Dehornoy's cube condition (one per failing triple
         of atoms, named by atom names; see `_cube_violations`).  A table
-        that passes these is complete, so it presents a right-cancellative,
+        that passes both is complete, so it presents a right-cancellative,
         right-Noetherian category with conditional left-lcms, which is what
-        the word kernel and the resolution assume.  The word kernel refuses
-        any other table.  The checks that follow are internal ones that no
-        complete table fails: the consistency of lcm folds over all atom
-        subsets of size up to `depth` at a common target (every fold order
-        must succeed and give the same lcm; once one order has given an lcm
-        L, the others stop as failed on reversing a node longer than L),
-        then the complex under declaration order up to dimension `depth`
-        (at most `default_max_dim`), checked to stay on the enumerated
-        cells with d∘d = 0.
+        the word kernel and the resolution assume; the word kernel refuses
+        any other table.  Reads the table alone: no kernel or complex is
+        built.
         """
-        if depth < 1:
-            raise PreconditionError("depth must be positive")
-        refused = self._entry_violations() or self._cube_violations()
-        if refused:  # the word kernel refuses such tables
-            return ValidationReport(list(refused))
-        violations = []
-        kernel = self.kernel()
-        for a, b, pair in self.lcm_entries():
-            names = (self.atom_names[a], self.atom_names[b])
-            if pair is None:
-                continue
-            comp_a, comp_b = pair
-            wa = Word(comp_a.src, comp_a.atoms + (a,))
-            wb = Word(comp_b.src, comp_b.atoms + (b,))
-            try:
-                if wa.src != wb.src or kernel.intern(wa) != kernel.intern(wb):
-                    violations.append(f"LCM({names[0]},{names[1]}): sides are not equal as morphisms")
-                    continue
-                if kernel.div(kernel.intern(wa), b) < 0:
-                    violations.append(f"LCM({names[0]},{names[1]}): {names[1]} does not divide the lcm")
-            except (ConsistencyError, RecursionError):
-                violations.append(f"LCM({names[0]},{names[1]}): word arithmetic failed on this entry")
-
-        if violations:
-            return ValidationReport(violations)
-
-        for x in range(len(self.object_names)):
-            here = self.atoms_by_target[x]
-            for size in range(2, min(depth, len(here)) + 1):
-                for subset in itertools.combinations(here, size):
-                    results = []  # per rotation: the lcm node, -1, or None if failed
-                    try:
-                        for rot in range(size):
-                            try:
-                                node = kernel.join(subset[rot:] + subset[:rot])
-                            except (ConsistencyError, RecursionError):
-                                node = None
-                            results.append(node)
-                            if kernel.fold_bound is None and node is not None and node >= 0:
-                                # on a Gaussian table every order reverses only
-                                # nodes no longer than the subset's lcm
-                                kernel.fold_bound = kernel.length[node]
-                    finally:
-                        kernel.fold_bound = None
-                    if None in results:
-                        violations.append(f"lcm fold of {subset} failed")
-                    elif len({r < 0 for r in results}) > 1:
-                        violations.append(f"lcm fold of {subset}: existence depends on fold order")
-                    elif len(set(results)) > 1:
-                        violations.append(f"lcm fold of {subset}: value depends on fold order")
-        if violations:
-            return ValidationReport(violations)
-
-        from .resolution import build_complex, default_max_dim  # resolution imports this module
-
-        dim = min(depth, default_max_dim(self))
-        try:
-            res = build_complex(self, self._default_ordering, dim)
-        except (ConsistencyError, RecursionError) as exc:
-            return ValidationReport([f"complex to dimension {dim} failed: {exc}"])
-        for check in (res.check_facets, res.check_boundary_squared):
-            try:
-                check()
-            except (ConsistencyError, RecursionError) as exc:
-                violations.append(f"complex to dimension {dim}: {exc}")
-        return ValidationReport(violations)
+        return ValidationReport(list(self._entry_violations() or self._cube_violations()))
 
     def __repr__(self):
         name = self.label or "structure"
@@ -620,12 +546,12 @@ class WordKernel:
     returning canonical nodes.  Each nested call works on a strictly
     shorter morphism, so the recursion is at most as deep as the word is
     long.  A third, `lcm`, reverses a node x against an atom b on top of
-    them and returns both complements (p, y), p*x = y*b; its nested calls
-    work on strictly shorter lcms.  It is the one lcm primitive: `join`,
-    `left_lcm`, cell enumeration and `lcm_with_atom` read the pair.  The kernel keeps two
-    memos: the dense `_mul` and the dict `_lcm` of pairs, which holds far
-    fewer entries.  Quotients and longer products are recomputed from them
-    on each call.
+    them and returns both complements (p, y), p*x = y*b; when that lcm
+    exists, its nested calls work on strictly shorter lcms.  It is the one
+    lcm primitive: `join`, `left_lcm`, cell enumeration and `lcm_with_atom`
+    read the pair.  The kernel keeps two memos: the dense `_mul` and the
+    dict `_lcm` of pairs, which holds far fewer entries.  Quotients and
+    longer products are recomputed from them on each call.
 
     A kernel is built only on a table that passes `_entry_violations` and
     `_cube_violations`; on any other the constructor raises
@@ -685,9 +611,6 @@ class WordKernel:
         self._mul = self._no_products * n_obj
         # node * n_atoms + atom -> (p, y) or None, see lcm
         self._lcm: dict[int, Optional[tuple[int, int]]] = {}
-        self._lcm_steps = 0  # memo misses of lcm, against _FOLD_STEP_LIMIT
-        # when set, the longest node lcm may reverse (see validate)
-        self.fold_bound: Optional[int] = None
 
     def _child(self, node: int, atom: int) -> int:
         """The trie node of node*atom, which the caller knows is canonical
@@ -779,20 +702,14 @@ class WordKernel:
         and cur steps to cur', and at the end p*u = cur*comp_c, so y =
         cur*comp_b.  No lcm word is formed or divided: on a complete table
         (see `GaussianStructure._cube_violations`) the complements
-        reversing gives are exact.  Every node reversed on the
-        way is shorter than the lcm it serves, so when a fold's lcm is
-        known to be no longer than `fold_bound`, a miss on a longer x
-        raises ConsistencyError.
+        reversing gives are exact, and reversing ends whenever the lcm
+        exists.  Where it does not, reversing can go on forever, and the
+        nested calls then run into the interpreter's recursion limit.
         """
         key = x * self.n_atoms + b
         res = self._lcm.get(key, _UNKNOWN)
         if res is not _UNKNOWN:
             return res
-        self._lcm_steps += 1
-        if self._lcm_steps > _FOLD_STEP_LIMIT:
-            raise ConsistencyError("lcm reversing did not converge; lcm table is inconsistent")
-        if self.fold_bound is not None and self.length[x] > self.fold_bound:
-            raise ConsistencyError("lcm reversing outgrew the fold bound; lcm table is inconsistent")
         q = self.div(x, b)
         res = None
         if q >= 0:

@@ -93,19 +93,6 @@ class Cell(NamedTuple):
 Chain = dict
 
 
-def chain_iadd(acc: Chain, other: Chain, mult: int = 1) -> Chain:
-    """acc += mult * other, dropping zero entries; returns acc."""
-    if mult == 0:
-        return acc
-    for key, m in other.items():
-        new = acc.get(key, 0) + mult * m
-        if new:
-            acc[key] = new
-        else:
-            del acc[key]
-    return acc
-
-
 def default_max_dim(struct: GaussianStructure) -> int:
     """Number of atoms at the busiest object, capped at 8."""
     busiest = max((len(t) for t in struct.atoms_by_target), default=0)
@@ -119,8 +106,8 @@ class OrderResolution:
     It enumerates its cells up to max_dim on construction (`cells`, one
     layer per dimension, empty layers included), computes each boundary on
     first request (`differential`; `build_complex` computes them all), and
-    checks them (`check_facets`, `check_boundary_squared`).  The recursion
-    runs on the canonical nodes of the ordering's word kernel (see
+    checks that they stay on the enumerated cells (`check_facets`).  The
+    recursion runs on the canonical nodes of the ordering's word kernel (see
     gaussian.py): every chain it takes or returns maps (node, cell) to a
     multiplicity, and `kernel.word` spells a node out.  All methods are
     deterministic functions of (structure, ordering); a resolution shares
@@ -225,20 +212,6 @@ class OrderResolution:
             return self.zero_cell(self.struct.atom_target[cell.atoms[0]])
         return self.make_cell(rest)
 
-    def _act(self, g: int, chain: Chain) -> Chain:
-        if g < self.struct.n_objects:
-            return chain
-        product = self.kernel.product
-        out: Chain = {}
-        for (w, cell), m in chain.items():
-            key = (product(g, w), cell)
-            new = out.get(key, 0) + m
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return out
-
     def _differential(self, cell: Cell) -> Chain:
         cached = self._diff_cache.get(cell)
         if cached is not None:
@@ -271,13 +244,6 @@ class OrderResolution:
         if self.make_cell(cell.atoms) != cell:
             raise PreconditionError(f"{cell} is not an enumerated cell")
         return self._differential(cell)
-
-    def _boundary_chain(self, chain: Chain) -> Chain:
-        """Module-linear extension of the differential to chains of dim >= 1."""
-        acc: Chain = {}
-        for (w, cell), m in chain.items():
-            chain_iadd(acc, self._act(w, self.differential(cell)), m)
-        return acc
 
     def _lower(self, w: int, cell: Cell) -> tuple[tuple[int, int, Optional[Cell], tuple[int, ...]], ...]:
         """For a term w[cell], L its cell's lcm: one row (p, rank,
@@ -375,17 +341,6 @@ class OrderResolution:
                     if tail:
                         todo.append((h, tail, -step))
                     break
-
-    def check_boundary_squared(self) -> None:
-        """Raise if the composite of two differentials is nonzero anywhere."""
-        for n in range(2, len(self.cells)):
-            for cell in self.cells[n]:
-                composite = self._boundary_chain(self._differential(cell))
-                if composite:
-                    raise ConsistencyError(f"boundary of boundary is nonzero on {cell}")
-        for cell in self.cells[1] if len(self.cells) > 1 else []:
-            if sum(self._differential(cell).values()):  # the augmentation maps 0-cells to 1
-                raise ConsistencyError(f"augmented boundary is nonzero on {cell}")
 
     def check_facets(self) -> None:
         """Raise if a boundary meets a facet outside the enumerated cells."""

@@ -39,7 +39,7 @@ COMMANDS = (
 # (builtin, shortest and longest replacement word)
 CAMPAIGN = (
     ("artin:A3", 1, 2),
-    ("artin:I2(5)", 1, 3),
+    ("artin:I2(5)", 1, 4),
     ("circ:G7", 1, 2),
     ("circ:G13", 1, 2),
     ("dual:A3", 1, 1),

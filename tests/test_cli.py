@@ -223,6 +223,7 @@ REFUSED_OPTIONS = (
     + [(command, ["--order", "auto"]) for command in ("bounds", "order", "validate", "builtin")]
     + [(command, ["--max-dim", "3"]) for command in ("bounds", "validate", "builtin")]
     + [(command, ["--format", "text"]) for command in ("validate", "builtin")]
+    + [("validate", ["--depth", "3"])]
 )
 
 
@@ -488,14 +489,26 @@ def test_validate_flags_diverging_folds(tmp_path):
     assert out == f"violation: {DIVERGING}\n"
 
 
-def test_validate_stops_a_fold_that_outgrows_another_order(tmp_path):
-    # G13 with one complement changed: two orders of the triple fold to the
-    # same lcm of length 5, and the third reverses ever longer words.  The
-    # cube check gives up on the triple at its step bound, so validate
-    # reports it and no word kernel is built on the table.  Past the check
-    # (its result set to a pass), the fold loop still stops: over 3,000
-    # trie nodes and lcm steps before the recursion limit, without the
-    # bound the first order's lcm puts on the others
+def test_validate_passes_a_complete_table_whose_lcm_reversing_never_ends(tmp_path):
+    # A3 with c.c.b = b.c.c for the lcm of b and c: the table is complete,
+    # but b.c and b have no common left-multiple, and the word kernel's
+    # lcm of the two needs itself.  validate reports completeness, so it
+    # passes the table; the homology run meets the pair and stops at the
+    # recursion limit
+    path = tmp_path / "a3.gs"
+    path.write_text(_mutated_builtin("artin:A3", "LCM b c ", "LCM b c COMPL c.c b.c"))
+    assert run_cli(["validate", "--structure", str(path)]) == (0, "ok\n", "")
+    assert run_cli(["homology", "--structure", str(path), "--max-dim", "3"]) == (
+        4,
+        "",
+        "internal error: recursion too deep for this structure\n",
+    )
+
+
+def test_validate_refuses_a_g13_table_whose_reversing_diverges(tmp_path):
+    # G13 with one complement changed: reversing over the triple makes ever
+    # longer words, so the cube check gives up on it at its step bound,
+    # validate reports it and no word kernel is built on the table
     text = _mutated_builtin("circ:G13", "LCM a b ", "LCM a b COMPL c.a.b.c a.a.a.c")
     path = tmp_path / "g13.gs"
     path.write_text(text)
@@ -504,11 +517,6 @@ def test_validate_stops_a_fold_that_outgrows_another_order(tmp_path):
     struct = parse_structure(text)
     with pytest.raises(ConsistencyError, match=r"^cube condition fails on \(a,b,c\): reversing ran past"):
         struct.kernel()
-    struct._cube = []
-    assert struct.validate().violations == ["lcm fold of (0, 1, 2) failed"]
-    kernel = struct.kernel()
-    assert len(kernel.last) <= 40 and kernel._lcm_steps <= 40
-    assert kernel.fold_bound is None
 
 
 @pytest.mark.parametrize("depth", ["3", "4", "6"])
@@ -516,11 +524,14 @@ def test_validate_flags_boundary_off_the_cells(tmp_path, depth):
     # every lcm fold of this table agrees, and building its complex would
     # meet a term whose lcm with a lower atom is not a multiple of the
     # cell's.  Five triples fail the cube condition, which validate reports
-    # before any fold, at every depth (test_resolution's
-    # test_checks_flag_a_tampered_complex covers the complex checks)
+    # on the table alone: the fold depth it once took is refused (exit 2)
+    # at each value, and without it the report is the same
     path = tmp_path / "bad.gs"
     path.write_text(INCONSISTENT_TABLES["term lcm not a multiple"])
-    code, out, _ = run_cli(["validate", "--structure", str(path), "--depth", depth])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["validate", "--structure", str(path), "--depth", depth])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(["validate", "--structure", str(path)])
     assert code == 3
     assert out.splitlines() == [
         f"violation: cube condition fails on ({x},{y},{z}): lcm({x},{z},{y}) reversed from {x} and from {z} differ"
@@ -570,23 +581,25 @@ def test_cell_lcm_off_its_facet_lcm_exits_4(tmp_path):
 
 def test_one_complement_mutations_end_in_documented_exit_codes(tmp_path):
     # every table one complement word of length 1 or 2 away from A3 or
-    # I2(5), under validate and homology to degree 3 over Z and Q[t]: 78
-    # tables, 234 runs.  Each ends in a documented exit code with at most
-    # one line on stderr, and a homology run that exits 0 prints the H_0
-    # and H_1 that Fox calculus gives on the table's own relations; the
-    # counts are pinned, so a change that accepts or refuses another of
-    # these tables shows here.  No table off by one complement passes the
-    # cube condition, so no run exits 0
+    # I2(5), and of length 4 away from I2(5), under validate and homology
+    # to degree 3 over Z and Q[t]: 108 tables, 324 runs.  Each ends in a
+    # documented exit code with at most one line on stderr, and a homology
+    # run that exits 0 prints the H_0 and H_1 that Fox calculus gives on
+    # the table's own relations; the counts are pinned, so a change that
+    # accepts or refuses another of these tables shows here.  No table off
+    # by a shorter complement passes the checks; the 30 rank-two tables
+    # whose complements keep length 4 are complete (no triple to check),
+    # so all their runs exit 0 and Fox calculus compares real rows
     codes = collections.Counter()
-    for spec in ("artin:A3", "artin:I2(5)"):
-        for row, text in mutations.mutations(spec, 2):
+    for spec, max_len, min_len in (("artin:A3", 2, 1), ("artin:I2(5)", 2, 1), ("artin:I2(5)", 4, 4)):
+        for row, text in mutations.mutations(spec, max_len, min_len):
             runs = mutations.run_commands(text, tmp_path)
             for code, _, err in runs:
                 assert code in (0, 2, 3, 4), (spec, row)
                 assert "Traceback" not in err and err.count("\n") <= 1, (spec, row)
                 codes[code] += 1
             assert not mutations.fox_rejects(text, runs), (spec, row)
-    assert codes == {4: 156, 3: 78}
+    assert codes == {0: 90, 4: 156, 3: 78}
 
 
 EMPTY_COMPLEMENT = "empty complement, so one atom divides the other"

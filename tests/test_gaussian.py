@@ -290,8 +290,16 @@ def test_length_is_a_morphism():
 
 def test_validate_positive_controls(builtins):
     for name, struct in builtins.items():
-        report = struct.validate(depth=3)
+        report = struct.validate()
         assert report.ok, (name, report.violations)
+
+
+def test_validate_reads_the_table_alone(two_cycle_category, cospan_category):
+    # validate runs the entry and cube checks on the parsed table and
+    # builds no word kernel, and so no complex, on the way
+    for struct in (builtin_structure("artin:E8"), two_cycle_category, cospan_category):
+        assert struct.validate().ok, struct
+        assert struct._kernels == {}, struct
 
 
 def test_validate_flags_swapped_complement():

@@ -110,7 +110,7 @@ def test_dual_typeA_small():
             assert d2.word_length(lcm) == 2
     d3 = dual_typeA_structure(3)
     assert d3.n_atoms == 6
-    assert d3.validate(depth=3).ok
+    assert d3.validate().ok
     with pytest.raises(PreconditionError):
         dual_typeA_structure(9)
 
@@ -275,7 +275,7 @@ def test_nolcm_roundtrip(cospan_category):
 def test_artin_generic_matrix():
     # a rank-3 matrix with an m=2 pair builds and validates
     struct = artin_structure(CoxeterMatrix([[1, 4, 2], [4, 1, 3], [2, 3, 1]]))
-    assert struct.validate(depth=3).ok
+    assert struct.validate().ok
 
 
 def _cli_errors(tmp_path, text):
