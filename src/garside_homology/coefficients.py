@@ -17,7 +17,6 @@ that Laurent homology prints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -41,18 +40,28 @@ KINDS = ("trivial", "sign", "laurent")
 MAX_LAURENT_SPAN = 2**20
 
 
-@dataclass(frozen=True)
 class CoefficientSystem:
-    kind: str
-    field: object = None  # Rationals() or PrimeField(p); Laurent only
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise PreconditionError(f"unknown coefficient system {self.kind!r}")
-        if self.kind == "laurent" and self.field is None:
+    def __init__(self, kind: str, field: object = None):
+        # field: Rationals() or PrimeField(p); Laurent only
+        if kind not in KINDS:
+            raise PreconditionError(f"unknown coefficient system {kind!r}")
+        if kind == "laurent" and field is None:
             raise PreconditionError("Laurent coefficients need a field")
-        if self.kind != "laurent" and self.field is not None:
-            raise PreconditionError(f"{self.kind} coefficients take no field")
+        if kind != "laurent" and field is not None:
+            raise PreconditionError(f"{kind} coefficients take no field")
+        self.kind = kind
+        self.field = field
+
+    def __eq__(self, other):
+        if type(other) is not CoefficientSystem:
+            return NotImplemented
+        return (self.kind, self.field) == (other.kind, other.field)
+
+    def __hash__(self):
+        return hash((self.kind, self.field))
+
+    def __repr__(self):
+        return f"CoefficientSystem(kind={self.kind!r}, field={self.field!r})"
 
     def domain(self):
         if self.kind == "laurent":

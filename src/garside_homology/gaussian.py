@@ -703,8 +703,11 @@ class WordKernel:
         cur*comp_b.  No lcm word is formed or divided: on a complete table
         (see `GaussianStructure._cube_violations`) the complements
         reversing gives are exact, and reversing ends whenever the lcm
-        exists.  Where it does not, reversing can go on forever, and the
-        nested calls then run into the interpreter's recursion limit.
+        exists.  The memo entry reads None while its reversing runs, so a
+        nested call on the same pair returns None: were that lcm defined,
+        every nested lcm would be strictly shorter, and none could repeat.
+        An exception removes the mark.  Reversing that grows words without
+        repeating a pair still runs into the interpreter's recursion limit.
         """
         key = x * self.n_atoms + b
         res = self._lcm.get(key, _UNKNOWN)
@@ -725,17 +728,22 @@ class WordKernel:
                 comp_b, comp_c_rev = entry
                 cur, p = self.parent[x], self.src[x]
                 lcm, product = self.lcm, self.product
-                for d in comp_c_rev:
-                    step = lcm(cur, d)
-                    if step is None:
-                        break
-                    q, cur = step
-                    p = product(q, p)
-                else:
-                    memo, n = self._mul, self.n_atoms
-                    for d in comp_b:
-                        cur = memo[cur * n + d] or self.mul(cur, d)
-                    res = (p, cur)
+                self._lcm[key] = None  # in progress: a nested call that meets it reads None
+                try:
+                    for d in comp_c_rev:
+                        step = lcm(cur, d)
+                        if step is None:
+                            break
+                        q, cur = step
+                        p = product(q, p)
+                    else:
+                        memo, n = self._mul, self.n_atoms
+                        for d in comp_b:
+                            cur = memo[cur * n + d] or self.mul(cur, d)
+                        res = (p, cur)
+                except BaseException:
+                    del self._lcm[key]
+                    raise
         self._lcm[key] = res
         return res
 

@@ -7,8 +7,7 @@ monic and p(0) != 0, and prints as p, so (t^3 - t^2) prints as (t - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coefficients import (
     CoefficientSystem,
@@ -22,8 +21,7 @@ from .resolution import OrderResolution, build_complex, default_max_dim
 from .rings import poly_str
 
 
-@dataclass
-class HomologyResult:
+class HomologyResult(NamedTuple):
     system: CoefficientSystem
     resolution: OrderResolution
     groups: list[HomologyGroup]  # degrees 0..max_dim

@@ -26,10 +26,9 @@ anywhere else, so a field needs no `add`, `sub` or `neg`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .gaussian import ConsistencyError, PreconditionError
 from . import rings
@@ -195,7 +194,6 @@ class LaurentDomain:
         return hash(("laurent", self.field))
 
 
-@dataclass(frozen=True)
 class ScalarMatrix:
     """Dense rectangular matrix over one of the supported domains.
 
@@ -204,10 +202,16 @@ class ScalarMatrix:
     factors.
     """
 
-    rows: int
-    cols: int
-    entries: list
-    domain: object
+    def __init__(self, rows: int, cols: int, entries: list, domain):
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+        self.domain = domain
+
+    def __eq__(self, other):
+        if type(other) is not ScalarMatrix:
+            return NotImplemented
+        return (self.rows, self.cols, self.entries, self.domain) == (other.rows, other.cols, other.entries, other.domain)
 
     @classmethod
     def zero(cls, rows: int, cols: int, domain) -> "ScalarMatrix":
@@ -337,8 +341,7 @@ def invariant_factors(matrix: ScalarMatrix) -> list:
     return factors
 
 
-@dataclass
-class HomologyGroup:
+class HomologyGroup(NamedTuple):
     """Free rank plus a divisibility chain of non-unit torsion divisors."""
 
     free_rank: int

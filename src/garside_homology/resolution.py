@@ -63,7 +63,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .gaussian import (
@@ -380,8 +379,7 @@ def build_complex(
 # -- two-cell statistics and ordering optimization -----------------------------
 
 
-@dataclass
-class TwoCellBounds:
+class TwoCellBounds(NamedTuple):
     """Lower/upper bounds on the 2-cell count over all orderings."""
 
     per_object: dict[int, tuple[int, int]]

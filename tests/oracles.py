@@ -33,6 +33,13 @@ higher degree 0; the rank of H_2 follows from the Euler characteristic,
 the sum of (-1)^|X| over the sets X of generators with a common multiple
 (the Charney–Meier–Whittlesey and Squier complex), found by rewriting.
 
+`dual_graded_euler` gives the inverse growth series of the dual braid
+monoid of type A_n from noncrossing partitions alone: the lcm of a set of
+transpositions is the noncrossing closure of the partition they generate
+(points 0..n on a circle in the order of the Coxeter cycle), and its
+length is n + 1 minus its number of blocks (Bessis, "The dual braid
+monoid", Ann. Sci. ENS 36, 2003).
+
 References: Fox, "Free differential calculus I", Ann. of Math. 57 (1953);
 Bessis, "Finite complex reflection arrangements are K(pi,1)", Ann. of
 Math. 181 (2015); Charney, Meier and Whittlesey, Geom. Dedicata 105
@@ -104,6 +111,49 @@ def graded_euler(coxeter):
             e = sum(d - 1 for comp in _components(coxeter.m, subset) for d in degrees(coxeter.m, comp))
             out[e] = out.get(e, 0) + (-1) ** k
     return {e: c for e, c in out.items() if c}
+
+
+def dual_graded_euler(n):
+    """Sum over the sets X of transpositions of S_(n+1) of
+    (-1)^|X| t^|lcm X|, as {exponent: coefficient} without zero
+    coefficients: the inverse growth series of the dual braid monoid of
+    type A_n, with |lcm X| = n + 1 - (the number of blocks of the
+    noncrossing closure of the partition X generates)."""
+    transpositions = list(itertools.combinations(range(n + 1), 2))
+    out = {}
+    for k in range(len(transpositions) + 1):
+        for subset in itertools.combinations(transpositions, k):
+            e = n + 1 - len(_noncrossing_closure(n + 1, subset))
+            out[e] = out.get(e, 0) + (-1) ** k
+    return {e: c for e, c in out.items() if c}
+
+
+def _noncrossing_closure(size, pairs):
+    """The blocks of the finest noncrossing partition of 0..size-1, on a
+    circle in that order, that puts the two points of each pair in one
+    block."""
+    blocks = [{i} for i in range(size)]
+    for i, j in pairs:
+        a, b = (next(block for block in blocks if x in block) for x in (i, j))
+        if a is not b:
+            blocks.remove(b)
+            a |= b
+    while crossing := next(((a, b) for a, b in itertools.combinations(blocks, 2) if _cross(a, b)), None):
+        a, b = crossing
+        blocks.remove(b)
+        a |= b
+    return blocks
+
+
+def _cross(a, b):
+    """Whether two disjoint blocks cross: a1 < b1 < a2 < b2 for points of
+    one block a1, a2 and of the other b1, b2."""
+    return any(
+        x1 < y1 < x2 < y2
+        for x, y in ((a, b), (b, a))
+        for x1, x2 in itertools.combinations(sorted(x), 2)
+        for y1, y2 in itertools.combinations(sorted(y), 2)
+    )
 
 
 def _components(m, subset):

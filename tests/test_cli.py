@@ -415,10 +415,12 @@ def _table(lines):
     return "GAUSSIAN-STRUCTURE v1\nOBJECT *\n" + "".join(f"{line}\n" for line in lines)
 
 
-def _mutated_builtin(spec, row, line):
-    lines = serialize_structure(builtin_structure(spec)).splitlines(keepends=True)
-    lines = [line + "\n" if text.startswith(row) else text for text in lines]
-    return "".join(lines)
+def _mutated_builtin(spec, *lines):
+    """The builtin's table with the lcm row of each line's pair replaced by
+    the line."""
+    rows = {tuple(line.split()[:3]): line + "\n" for line in lines}
+    text = serialize_structure(builtin_structure(spec)).splitlines(keepends=True)
+    return "".join(rows.get(tuple(row.split()[:3]), row) for row in text)
 
 
 ABC = ["ATOM a * * 1", "ATOM b * * 1", "ATOM c * * 1"]
@@ -436,11 +438,11 @@ INCONSISTENT_TABLES = {
     "uneven sides": _table(
         ABC + ["LCM a b COMPL b c.a", "LCM a c COMPL b.c a.b", "LCM b c COMPL c.a a.b"]
     ),
-    "uneven sides, growing trie": _mutated_builtin("artin:A3", "LCM a c ", "LCM a c COMPL c a.b.c"),
-    "pair lcm not divisible": _mutated_builtin("artin:A3", "LCM a b ", "LCM a b COMPL a.b b.c"),
-    "term lcm not a multiple": _mutated_builtin("dual:A3", "LCM t12 t23 ", "LCM t12 t23 COMPL t23 t02"),
-    "leading term cancelled": _mutated_builtin("artin:A3", "LCM a b ", "LCM a b COMPL a.b a.b"),
-    "cell lcm off its facet's": _mutated_builtin("artin:A3", "LCM b c ", "LCM b c COMPL b.c c.c"),
+    "uneven sides, growing trie": _mutated_builtin("artin:A3", "LCM a c COMPL c a.b.c"),
+    "pair lcm not divisible": _mutated_builtin("artin:A3", "LCM a b COMPL a.b b.c"),
+    "term lcm not a multiple": _mutated_builtin("dual:A3", "LCM t12 t23 COMPL t23 t02"),
+    "leading term cancelled": _mutated_builtin("artin:A3", "LCM a b COMPL a.b a.b"),
+    "cell lcm off its facet's": _mutated_builtin("artin:A3", "LCM b c COMPL b.c c.c"),
     # an empty complement says lcm(a, b) = a: on both sides a = b, on one
     # side b divides a (here a = b.b, with the lengths kept even)
     "empty complements": _table(["ATOM a * * 1", "ATOM b * * 1", "LCM a b COMPL - -"]),
@@ -489,27 +491,35 @@ def test_validate_flags_diverging_folds(tmp_path):
     assert out == f"violation: {DIVERGING}\n"
 
 
-def test_validate_passes_a_complete_table_whose_lcm_reversing_never_ends(tmp_path):
-    # A3 with c.c.b = b.c.c for the lcm of b and c: the table is complete,
-    # but b.c and b have no common left-multiple, and the word kernel's
-    # lcm of the two needs itself.  validate reports completeness, so it
-    # passes the table; the homology run meets the pair and stops at the
-    # recursion limit
-    path = tmp_path / "a3.gs"
-    path.write_text(_mutated_builtin("artin:A3", "LCM b c ", "LCM b c COMPL c.c b.c"))
-    assert run_cli(["validate", "--structure", str(path)]) == (0, "ok\n", "")
-    assert run_cli(["homology", "--structure", str(path), "--max-dim", "3"]) == (
-        4,
-        "",
-        "internal error: recursion too deep for this structure\n",
-    )
+# complete tables (the cube check passes them) holding two morphisms with no
+# common left-multiple, such as b.c and b in the A3 and H3 tables, whose lcm
+# needs itself in the word kernel's reversing
+LCM_CYCLE_TABLES = {
+    "A3": _mutated_builtin("artin:A3", "LCM b c COMPL c.c b.c"),
+    "H3": _mutated_builtin("artin:H3", "LCM b c COMPL c.c b.c"),
+    "B3": _mutated_builtin("artin:B3", "LCM a b COMPL a.b a.a", "LCM b c COMPL c.c.b b.c.b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LCM_CYCLE_TABLES))
+def test_homology_prints_complete_tables_whose_lcm_reversing_meets_itself(tmp_path, name):
+    # validate passes each table, and both homology runs exit 0: the nested
+    # lcm call that meets its own pair reads None instead of recursing to
+    # the interpreter's limit.  Fox calculus on the table's relations gives
+    # the same H_0 and H_1
+    text = LCM_CYCLE_TABLES[name]
+    runs = mutations.run_commands(text, tmp_path)
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    assert runs[0][1] == "ok\n"
+    assert all(err == "" for _, _, err in runs)
+    assert mutations.fox_rejects(text, runs) == []
 
 
 def test_validate_refuses_a_g13_table_whose_reversing_diverges(tmp_path):
     # G13 with one complement changed: reversing over the triple makes ever
     # longer words, so the cube check gives up on it at its step bound,
     # validate reports it and no word kernel is built on the table
-    text = _mutated_builtin("circ:G13", "LCM a b ", "LCM a b COMPL c.a.b.c a.a.a.c")
+    text = _mutated_builtin("circ:G13", "LCM a b COMPL c.a.b.c a.a.a.c")
     path = tmp_path / "g13.gs"
     path.write_text(text)
     code, out, _ = run_cli(["validate", "--structure", str(path)])

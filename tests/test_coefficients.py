@@ -45,6 +45,12 @@ def test_system_construction():
         CoefficientSystem("sign", QQ)
     with pytest.raises(PreconditionError):
         CoefficientSystem("frobnicate")
+    # systems compare, hash and print by their kind and field
+    assert make_system("laurent", "Fp", 5) == CoefficientSystem("laurent", PrimeField(5))
+    assert len({make_system("laurent", "Q"), CoefficientSystem("laurent", QQ), make_system("laurent", "Fp", 5)}) == 2
+    assert make_system("trivial") != make_system("sign")
+    assert repr(make_system("sign")) == "CoefficientSystem(kind='sign', field=None)"
+    assert repr(make_system("laurent", "Q")) == "CoefficientSystem(kind='laurent', field=Rationals())"
 
 
 def scalar(struct, system, word):

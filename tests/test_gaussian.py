@@ -44,6 +44,14 @@ def same_morphism(struct, u, v):
     return struct.canonical_form(u) == struct.canonical_form(v)
 
 
+def stack_depth():
+    """The number of frames on the caller's stack, itself included."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
 def left_lcm(struct, atoms):
     """The left-lcm of atoms sharing a target, as a canonical word, with the
     word c_a such that c_a*a = lcm for each atom a; None without one."""
@@ -389,11 +397,8 @@ def test_cube_check_stops_a_diverging_table_at_its_step_bound(monkeypatch):
     # work list, not the call stack, under a few frames more than the
     # caller's, and gives up at the step bound
     message = "cube condition fails on (a,b,c): reversing ran past {} steps"
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 20)
+    sys.setrecursionlimit(stack_depth() + 20)
     try:
         violations = GaussianStructure(*AFFINE_A2_ARGS)._cube_violations()
     finally:
@@ -430,6 +435,44 @@ def test_lcm_complements_are_exact(two_cycle_category, cospan_category):
             assert kernel.div(kernel.product(p, x), b) == y, (res.struct, x, b)
             checked += 1
         assert checked or not any(res.cells[1:]), res.struct
+
+
+def test_lcm_is_none_where_reversing_meets_its_own_pair():
+    # A3 with c.c.b = b.c.c for the lcm of b and c passes the cube check,
+    # but b.c and b have no common left-multiple: lcm(b.c, b) folds over
+    # c.b, and its second step is lcm(b.c, b) again, which reads the mark
+    # of the call in progress
+    struct = _one_complement_off("artin:A3", "LCM b c COMPL c.c b.c")
+    assert struct.validate().ok
+    kernel = struct.kernel()
+    b = struct.atom_index["b"]
+    x = kernel.intern(struct.word_from_names(["b", "c"]))
+    assert kernel.lcm(x, b) is None
+    assert kernel._lcm[x * kernel.n_atoms + b] is None
+    assert kernel.left_lcm(x, kernel.intern(struct.word([b]))) is None
+
+
+def test_an_interrupted_lcm_leaves_no_mark():
+    # E8, c^7 for the Coxeter element c = a0...a7 (56 atoms) against atom
+    # 0, which does not divide it: a legitimate lcm whose reversing nests
+    # about 55 frames.  Interrupted under 40 frames, every entry it marked
+    # in progress is gone again (every lcm of E8 exists, so any None is a
+    # leftover mark), and the rerun gives the fresh kernel's pair
+    atoms = list(range(8)) * 7
+    fresh = artin_named("E8").kernel()
+    expected = [fresh.word(node) for node in fresh.lcm(fresh.intern(fresh.struct.word(atoms)), 0)]
+    kernel = artin_named("E8").kernel()
+    x = kernel.intern(kernel.struct.word(atoms))
+    assert kernel.div(x, 0) < 0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 40)
+    try:
+        with pytest.raises(RecursionError):
+            kernel.lcm(x, 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert None not in kernel._lcm.values()
+    assert [kernel.word(node) for node in kernel.lcm(x, 0)] == expected
 
 
 def test_structure_precondition_errors():
@@ -602,13 +645,8 @@ def test_e8_delta_squared_canonicalizes_within_depth_bound():
     # Division nests at most once per atom of the word, so 240 frames and a
     # few for the callers must do.
     atoms = list(range(8))
-    depth = 0
-    frame = sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 240 + 40)
+    sys.setrecursionlimit(stack_depth() + 240 + 40)
     try:
         for order in (atoms, atoms[::-1]):
             struct = artin_named("E8")  # cold caches for each ordering

@@ -41,6 +41,16 @@ def test_two_cycle_category_homology(two_cycle_category):
     trivial = compute_homology(two_cycle_category, make_system("trivial"))
     assert (trivial.groups[0].free_rank, trivial.groups[0].torsion) == (1, [])
     assert (trivial.groups[1].free_rank, trivial.groups[1].torsion) == (1, [])
+    # results and groups are records of named fields, compared field by
+    # field and printed by name
+    assert trivial == homology.HomologyResult(
+        system=trivial.system, resolution=trivial.resolution, groups=trivial.groups
+    )
+    assert repr(trivial).startswith("HomologyResult(system=CoefficientSystem(kind='trivial', field=None), resolution=")
+    group = trivial.groups[1]
+    assert group == HomologyGroup(free_rank=1, torsion=[], domain=group.domain)
+    assert group != HomologyGroup(0, [], group.domain)
+    assert repr(group) == f"HomologyGroup(free_rank=1, torsion=[], domain={group.domain!r})"
 
     # under the sign action the loop acts by -1: coinvariants Z/2
     sign = compute_homology(two_cycle_category, make_system("sign"))

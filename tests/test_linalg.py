@@ -284,6 +284,14 @@ def test_snf_basic_examples():
     assert invariant_factors(int_matrix([[0, 0], [0, 0]])) == []
     assert invariant_factors(ScalarMatrix.zero(0, 3, ZZ)) == []
     assert invariant_factors(ScalarMatrix.zero(3, 0, ZZ)) == []
+    # factors are kept on first read; a copy equals its matrix and starts
+    # without them
+    mat = int_matrix([[2, 0], [0, 3]])
+    assert mat.factors == [1, 6] and "factors" in vars(mat)
+    copy = mat.copy()
+    assert copy == mat and copy.entries is not mat.entries and "factors" not in vars(copy)
+    copy.entries[1][1] = 4
+    assert copy != mat and copy.factors == [2, 4]
 
     t_minus_one = [(0, [-1, 1]), (0, [])]
     diag = laurent_matrix(QQ, [t_minus_one, t_minus_one[::-1]])

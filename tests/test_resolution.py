@@ -943,12 +943,17 @@ def test_cells_satisfy_the_graded_euler_identity():
     # of the monoid, so under any ordering it equals the same sum over the
     # subsets of the atoms: for Artin types from the degrees
     # (tests/oracles.py), for the rank-two monoids of the complex braid
-    # groups from their presentations alone
+    # groups from their presentations alone, for the dual braid monoids of
+    # type A from noncrossing partitions
     rng = random.Random(4242)
-    cases = [
-        (name, artin_named(name), oracles.graded_euler(coxeter_matrix(name)))
-        for name in ["A2", "A3", "B3", "B4", "D4", "D5", "I2(7)", "F4", "H3", "H4", "E6", "E7"]
-    ] + [(name, circulating_structure(name), rewriting_euler(name)) for name in ["G7", "G12", "G13", "G15", "G22"]]
+    cases = (
+        [
+            (name, artin_named(name), oracles.graded_euler(coxeter_matrix(name)))
+            for name in ["A2", "A3", "B3", "B4", "D4", "D5", "I2(7)", "F4", "H3", "H4", "E6", "E7"]
+        ]
+        + [(name, circulating_structure(name), rewriting_euler(name)) for name in ["G7", "G12", "G13", "G15", "G22"]]
+        + [(f"dual A{n}", dual_typeA_structure(n), oracles.dual_graded_euler(n)) for n in (2, 3, 4)]
+    )
     for name, struct, expected in cases:
         for _ in range(3):
             order = rng.sample(range(struct.n_atoms), struct.n_atoms)

@@ -3,9 +3,12 @@
 pyproject.toml declares `dependencies = []`; sympy and hypothesis serve the
 tests only.  Every absolute import in the package must name a module of the
 standard library, so a third-party import cannot slip into the runtime.
+Every run pays for the package's imports, so its records are NamedTuples
+and plain classes: `dataclasses` would bring `inspect`, `ast` and `dis`.
 """
 
 import ast
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -46,3 +49,13 @@ def test_the_guard_sees_third_party_imports(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import os.path\nfrom sympy import Poly\nfrom . import rings\nimport hypothesis as h\n")
     assert absolute_imports(probe) == ["os", "sympy", "hypothesis"]
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without site or environment, the sources on its path
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import garside_homology.cli; "
+        "print([name for name in ('dataclasses', 'inspect') if name in sys.modules])"
+    )
+    run = subprocess.run([sys.executable, "-S", "-E", "-c", code, str(ROOT / "src")], capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
