@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .gaussian import PreconditionError, WordKernel
+from .gaussian import ConsistencyError, PreconditionError, WordKernel
 from .linalg import IntegerDomain, LaurentDomain, ScalarMatrix
 from .resolution import OrderResolution
 from .rings import (
@@ -133,11 +133,11 @@ def specialize(res: OrderResolution, system: CoefficientSystem) -> list[Optional
     PreconditionError is raised on a term of a structure with several
     objects and no path lengths unless the action is trivial, and on a
     Laurent entry whose exponents span more than MAX_LAURENT_SPAN before
-    its coefficient list is made.  Index 0 of the returned list is None:
+    its coefficient list is made; ConsistencyError on a term whose facet is
+    not an enumerated cell.  Index 0 of the returned list is None:
     degree zero has no outgoing differential here, the resolution continues
     by the augmentation.
     """
-    res.check_facets()
     cells = res.cells
     # every cell of dimension >= 1 has a term; without one nothing is transported
     exponent = node_exponent(res.kernel, system) if len(cells) > 1 and cells[1] else None
@@ -150,7 +150,10 @@ def specialize(res: OrderResolution, system: CoefficientSystem) -> list[Optional
         for j, cell in enumerate(cols):
             sums: dict[int, dict[int, int]] = {}
             for (node, facet), mult in res.differential(cell).items():
-                terms = sums.setdefault(row_index[facet], {})
+                i = row_index.get(facet)
+                if i is None:
+                    raise ConsistencyError(f"the boundary of {cell} meets {facet}, which is not a cell")
+                terms = sums.setdefault(i, {})
                 e = exponent(node)
                 terms[e] = terms.get(e, 0) + mult
             for i, terms in sums.items():

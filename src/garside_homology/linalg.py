@@ -79,6 +79,9 @@ class IntegerDomain:
     def __hash__(self):
         return hash("Z")
 
+    def __repr__(self):
+        return "IntegerDomain()"
+
 
 class LaurentDomain:
     """Euclidean structure on Laurent polynomials over a field.
@@ -192,6 +195,9 @@ class LaurentDomain:
 
     def __hash__(self):
         return hash(("laurent", self.field))
+
+    def __repr__(self):
+        return f"LaurentDomain({self.field!r})"
 
 
 class ScalarMatrix:

@@ -30,11 +30,12 @@ stack: a zero-cell term telescopes down its word one atom per step, so a
 chain of steps can be as long as a word.  Every other chain is a value:
 never mutate a chain you were given, a cached boundary least of all.
 
-The caches are per resolution.  Enumeration writes two: cell lcms (as nodes)
-keyed by atom tuple, and per cell C below the top dimension the atoms above
-it (`_above`): (a, x, [a, C]) per atom a below C's first one (every atom at
-a zero cell's object, with x = a) with x*lcm = lcm(a, lcm), [a, C] being
-the enumerated cell or None, so only enumeration decides the cell
+The caches are per resolution.  Enumeration writes two: per cell [a, C]
+its record (lcm, u, C) with u*lcm(C) = lcm, whose u[C] leads its boundary,
+and per cell C below the top dimension the atoms above it (`_above`):
+(a, x, [a, C]) per atom a below C's first one (every atom at a zero
+cell's object, with x = a) with x*lcm = lcm(a, lcm), [a, C] being the
+enumerated cell or None, so only enumeration decides the cell
 condition.  The others are differentials per cell, and per cell a
 contraction has stepped onto its prepared tail (`_tail`).  The contracting
 homotopy acts on a differential times a coefficient g, in every degree
@@ -103,22 +104,21 @@ class OrderResolution:
     the cell complex itself.
 
     It enumerates its cells up to max_dim on construction (`cells`, one
-    layer per dimension, empty layers included), computes each boundary on
-    first request (`differential`; `build_complex` computes them all), and
-    checks that they stay on the enumerated cells (`check_facets`).  The
-    recursion runs on the canonical nodes of the ordering's word kernel (see
-    gaussian.py): every chain it takes or returns maps (node, cell) to a
-    multiplicity, and `kernel.word` spells a node out.  All methods are
+    layer per dimension, empty layers included) and computes each boundary
+    on first request (`differential`; `build_complex` computes them all).
+    The recursion runs on the canonical nodes of the ordering's word kernel
+    (see gaussian.py): every chain it takes or returns maps (node, cell) to
+    a multiplicity, and `kernel.word` spells a node out.  All methods are
     deterministic functions of (structure, ordering); a resolution shares
     the word kernel its structure keeps for the ordering, so it must not be
-    used from several threads at once.  It caches the lcm of each
-    enumerated cell, per cell below the top dimension the atoms above it
-    and the cells they make (`_above`, both written by enumeration),
-    differentials per cell (a reduction is read off the differential of the
-    cell it leads), and per cell below the top dimension that a contraction
-    steps onto, its boundary's tail as the rows that decide whether a
-    multiple of a term is reducible and where its contraction steps
-    (`_lower`, `_tail`).
+    used from several threads at once.  It keeps per enumerated cell
+    [a, C] its record (lcm, u, C) with u*lcm(C) = lcm (`_cells`), per cell
+    below the top dimension the atoms above it and the cells they make
+    (`_above`, both written by enumeration), differentials per cell (a
+    reduction is read off the differential of the cell it leads), and per
+    cell below the top dimension that a contraction steps onto, its
+    boundary's tail as the rows that decide whether a multiple of a term is
+    reducible and where its contraction steps (`_lower`, `_tail`).
     """
 
     def __init__(
@@ -132,7 +132,7 @@ class OrderResolution:
         if len(self.ordering.ranks) != struct.n_atoms:
             raise PreconditionError("ordering does not cover the atoms")
         self.kernel = struct.kernel(self.ordering)
-        self._lcms: dict[tuple[int, ...], int] = {}  # cell atoms -> node of the cell lcm
+        self._cells: dict[tuple[int, ...], tuple[int, int, Cell]] = {}  # atoms of [alpha, C] -> (lcm, u, C)
         # cell C below the top dimension -> (alpha, x, [alpha, C] or None) per atom
         # alpha below C's first atom with x*lcm(C) = lcm(alpha, lcm(C)), by rank
         self._above: dict[Cell, tuple[tuple[int, int, Optional[Cell]], ...]] = {}
@@ -145,6 +145,9 @@ class OrderResolution:
         self.max_dim = max_dim
         self.cells: list[list[Cell]] = self._enumerate(max_dim)
 
+    def __repr__(self):
+        return f"OrderResolution({self.struct!r}, {self.ordering!r}, max_dim={self.max_dim})"
+
     # -- cells ---------------------------------------------------------------
 
     def zero_cell(self, obj: int) -> Cell:
@@ -156,13 +159,13 @@ class OrderResolution:
         atoms = tuple(atoms)
         if not atoms:
             raise PreconditionError("zero cells need an explicit object; use zero_cell")
-        lcm = self._lcms.get(atoms)
-        if lcm is None:
+        record = self._cells.get(atoms)
+        if record is None:
             raise PreconditionError(f"{atoms} is not an enumerated cell")
-        return Cell(atoms, self.kernel.src[lcm])
+        return Cell(atoms, self.kernel.src[record[0]])
 
     def _cell_lcm(self, cell: Cell) -> int:
-        return self._lcms[cell.atoms] if cell.atoms else cell.src
+        return self._cells[cell.atoms][0] if cell.atoms else cell.src
 
     def cell_target(self, cell: Cell) -> int:
         if cell.atoms:
@@ -192,7 +195,7 @@ class OrderResolution:
                     new = None
                     if kernel.last[joined] == alpha:
                         new = Cell((alpha,) + cell.atoms, kernel.src[joined])
-                        self._lcms[new.atoms] = joined
+                        self._cells[new.atoms] = (joined, x, cell)
                         layer.append(new)
                     above.append((alpha, x, new))
                 self._above[cell] = tuple(above)
@@ -205,21 +208,11 @@ class OrderResolution:
 
     # -- the recursion ---------------------------------------------------------
 
-    def _rest_cell(self, cell: Cell) -> Cell:
-        rest = cell.atoms[1:]
-        if not rest:
-            return self.zero_cell(self.struct.atom_target[cell.atoms[0]])
-        return self.make_cell(rest)
-
     def _differential(self, cell: Cell) -> Chain:
         cached = self._diff_cache.get(cell)
         if cached is not None:
             return cached
-        rest = self._rest_cell(cell)
-        kernel = self.kernel
-        u = kernel.divide(self._cell_lcm(cell), self._cell_lcm(rest))
-        if u < 0:
-            raise ConsistencyError("cell lcm is not a multiple of its facet lcm")
+        _, u, rest = self._cells[cell.atoms]
         out: Chain = {(u, rest): 1}
         if rest.atoms:
             # the boundary of rest leads with a term whose cell has rest's
@@ -227,7 +220,7 @@ class OrderResolution:
             w, facet = next(iter(self._differential(rest)))
             self._contract(u, ((1, self._lower(w, facet)),) + self._tail(rest), out, -1)
         else:
-            src = kernel.src[u]
+            src = self.kernel.src[u]
             out[(src, self.zero_cell(src))] = -1
         # every term of the reduction precedes u[rest], so it stays first
         if next(iter(out.items()), None) != ((u, rest), 1):
@@ -340,15 +333,6 @@ class OrderResolution:
                     if tail:
                         todo.append((h, tail, -step))
                     break
-
-    def check_facets(self) -> None:
-        """Raise if a boundary meets a facet outside the enumerated cells."""
-        for n in range(1, len(self.cells)):
-            facets = set(self.cells[n - 1])
-            for cell in self.cells[n]:
-                for _, facet in self.differential(cell):
-                    if facet not in facets:
-                        raise ConsistencyError(f"the boundary of {cell} meets {facet}, which is not a cell")
 
     @functools.cached_property
     def boundaries(self) -> list[dict[Cell, Chain]]:

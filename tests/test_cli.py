@@ -573,10 +573,9 @@ def test_validate_flags_a_cancelled_leading_term(tmp_path):
 
 
 def test_cell_lcm_off_its_facet_lcm_exits_4(tmp_path):
-    # the folds of the triple disagree, and past the word kernel the
-    # homology run would meet a cell whose lcm its rest's lcm does not
-    # right-divide.  The triple fails the cube condition, so the run stops
-    # before it builds a cell
+    # the folds of the triple disagree, so the lcm a cell's record holds
+    # could be no multiple of its rest's lcm.  The triple fails the cube
+    # condition, so the run stops before it builds a cell
     message = "cube condition fails on (a,b,c): lcm(a,b,c) reversed from a and from b differ"
     path = tmp_path / "bad.gs"
     path.write_text(INCONSISTENT_TABLES["cell lcm off its facet's"])

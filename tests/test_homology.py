@@ -1,20 +1,24 @@
 """Pipeline-level homology checks on small fixtures."""
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FREE_CATEGORY_TWO_CYCLE
+from conftest import FREE_CATEGORY_COSPAN, FREE_CATEGORY_TWO_CYCLE
 from garside_homology import (
+    PreconditionError,
     artin_named,
+    builtin_structure,
     circulating_structure,
     dual_typeA_structure,
     homology,
     linalg,
     optimize_ordering,
     parse_structure,
+    serialize_structure,
 )
 from garside_homology.coefficients import make_system
 from garside_homology.gaussian import AtomOrdering, WordKernel
@@ -46,16 +50,36 @@ def test_two_cycle_category_homology(two_cycle_category):
     assert trivial == homology.HomologyResult(
         system=trivial.system, resolution=trivial.resolution, groups=trivial.groups
     )
-    assert repr(trivial).startswith("HomologyResult(system=CoefficientSystem(kind='trivial', field=None), resolution=")
+    assert repr(trivial) == (
+        "HomologyResult(system=CoefficientSystem(kind='trivial', field=None), "
+        "resolution=OrderResolution(GaussianStructure(structure: 2 object(s), 2 atom(s)), "
+        "AtomOrdering([0, 1]), max_dim=2), groups=[HomologyGroup(free_rank=1, torsion=[], "
+        "domain=IntegerDomain()), HomologyGroup(free_rank=1, torsion=[], domain=IntegerDomain())])"
+    )
     group = trivial.groups[1]
     assert group == HomologyGroup(free_rank=1, torsion=[], domain=group.domain)
     assert group != HomologyGroup(0, [], group.domain)
-    assert repr(group) == f"HomologyGroup(free_rank=1, torsion=[], domain={group.domain!r})"
+    assert repr(group) == "HomologyGroup(free_rank=1, torsion=[], domain=IntegerDomain())"
 
     # under the sign action the loop acts by -1: coinvariants Z/2
     sign = compute_homology(two_cycle_category, make_system("sign"))
     assert (sign.groups[0].free_rank, sign.groups[0].torsion) == (0, [2])
     assert sign.groups[1].is_trivial()
+
+
+def test_homology_result_repr_has_no_addresses():
+    # the domains and the resolution print their constructor arguments, so
+    # a result's repr is the same in every run
+    result = compute_homology(artin_named("A2"), make_system("laurent", "Q"))
+    laurent = "domain=LaurentDomain(Rationals())"
+    assert repr(result) == (
+        "HomologyResult(system=CoefficientSystem(kind='laurent', field=Rationals()), "
+        "resolution=OrderResolution(GaussianStructure(artin:A2: 1 object(s), 2 atom(s)), "
+        "AtomOrdering([0, 1]), max_dim=3), "
+        f"groups=[HomologyGroup(free_rank=0, torsion=[(0, (-1, 1))], {laurent}), "
+        f"HomologyGroup(free_rank=0, torsion=[(0, (1, -1, 1))], {laurent}), "
+        f"HomologyGroup(free_rank=0, torsion=[], {laurent})])"
+    )
 
 
 # (make, argument, system) per homology run; the two-cycle category's
@@ -235,3 +259,63 @@ def test_kept_factors_match_fresh_copies(builtins, data):
         assert (group.free_rank, group.torsion) == (fresh.free_rank, fresh.torsion), (name, n)
     row = [(group.free_rank, group.torsion) for group in result.groups]
     assert row == default_ordering_row(struct, system), name
+
+
+# builtins and categories whose table is declared anew in the test below
+REDECLARED = [
+    *(f"artin:{name}" for name in ["A3", "B3", "H3", "A4", "B4", "D4", "F4", "I2(5)"]),
+    *(f"circ:{name}" for name in ["G7", "G12", "G13", "G15", "G22"]),
+    "dual:A3",
+    "dual:A4",
+    "two-cycle",
+    "cospan",
+]
+
+
+def _redeclared(text, rng):
+    """The same table declared anew: its OBJECT lines and its ATOM lines
+    permuted, and its LCM/NOLCM rows shuffled, each flipped with
+    probability 1/2 (LCM b a COMPL v u for LCM a b COMPL u v)."""
+    header, *lines = text.splitlines()
+    objects, atoms, rows, rest = [], [], [], []
+    for line in lines:
+        kind = line.split()[0]
+        {"OBJECT": objects, "ATOM": atoms, "LCM": rows, "NOLCM": rows}.get(kind, rest).append(line)
+    for group in (objects, atoms, rows):
+        rng.shuffle(group)
+    for i, row in enumerate(rows):
+        if rng.random() < 0.5:
+            fields = row.split()  # LCM a b COMPL u v, or NOLCM a b
+            fields[1:3] = fields[2:0:-1]
+            if fields[0] == "LCM":
+                fields[4:6] = fields[5:3:-1]
+            rows[i] = " ".join(fields)
+    return "\n".join([header, *objects, *atoms, *rows, *rest]) + "\n"
+
+
+def _rows(struct, system):
+    """The homology groups under the auto ordering, or the refusal."""
+    try:
+        return compute_homology(struct, system, optimize_ordering(struct)).groups
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("spec", REDECLARED)
+def test_redeclared_tables_keep_their_rows(spec):
+    # the rows are invariants of the table, whatever order its file lists
+    # objects, atoms and lcm rows in and whichever atom of a pair it names
+    # first; the cells may differ, as the auto ordering reads the
+    # declaration order
+    categories = {"two-cycle": FREE_CATEGORY_TWO_CYCLE, "cospan": FREE_CATEGORY_COSPAN}
+    struct = parse_structure(categories[spec]) if spec in categories else builtin_structure(spec)
+    text = serialize_structure(struct)
+    systems = [make_system("trivial"), make_system("sign"), make_system("laurent", "Q")]
+    expected = [_rows(struct, system) for system in systems]
+    rng, redeclared = random.Random(spec), []
+    while len(redeclared) < 2:  # two draws that differ from the builtin's text
+        again = _redeclared(text, rng)
+        if again != text:
+            redeclared.append(again)
+    for again in redeclared:
+        assert [_rows(parse_structure(again), system) for system in systems] == expected, (spec, again)
