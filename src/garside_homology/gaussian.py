@@ -23,6 +23,8 @@ product memo is a dense table of n_atoms slots per node.
 Its three primitives, `div` (divide by an atom), `mul` (multiply by an atom)
 and `lcm` (left-lcm with an atom, as both complements), return canonical
 nodes; `mul` and `lcm` are memoized, `div` is recomputed on every call.
+`mul` is the only place that creates nodes; `div`, `lcm` and the folds
+create theirs through it.
 Interning a word folds `mul` over it, `join` folds `lcm` over a set of
 atoms, and `left_lcm` folds it over the atoms of a second node.  The four
 `Word` methods `quotient_atom`, `least_divisor`, `canonical_form` and
@@ -523,15 +525,15 @@ class WordKernel:
     prefix trie: ids 0..n_objects-1 are the identities, and every other
     node stores its parent, its last atom, its source and its length (the
     sum of its atoms' lengths; identities have length 0).  A node is a
-    morphism, and its last atom is its least right-divisor.  `_child` is
-    the only place that creates nodes.
+    morphism, and its last atom is its least right-divisor.  `mul` is the
+    only place that creates nodes.
 
     The trie is stored flat, one entry per node in each field.  `_mul`,
     the product memo and the trie's child table in one, is a dense
     `array('i')` of n_atoms slots per node: `_mul[x * n_atoms + b]` is the
     canonical node of x*b, or 0 while that product is unknown.  0 is safe
     as "absent" because no product is an identity, so node 0 is never a
-    product.  `src` is an `array('i')` too.  `_child` appends to every
+    product.  `src` is an `array('i')` too.  A new node appends to every
     field, and n_atoms zero slots to `_mul`.  `parent`, `last` and
     `length` stay lists.  `parent` and `last` are the hottest reads, and
     the interpreter reads a list faster than an array, which also boxes a
@@ -612,20 +614,6 @@ class WordKernel:
         # node * n_atoms + atom -> (p, y) or None, see lcm
         self._lcm: dict[int, Optional[tuple[int, int]]] = {}
 
-    def _child(self, node: int, atom: int) -> int:
-        """The trie node of node*atom, which the caller knows is canonical
-        (atom is its least divisor); added if new."""
-        key = node * self.n_atoms + atom
-        child = self._mul[key]
-        if not child:
-            child = self._mul[key] = len(self.last)
-            self._mul += self._no_products
-            self.parent.append(node)
-            self.last.append(atom)
-            self.src.append(self.src[node])
-            self.length.append(self.length[node] + self.struct.atom_length[atom])
-        return child
-
     def div(self, x: int, a: int) -> int:
         """The canonical node g with g*a = x, or -1 when a does not
         right-divide x.
@@ -666,6 +654,8 @@ class WordKernel:
         The least divisor of x*b is the first atom a below b whose
         complement comp_b (comp_a*a = comp_b*b) divides x, and then
         canon(x*b) = canon((x/comp_b)*comp_a)*a; without one it is b.
+        Either way x*b is the trie child h*a of a node h, created here
+        when new.
         """
         key = x * self.n_atoms + b
         res = self._mul[key]
@@ -687,9 +677,21 @@ class WordKernel:
             else:
                 for d in comp_a:
                     h = memo[h * n + d] or self.mul(h, d)
-                res = memo[key] = self._child(h, a)
-                return res
-        return self._child(x, b)
+                child = h * n + a
+                res = memo[child]
+                break
+        else:
+            # b is the least divisor, and the slot of x*b was just read empty
+            h, a, child = x, b, key
+        if not res:
+            res = memo[child] = len(last)
+            memo.extend(self._no_products)
+            parent.append(h)
+            last.append(a)
+            self.src.append(self.src[h])
+            self.length.append(self.length[h] + self.struct.atom_length[a])
+        memo[key] = res
+        return res
 
     def lcm(self, x: int, b: int) -> Optional[tuple[int, int]]:
         """The canonical nodes (p, y) with p*x = y*b the left-lcm of the

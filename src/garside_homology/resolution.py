@@ -36,23 +36,32 @@ and per cell C below the top dimension the atoms above it (`_above`):
 (a, x, [a, C]) per atom a below C's first one (every atom at a zero
 cell's object, with x = a) with x*lcm = lcm(a, lcm), [a, C] being the
 enumerated cell or None, so only enumeration decides the cell
-condition.  The others are differentials per cell, and per cell a
-contraction has stepped onto its prepared tail (`_tail`).  The contracting
-homotopy acts on a differential times a coefficient g, in every degree
-alike (a 2-cell's zero-cell terms included), and most of the terms
-g*w[cell] it meets are irreducible and contract to 0: exactly those whose
-g is a multiple of no row's p, where p*w*lcm = lcm(a, w*lcm) for an atom a
-above the cell.  They are dropped, and the others contracted from g/p,
-without building g*w.  A term whose cell has an empty `_above` puts
-nothing into a tail.  With x the complement enumeration recorded, p*w is
-the left-lcm of w and x (from the word kernel's memos, which live on the
-structure, one kernel per ordering), so a row never forms w*lcm.  A row
-also holds what a step onto it needs: the rank of p's last atom, which
-refuses most g without a division, the cell [a, cell] and the atoms of y =
-p*w/x.  So each step pushes one item onto the work stack and walks rows
-prepared once per cell.  On a table that is not Gaussian that lcm can miss
-a multiple of the cell's; the row then holds no cell (x*lcm does not end
-in a), and a contraction that steps onto it raises ConsistencyError.  Each
+condition.  The others are differentials per cell, rows per term w[cell]
+(`_lower`), and per cell a contraction has stepped onto its prepared tail
+(`_tail`).  The contracting homotopy acts on a differential times a
+coefficient g, in every degree alike (a 2-cell's zero-cell terms
+included), and most of the terms g*w[cell] it meets are irreducible and
+contract to 0: exactly those whose g is a multiple of no row's p, where
+p*w*lcm = lcm(a, w*lcm) for an atom a above the cell.  They are dropped,
+and the others contracted from g/p, without building g*w.  A term whose
+cell has an empty `_above` puts nothing into a tail.  With x the
+complement enumeration recorded, p*w is the left-lcm of w and x (from the
+word kernel's memos, which live on the structure, one kernel per
+ordering), so a row never forms w*lcm.  A row also holds what a step onto
+it needs: the rank of p's last atom, which refuses most g without a
+division, the cell [a, cell] and the atoms of y = p*w/x.  A term's rows
+are made once and shared by every tail and leading term that meets it.
+Each term keeps a bound, the highest rank among its rows' p (an identity p
+ranking above every atom), and each tail the highest bound of its terms.
+A p whose last atom ranks below g's least divisor does not divide g, so
+a term whose bound is below that rank is skipped unread, and a step does
+not push a tail whose bound is below it.  An identity g reads ranks[-1],
+an arbitrary rank, as its least divisor's; that is harmless, as only an
+identity p divides it, and a term holding one has a bound above every
+rank.  So each step pushes at most one item onto the work stack and walks
+rows prepared once per term.  On a table that is not Gaussian that lcm can
+miss a multiple of the cell's; the row then holds no cell (x*lcm does not
+end in a), and a contraction that steps onto it raises ConsistencyError.  Each
 term of a reduction precedes the term it reduces, so the leading term of a
 boundary survives; where a table breaks that, building the boundary raises
 ConsistencyError too.  No contraction steps onto a cell of the top
@@ -115,10 +124,15 @@ class OrderResolution:
     [a, C] its record (lcm, u, C) with u*lcm(C) = lcm (`_cells`), per cell
     below the top dimension the atoms above it and the cells they make
     (`_above`, both written by enumeration), differentials per cell (a
-    reduction is read off the differential of the cell it leads), and per
-    cell below the top dimension that a contraction steps onto, its
-    boundary's tail as the rows that decide whether a multiple of a term is
-    reducible and where its contraction steps (`_lower`, `_tail`).
+    reduction is read off the differential of the cell it leads), per term
+    w[C] a contraction meets, the rows that decide whether a multiple of it
+    is reducible and where its contraction steps, with their rank bound
+    (`_lower`), and per cell below the top dimension that a contraction
+    steps onto, its boundary's tail as those terms, with the highest of
+    their bounds (`_tail`).  A contraction skips a term, and a step skips
+    a tail, whose bound is below the rank of the coefficient's least
+    divisor; an identity coefficient reads an arbitrary rank, which skips
+    no term holding an identity p, the only kind that divides it.
     """
 
     def __init__(
@@ -137,7 +151,8 @@ class OrderResolution:
         # alpha below C's first atom with x*lcm(C) = lcm(alpha, lcm(C)), by rank
         self._above: dict[Cell, tuple[tuple[int, int, Optional[Cell]], ...]] = {}
         self._diff_cache: dict[Cell, Chain] = {}
-        self._tails: dict[Cell, tuple] = {}
+        self._rows: dict[tuple[int, Cell], tuple] = {}  # term (w, C) -> (bound, rows), see _lower
+        self._tails: dict[Cell, tuple] = {}  # cell -> (bound, terms), see _tail
         if max_dim is None:
             max_dim = default_max_dim(struct)
         if max_dim < 0:
@@ -218,7 +233,7 @@ class OrderResolution:
             # the boundary of rest leads with a term whose cell has rest's
             # first atom above it, so the tail's filter would not drop it
             w, facet = next(iter(self._differential(rest)))
-            self._contract(u, ((1, self._lower(w, facet)),) + self._tail(rest), out, -1)
+            self._contract(u, ((1,) + self._lower(w, facet),) + self._tail(rest)[1], out, -1)
         else:
             src = self.kernel.src[u]
             out[(src, self.zero_cell(src))] = -1
@@ -237,23 +252,31 @@ class OrderResolution:
             raise PreconditionError(f"{cell} is not an enumerated cell")
         return self._differential(cell)
 
-    def _lower(self, w: int, cell: Cell) -> tuple[tuple[int, int, Optional[Cell], tuple[int, ...]], ...]:
-        """For a term w[cell], L its cell's lcm: one row (p, rank,
-        new_cell, ys) per entry (alpha, x, new_cell) of the cell's `_above`
-        whose x has a left-lcm with w, in increasing order of alpha, where
-        p*w*L = lcm(alpha, w*L), y*x = p*w, ys are y's atoms and rank is
-        the rank of p's last atom (-1 when p is an identity).  The first
-        atom divides L, so g*w[cell] is reducible exactly when some p
-        right-divides g (cancel w*L on the right); for the first one, g =
-        h*p, its least divisor is alpha and g*w = h*y*x.  For a zero cell L
-        is the identity and x = alpha, one row per atom at its object, so
-        some p divides g exactly when g*w is not an identity.  Any common
-        multiple of alpha and w*L is one of x*L, so lcm(alpha, w*L) =
-        lcm(x, w)*L, and p*w = y*x = lcm(w, x) gives both p and y without
-        forming w*L."""
+    def _lower(self, w: int, cell: Cell) -> tuple[int, tuple[tuple[int, int, Optional[Cell], tuple[int, ...]], ...]]:
+        """For a term w[cell], L its cell's lcm: (bound, rows), one row (p,
+        rank, new_cell, ys) per entry (alpha, x, new_cell) of the cell's
+        `_above` whose x has a left-lcm with w, in increasing order of
+        alpha, where p*w*L = lcm(alpha, w*L), y*x = p*w, ys are y's atoms
+        and rank is the rank of p's last atom (-1 when p is an identity).
+        bound is the highest rank among the rows' p, an identity p ranking
+        above every atom (-1 without rows): no p of a term divides a g
+        whose least divisor ranks above it.  Built on the first request
+        and kept per term, so every tail and leading term that meets it
+        shares one tuple of rows.  The first atom divides L, so g*w[cell]
+        is reducible exactly when some p right-divides g (cancel w*L on
+        the right); for the first one, g = h*p, its least divisor is alpha
+        and g*w = h*y*x.  For a zero cell L is the identity and x = alpha,
+        one row per atom at its object, so some p divides g exactly when
+        g*w is not an identity.  Any common multiple of alpha and w*L is
+        one of x*L, so lcm(alpha, w*L) = lcm(x, w)*L, and p*w = y*x =
+        lcm(w, x) gives both p and y without forming w*L."""
+        kept = self._rows.get((w, cell))
+        if kept is not None:
+            return kept
         kernel = self.kernel
         parent, last, ranks, n_objects = kernel.parent, kernel.last, self.ordering.ranks, kernel.n_objects
         rows = []
+        bound = -1
         for _, x, new_cell in self._above[cell]:
             py = kernel.left_lcm(w, x)
             if py is None:
@@ -264,49 +287,61 @@ class OrderResolution:
                 ys.append(last[y])
                 y = parent[y]
             rank = ranks[last[p]] if p >= n_objects else -1
+            bound = max(bound, rank if rank >= 0 else len(ranks))
             rows.append((p, rank, new_cell, tuple(reversed(ys))))
-        return tuple(rows)
+        kept = self._rows[(w, cell)] = (bound, tuple(rows))
+        return kept
 
-    def _tail(self, cell: Optional[Cell]) -> tuple[tuple[int, tuple], ...]:
+    def _tail(self, cell: Optional[Cell]) -> tuple[int, tuple[tuple[int, int, tuple], ...]]:
         """The prepared tail of a cell of dimension >= 1 that a contraction
-        steps onto: (multiplicity, rows of `_lower`) per term of its
-        boundary after the leading one, leaving out the terms whose cell
-        has no atom above it (no entry in `_above`: irreducible whatever
-        multiplies them).  Built on the first step onto the cell.  A step
-        onto a tuple that enumeration did not make a cell raises
-        ConsistencyError."""
+        steps onto: (bound, terms), a term being (multiplicity, bound, rows)
+        read off `_lower` per term of its boundary after the leading one,
+        leaving out the terms whose cell has no atom above it (no entry in
+        `_above`: irreducible whatever multiplies them), and the tail's
+        bound the highest of its terms' (-1 when it has none).  Built on
+        the first step onto the cell.  A step onto a tuple that enumeration
+        did not make a cell raises ConsistencyError."""
         tail = self._tails.get(cell)
         if tail is None:
             if cell is None:
                 raise ConsistencyError("an lcm over a term is not a multiple of the cell's")
             above, lower = self._above, self._lower
-            terms = itertools.islice(self._differential(cell).items(), 1, None)
-            tail = self._tails[cell] = tuple((m, lower(w, c)) for (w, c), m in terms if above[c])
+            items = itertools.islice(self._differential(cell).items(), 1, None)
+            terms = tuple((m,) + lower(w, c) for (w, c), m in items if above[c])
+            tail = self._tails[cell] = (max([term[1] for term in terms], default=-1), terms)
         return tail
 
     def _contract(self, g: int, entries: tuple, acc: Chain, mult: int) -> None:
         """Add mult times the contracting homotopy of g times a chain, given
-        as prepared entries (see `_tail`), to acc, term by term; g*w is not
+        as prepared terms (see `_tail`), to acc, term by term; g*w is not
         formed.  A term contracts to 0 when no p of its rows right-divides
-        g.  A p whose last atom ranks below g's cannot, so that row is
-        skipped in place; an identity p divides every g.  With g = h*p for
-        the first p that does, the term is (h*y*x)[C], alpha its least
-        divisor: it contracts to (h*y)[alpha, C] plus the contraction of
-        h*y times the reduction of x[C], which is x[C] minus the boundary
-        of [alpha, C]: that cell's tail, negated.  Each (g, entries, mult)
-        is one item of a work stack, and a step pushes (h*y, that tail,
-        -step) rather than recursing, so the steps take no frames however
-        long their chain; a step onto a cell with an empty tail pushes
-        nothing."""
+        g.  A p whose last atom ranks below g's least divisor cannot, so a
+        term whose bound is below that rank is skipped unread, and in the
+        other terms such a row is skipped in place; an identity p divides
+        every g.  An identity g reads ranks[-1], an arbitrary rank, as its
+        least divisor's: that is harmless, since only an identity p
+        divides it, and a term holding one has a bound above every rank,
+        while divide refuses any other p.  With g = h*p for the first p
+        that divides, the term is (h*y*x)[C], alpha its least divisor: it
+        contracts to (h*y)[alpha, C] plus the contraction of h*y times the
+        reduction of x[C], which is x[C] minus the boundary of [alpha, C]:
+        that cell's tail, negated.  Each (g, terms, mult) is one item of a
+        work stack, and a step pushes (h*y, that tail, -step) rather than
+        recursing, so the steps take no frames however long their chain.
+        A step pushes nothing when the tail's bound is below the rank of
+        h*y's least divisor, as every term of it would be skipped; an
+        empty tail's bound, -1, is below every rank."""
         kernel = self.kernel
         ranks, last, divide, mul, memo, n = kernel.ranks, kernel.last, kernel.divide, kernel.mul, kernel._mul, kernel.n_atoms
         tails = self._tails
         todo = [(g, entries, mult)]
         while todo:
             g, entries, mult = todo.pop()
-            g_rank = ranks[last[g]]  # an identity g reads an arbitrary rank; divide then refuses
+            g_rank = ranks[last[g]]
             quotients: dict[int, int] = {}  # p -> g/p or -1
-            for m, rows in entries:
+            for m, bound, rows in entries:
+                if bound < g_rank:
+                    continue
                 for p, rank, cell, ys in rows:
                     if rank < g_rank:
                         if rank >= 0:
@@ -330,8 +365,8 @@ class OrderResolution:
                         acc[key] = new
                     else:
                         del acc[key]
-                    if tail:
-                        todo.append((h, tail, -step))
+                    if tail[0] >= ranks[last[h]]:
+                        todo.append((h, tail[1], -step))
                     break
 
     @functools.cached_property

@@ -579,11 +579,22 @@ def test_kernel_trie_holds_canonical_words_only(case, data):
             assert spelled[-1] == rewriting.md(name, spelled, kernel_order)
 
 
-def test_dense_product_table_matches_oracle():
+def test_dense_product_table_matches_oracle(two_cycle_category, cospan_category):
     # _mul holds n_atoms slots per node, 0 for a product not yet known;
     # after a full build under the declaration order and its reverse, and
     # every product of a node shorter than 5 with an atom, every filled
-    # slot _mul[x * n + b] is a node spelling a word equal to x*b
+    # slot _mul[x * n + b] is a node spelling a word equal to x*b.  mul,
+    # the only place that creates nodes, files each new node x under its
+    # parent's slot for last[x] and gives it its parent's source and its
+    # parent's length plus its last atom's
+    for struct in [artin_named("E6"), two_cycle_category, cospan_category]:
+        kernel = build_complex(struct, optimize_ordering(struct)).kernel
+        n, parent, last = kernel.n_atoms, kernel.parent, kernel.last
+        assert len(kernel._mul) == n * len(last), struct
+        for x in range(kernel.n_objects, len(last)):
+            assert kernel._mul[parent[x] * n + last[x]] == x, (struct, x)
+            assert kernel.src[x] == kernel.src[parent[x]], (struct, x)
+            assert kernel.length[x] == kernel.length[parent[x]] + struct.atom_length[last[x]], (struct, x)
     for name, struct in KERNEL_STRUCTS.items():
         letters = rewriting.PRESENTATIONS[name][0]
         struct = parse_structure(serialize_structure(struct))  # cold kernels

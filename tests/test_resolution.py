@@ -329,21 +329,22 @@ def least_over(res, f, cell):
 
 def prepared(res, cell):
     """The boundary of a cell of dimension >= 1 as the engine's contraction
-    reads it: (multiplicity, rows of _lower) per term, leaving out the
-    terms whose cell has no atom above it (an empty _above)."""
-    return tuple((m, res._lower(w, c)) for (w, c), m in res._differential(cell).items() if res._above[c])
+    reads it: (multiplicity, bound, rows) per term, bound and rows those of
+    _lower, leaving out the terms whose cell has no atom above it (an empty
+    _above)."""
+    return tuple((m,) + res._lower(w, c) for (w, c), m in res._differential(cell).items() if res._above[c])
 
 
 def walked_rows(res):
-    """The rows of _lower that building the complex walked, per term (w, C):
-    those held in the tails, and for each rest of a cell of dimension >= 2,
-    read off the cell's record, the rows of its boundary's leading term,
-    which _differential reads without a tail."""
+    """The (bound, rows) of _lower that building the complex walked, per
+    term (w, C): those held in the tails, and for each rest of a cell of
+    dimension >= 2, read off the cell's record, those of its boundary's
+    leading term, which _differential reads without a tail."""
     rows = {}
-    for cell, tail in res._tails.items():
+    for cell, (_, tail) in res._tails.items():
         terms = [term for term in itertools.islice(res._differential(cell), 1, None) if res._above[term[1]]]
         assert len(terms) == len(tail), cell
-        rows.update((term, term_rows) for term, (_, term_rows) in zip(terms, tail))
+        rows.update((term, (bound, term_rows)) for term, (_, bound, term_rows) in zip(terms, tail))
     for layer in res.cells[2:]:
         for cell in layer:
             w, facet = next(iter(res._differential(res._cells[cell.atoms][2])))
@@ -656,7 +657,7 @@ def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
         for g in rng.sample(by_target[kernel.src[w]], min(4, len(by_target[kernel.src[w]]))):
             gw = kernel.product(g, w)
             hits = []
-            for p, rank, new_cell, ys in res._lower(w, cell):
+            for p, rank, new_cell, ys in res._lower(w, cell)[1]:
                 assert rank == (ranks[kernel.last[p]] if p >= kernel.n_objects else -1)
                 h = kernel.divide(g, p)
                 if 0 <= rank < ranks[kernel.last[g]]:
@@ -733,18 +734,19 @@ def test_contraction_adds_into_the_given_chain(name, data):
 @given(st.sampled_from(sorted(LOWER_STRUCTS)), st.data())
 def test_prepared_tails_match_their_definition(name, data):
     # a cell's tail, built on the first step onto it, is (multiplicity,
-    # _lower rows) per term of its boundary after the leading one, minus
-    # the terms whose cell has an empty _above.  The top enumerated degree
-    # is terminal: nothing steps onto its cells, so none of them has a
-    # tail
+    # _lower bound, _lower rows) per term of its boundary after the leading
+    # one, minus the terms whose cell has an empty _above, with the highest
+    # of their bounds (-1 for none).  The top enumerated degree is
+    # terminal: nothing steps onto its cells, so none of them has a tail
     struct = LOWER_STRUCTS[name]()
     ordering = AtomOrdering.from_sequence(data.draw(st.permutations(range(struct.n_atoms))))
     res = build_complex(struct, ordering)
     # each boundary of dimension >= 2 walks its rest's tail
     assert {cell.atoms[1:] for layer in res.cells[2:] for cell in layer} <= {cell.atoms for cell in res._tails}
-    for cell, tail in res._tails.items():
+    for cell, (bound, tail) in res._tails.items():
         assert 1 <= cell.dim < len(res.cells) - 1, (name, cell)
         assert tail == prepared(res, cell)[1:], (name, cell)
+        assert bound == max((term[1] for term in tail), default=-1), (name, cell)
 
 
 def test_contraction_divides_by_an_identity_p():
@@ -759,7 +761,7 @@ def test_contraction_divides_by_an_identity_p():
         n = struct.n_atoms
         res = build_complex(struct, AtomOrdering.from_sequence(range(n)[::-1]))
         kernel, ranks = res.kernel, res.ordering.ranks
-        for (w, cell), rows in walked_rows(res).items():
+        for (w, cell), (bound, rows) in walked_rows(res).items():
             identity_row = next((row for row in rows if row[0] < kernel.n_objects), None)
             if identity_row is None:
                 continue
@@ -771,10 +773,91 @@ def test_contraction_divides_by_an_identity_p():
                 if least_over(res, gw, cell)[0] != identity_row[2].atoms[0]:
                     continue
                 acc = {}
-                res._contract(g, ((1, rows),), acc, 1)
+                res._contract(g, ((1, bound, rows),), acc, 1)
                 assert acc and acc == contracting_chain(res, {(gw, cell): 1}), (w, cell, g)
                 checked += 1
     assert checked
+
+
+def test_bounds_never_hide_a_row_that_fires(two_cycle_category, cospan_category):
+    # a pop skips a term whose bound is below the rank of g's least
+    # divisor without reading its rows, and a step pushes no tail whose
+    # bound is below it.  So no such term or tail may hold a row whose p
+    # right-divides g, identities g and p included: an identity g reads
+    # ranks[-1], and an identity p divides every g at its object.  A
+    # term whose bound is not below that rank must contract as it does
+    # with its bound raised above every rank, the pop's check dropping
+    # nothing there
+    rng = random.Random(3203)
+    cases = [
+        ("E6", artin_named("E6"), None),
+        ("H4", artin_named("H4"), 4),
+        ("dualA4", dual_typeA_structure(4), None),
+        ("two-cycle", two_cycle_category, None),
+        ("cospan", cospan_category, None),
+    ]
+    for name, struct, max_dim in cases:
+        res = build_complex(struct, optimize_ordering(struct), max_dim)
+        kernel, ranks = res.kernel, res.ordering.ranks
+        n_objects, size = kernel.n_objects, len(kernel.last)
+        nodes = list(range(n_objects)) + rng.sample(range(n_objects, size), min(2_000 - n_objects, size - n_objects))
+        by_target: dict[int, list[int]] = {}
+        for g in nodes:
+            by_target.setdefault(kernel.target(g), []).append(g)
+
+        def fires(g, rows):
+            return any(kernel.divide(g, p) >= 0 for p, _, _, _ in rows)
+
+        reached = []
+        for (w, _), (bound, rows) in res._rows.items():
+            assert bound == max((len(ranks) if rank < 0 else rank for _, rank, _, _ in rows), default=-1), name
+            for g in by_target[kernel.src[w]]:
+                if bound < ranks[kernel.last[g]]:
+                    assert not fires(g, rows), (name, w, g)
+                else:
+                    reached.append((g, bound, rows))
+        for cell, (bound, terms) in res._tails.items():
+            for g in by_target[cell.src]:
+                if bound < ranks[kernel.last[g]]:
+                    assert not any(fires(g, rows) for _, _, rows in terms), (name, cell, g)
+        for g, bound, rows in rng.sample(reached, min(300, len(reached))):
+            acc, unbounded = {}, {}
+            res._contract(g, ((1, bound, rows),), acc, 1)
+            res._contract(g, ((1, len(ranks), rows),), unbounded, 1)
+            assert acc == unbounded, (name, g, rows)
+        assert res._rows or not any(res.cells[2:]), name
+
+
+def test_rows_are_made_once_per_term(two_cycle_category, cospan_category):
+    # _lower keeps its rows per term (w, C): building the complex reverses
+    # each kept term's w against the x of every entry of C's _above once,
+    # and every tail and leading term that meets the term holds the kept
+    # tuple itself
+    for name, struct in [("E6", artin_named("E6")), ("two-cycle", two_cycle_category), ("cospan", cospan_category)]:
+        ordering = optimize_ordering(struct)
+        kernel = struct.kernel(ordering)
+        left_lcm, calls = kernel.left_lcm, [0]
+
+        def counted(w, x):
+            calls[0] += 1
+            return left_lcm(w, x)
+
+        kernel.left_lcm = counted
+        try:
+            res = build_complex(struct, ordering)
+        finally:
+            del kernel.left_lcm
+        assert calls[0] == sum(len(res._above[cell]) for _, cell in res._rows), name
+        for cell, (_, terms) in res._tails.items():
+            met = [(w, c) for (w, c) in itertools.islice(res._differential(cell), 1, None) if res._above[c]]
+            assert len(met) == len(terms), (name, cell)
+            for term, (_, _, rows) in zip(met, terms):
+                assert rows is res._rows[term][1], (name, cell, term)
+        for layer in res.cells[2:]:
+            for cell in layer:
+                term = next(iter(res._differential(res._cells[cell.atoms][2])))
+                assert res._lower(*term) is res._rows[term], (name, cell)
+        assert calls[0] or not any(res.cells[2:]), name
 
 
 def lower_rows(res, w, cell):
@@ -814,7 +897,7 @@ def test_lower_rows_match_the_reference(name, data):
     res = build_complex(struct, ordering)
     walked = walked_rows(res)
     assert walked or not any(res.cells[2:]), name
-    for (w, cell), rows in walked.items():
+    for (w, cell), (_, rows) in walked.items():
         assert rows == lower_rows(res, w, cell), (name, w, cell)
         assert res._above[cell], (name, w, cell)
 
@@ -879,7 +962,7 @@ def test_e6_complex_work_bound():
     assert len(res.kernel.last) <= 7_073
     # terms whose cell has an empty _above, the only ones with no rows on
     # E6, are never walked
-    assert all(walked_rows(res).values())
+    assert all(rows for _, rows in walked_rows(res).values())
 
 
 def test_e6_word_kernel_bytes():
