@@ -11,7 +11,6 @@ from .gaussian import (
     GaussianError,
     GaussianStructure,
     PreconditionError,
-    ValidationReport,
     Word,
 )
 from .structures import (
@@ -52,7 +51,6 @@ __all__ = [
     "ParseError",
     "PreconditionError",
     "ScalarMatrix",
-    "ValidationReport",
     "Word",
     "artin_named",
     "artin_structure",

@@ -138,11 +138,11 @@ def cmd_homology(args) -> int:
 
 def cmd_validate(args) -> int:
     struct = _load_structure(args.structure)
-    report = struct.validate()
-    if report.ok:
+    violations = struct.validate()
+    if not violations:
         print("ok")
         return EXIT_OK
-    for violation in report.violations:
+    for violation in violations:
         print(f"violation: {violation}")
     return EXIT_VALIDATION
 

@@ -43,7 +43,8 @@ itself.  A table that passes both is complete (Dehornoy, "Complete positive
 group presentations", J. Algebra 268, 2003): it presents a right-cancellative
 category with conditional left-lcms, and reversing computes them.  So the
 complements one reversal gives are exact, and no lcm needs to be formed as
-a word and divided.  `validate` reports these two checks and nothing more.
+a word and divided.  `validate` returns the violations of these two
+checks and nothing more.
 """
 
 from __future__ import annotations
@@ -122,22 +123,6 @@ class AtomOrdering:
         return f"AtomOrdering({order})"
 
 
-class ValidationReport:
-    """Outcome of the completeness check of an lcm table
-    (`GaussianStructure.validate`): one message per violation."""
-
-    def __init__(self, violations: list[str]):
-        self.violations = violations
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __repr__(self):
-        status = "ok" if self.ok else f"{len(self.violations)} violation(s)"
-        return f"ValidationReport({status})"
-
-
 # Reversing a word whose letters have no common multiple can go on forever
 # (the affine A2 relations do), so the cube check gives up on one word past
 # this many steps and reports its triple.  The builtins take at most a few
@@ -153,17 +138,17 @@ class _ReversingLimit(Exception):
     """Left reversing ran past _REVERSING_STEP_LIMIT steps."""
 
 
-def _reverse(table: dict, rules: dict, n: int, u: tuple, v: tuple) -> Optional[list[int]]:
+def _reverse(table: dict, n: int, u: tuple, v: tuple) -> Optional[list[int]]:
     """Left-reverse the signed word u*v^-1, u and v atom tuples ending at
     one target, into p^-1*q with p*u = q*v.  Returns it as signed letters,
     ~a standing for the inverse of the atom a: p's atoms inverted, last
     first, then q's atoms; None when it meets a pair with no common
     left-multiple.  A step replaces a*b^-1 by comp_a^-1*comp_b, the lcm
-    table entry `table[a * n + b]` being (comp_a, comp_b), and a*a^-1
-    cancels.  `done` holds the reversed prefix (inverses, then atoms) and
-    `todo` what is left, next letter last; `rules` keeps per pair the
-    letters a step pushes onto `todo`.  Raises _ReversingLimit past
-    _REVERSING_STEP_LIMIT steps."""
+    table entry `table[a * n + b]` being (comp_a, reversed comp_b), and
+    a*a^-1 cancels.  `done` holds the reversed prefix (inverses, then
+    atoms) and `todo` what is left, next letter last, so a step pushes
+    comp_b last letter first, then comp_a's inverses.  Raises
+    _ReversingLimit past _REVERSING_STEP_LIMIT steps."""
     done = list(u)
     todo = [~d for d in v]
     steps = 0
@@ -175,18 +160,15 @@ def _reverse(table: dict, rules: dict, n: int, u: tuple, v: tuple) -> Optional[l
         a = done.pop()
         if a == ~s:
             continue
-        key = a * n + ~s
-        rule = rules.get(key)
-        if rule is None:
-            pair = table[key]
-            if pair is None:
-                return None
-            # comp_a^-1 is read first, so it goes on top
-            rule = rules[key] = pair[1].atoms[::-1] + tuple([~d for d in pair[0].atoms])
+        pair = table[a * n + ~s]
+        if pair is None:
+            return None
         steps += 1
         if steps > _REVERSING_STEP_LIMIT:
             raise _ReversingLimit
-        todo += rule
+        # comp_a^-1 is read first, so it goes on top
+        todo += pair[1]
+        todo += [~d for d in pair[0]]
     return done
 
 
@@ -243,10 +225,11 @@ class GaussianStructure:
         ]
 
         # _lcm_table[a * n_atoms + b], for distinct atoms a, b at one target,
-        # is None (no common left-multiple) or the pair (comp_a, comp_b) of
-        # words with comp_a*a = comp_b*b = lcm; both orientations are stored.
+        # is None (no common left-multiple) or the pair (comp_a, reversed
+        # comp_b) of atom tuples with comp_a*a = comp_b*b = lcm, the shape
+        # both reversals read; both orientations are stored.
         n = self.n_atoms
-        self._lcm_table: dict[int, Optional[tuple[Word, Word]]] = {}
+        self._lcm_table: dict[int, Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
         for item in lcms:
             a_name, b_name, comps = item
             if a_name not in self.atom_index or b_name not in self.atom_index:
@@ -264,8 +247,8 @@ class GaussianStructure:
             wa_names, wb_names = comps
             wa = self._resolve_word(wa_names, endpoint=a, context=f"LCM({a_name},{b_name})")
             wb = self._resolve_word(wb_names, endpoint=b, context=f"LCM({a_name},{b_name})")
-            self._lcm_table[a * n + b] = (wa, wb)
-            self._lcm_table[b * n + a] = (wb, wa)
+            self._lcm_table[a * n + b] = (wa, wb[::-1])
+            self._lcm_table[b * n + a] = (wb, wa[::-1])
 
         for x in range(len(self.object_names)):
             here = self.atoms_by_target[x]
@@ -314,18 +297,19 @@ class GaussianStructure:
         self._cube: Optional[list[str]] = None  # see _cube_violations
         self._default_ordering = AtomOrdering.identity(self.n_atoms)
 
-    def _resolve_word(self, names: Sequence[str], endpoint: int, context: str) -> Word:
-        """Resolve a complement word; endpoint is the atom it gets composed with."""
+    def _resolve_word(self, names: Sequence[str], endpoint: int, context: str) -> tuple[int, ...]:
+        """The atoms of a complement word; endpoint is the atom it gets
+        composed with."""
         ids = []
         for name in names:
             if name not in self.atom_index:
                 raise PreconditionError(f"{context}: unknown atom {name!r} in complement")
             ids.append(self.atom_index[name])
         src = self.atom_source[ids[0]] if ids else self.atom_source[endpoint]
-        word = Word(src, tuple(ids))
-        if self._check_word(word) != self.atom_source[endpoint]:
+        ids = tuple(ids)
+        if self._check_word(Word(src, ids)) != self.atom_source[endpoint]:
             raise PreconditionError(f"{context}: complement does not compose with its atom")
-        return word
+        return ids
 
     def _check_word(self, w: Word) -> int:
         """The target of w; PreconditionError if it does not compose."""
@@ -379,9 +363,9 @@ class GaussianStructure:
                 continue
             entry = f"LCM({self.atom_names[a]},{self.atom_names[b]})"
             comp_a, comp_b = pair
-            if not comp_a.atoms or not comp_b.atoms:
+            if not comp_a or not comp_b:
                 violations.append(f"{entry}: empty complement, so one atom divides the other")
-            elif self.word_length(comp_a) + length[a] != self.word_length(comp_b) + length[b]:
+            elif sum(length[d] for d in comp_a + (a,)) != sum(length[d] for d in comp_b + (b,)):
                 violations.append(f"{entry}: sides have different lengths")
         return violations
 
@@ -405,16 +389,15 @@ class GaussianStructure:
         if self._cube is not None:
             return self._cube
         n, names, table = self.n_atoms, self.atom_names, self._lcm_table
-        comps = {key: None if pair is None else pair[0].atoms for key, pair in table.items()}
-        rules: dict[int, tuple[int, ...]] = {}
 
         def complement(u, v):
             """L(u, v), None when undefined (also when u or v is)."""
             if u is None or v is None:
                 return None
-            if len(u) == 1 == len(v):
-                return () if u == v else comps[u[0] * n + v[0]]
-            done = _reverse(table, rules, n, u, v)
+            if len(u) == 1 == len(v) and u != v:
+                pair = table[u[0] * n + v[0]]
+                return None if pair is None else pair[0]
+            done = _reverse(table, n, u, v)
             return None if done is None else tuple([~d for d in reversed(done) if d < 0])
 
         violations = []
@@ -423,8 +406,8 @@ class GaussianStructure:
                 a, b, c = triple
                 try:
                     for x, y, z in (triple, (a, c, b), (b, c, a)):
-                        from_x = complement(comps[x * n + y], comps[x * n + z])
-                        from_y = complement(comps[y * n + x], comps[y * n + z])
+                        from_x = complement(complement((x,), (y,)), complement((x,), (z,)))
+                        from_y = complement(complement((y,), (x,)), complement((y,), (z,)))
                         if from_x == from_y:
                             continue
                         x, y, z = names[x], names[y], names[z]
@@ -432,7 +415,7 @@ class GaussianStructure:
                             side = x if from_y is None else y
                             reason = f"{z} has a common multiple with lcm({x},{y}) reversed from {side} only"
                             break
-                        if _reverse(table, rules, n, from_x, from_y) != []:
+                        if _reverse(table, n, from_x, from_y) != []:
                             reason = f"lcm({x},{y},{z}) reversed from {x} and from {y} differ"
                             break
                     else:
@@ -443,13 +426,15 @@ class GaussianStructure:
         self._cube = violations
         return violations
 
-    def lcm_entries(self) -> list[tuple[int, int, Optional[tuple[Word, Word]]]]:
+    def lcm_entries(self) -> list[tuple[int, int, Optional[tuple[tuple[int, ...], tuple[int, ...]]]]]:
         """The table as (a, b, entry) with a < b, sorted; entry is None (no
-        common left-multiple) or the complements (comp_a, comp_b) with
-        comp_a*a = comp_b*b the left-lcm."""
+        common left-multiple) or the complements (comp_a, comp_b) as atom
+        tuples in reading order, with comp_a*a = comp_b*b the left-lcm."""
         n = self.n_atoms
         return sorted(
-            (key // n, key % n, pair) for key, pair in self._lcm_table.items() if key // n < key % n
+            (key // n, key % n, None if pair is None else (pair[0], pair[1][::-1]))
+            for key, pair in self._lcm_table.items()
+            if key // n < key % n
         )
 
     def quotient_atom(self, w: Word, a: int) -> Optional[Word]:
@@ -495,9 +480,9 @@ class GaussianStructure:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self) -> ValidationReport:
-        """The completeness check of the lcm table: a passing report proves
-        it complete.
+    def validate(self) -> list[str]:
+        """The completeness check of the lcm table: its violations, one
+        message each; an empty list proves the table complete.
 
         Checks nonempty complements and length homogeneity (one violation
         per entry), then Dehornoy's cube condition (one per failing triple
@@ -508,7 +493,7 @@ class GaussianStructure:
         any other table.  Reads the table alone: no kernel or complex is
         built.
         """
-        return ValidationReport(list(self._entry_violations() or self._cube_violations()))
+        return list(self._entry_violations() or self._cube_violations())
 
     def __repr__(self):
         name = self.label or "structure"
@@ -555,20 +540,20 @@ class WordKernel:
     dict `_lcm` of pairs, which holds far fewer entries.  Quotients and
     longer products are recomputed from them on each call.
 
-    A kernel is built only on a table that passes `_entry_violations` and
-    `_cube_violations`; on any other the constructor raises
-    ConsistencyError.  The structure runs the cube check once, so the
-    kernels of several orderings share it.
+    A kernel is built only on a table that `validate` passes; on any other
+    the constructor raises ConsistencyError.  The structure runs the cube
+    check once, and every kernel reads the structure's lcm table itself,
+    so the kernels of several orderings share both.
 
+    `ranks` is the ordering's ranks with n_atoms appended: an identity's
+    last atom is -1, so it reads ranks[-1] and ranks above every atom.
     Most steps are trivial, so the loops of `div`, `mul`, `divide` and
     `product` take them in place and call `div` or `mul` only on the full
     path: a node whose last atom is d divided by d is its parent; one whose
-    last atom ranks above d is not divisible by d (an identity's last atom
-    is -1, so the rank test reads an arbitrary rank, but both of its
-    branches give -1, as no atom divides an identity); a product in `_mul`
-    is read from it (an unknown one reads 0 and falls through `or` to the
-    call).  The calls are direct, so division still nests one frame per
-    atom.
+    last atom ranks above d, an identity included, is not divisible by d;
+    a product in `_mul` is read from it (an unknown one reads 0 and falls
+    through `or` to the call).  The calls are direct, so division still
+    nests one frame per atom.
 
     Obtain one through GaussianStructure.kernel(ordering).
     """
@@ -579,28 +564,24 @@ class WordKernel:
         # complement makes one atom a multiple of another, which no atom is.
         # The cube condition makes the table complete, so an lcm's two
         # complements, as reversing gives them, are exact.
-        bad = struct._entry_violations() or struct._cube_violations()
+        bad = struct.validate()
         if bad:
             raise ConsistencyError(bad[0])
         self.struct = struct
         self.n_objects = n_obj = struct.n_objects
         self.n_atoms = n = struct.n_atoms
-        self.ranks = ranks = ordering.ranks
+        self.ranks = ranks = ordering.ranks + (n,)
         # per target object, its atoms in increasing order
         self.candidates = [ordering.sorted_atoms(atoms) for atoms in struct.atoms_by_target]
-        # _pairs[a * n + b] = (comp_a, reversed comp_b), comp_a*a = comp_b*b
-        # the left-lcm of distinct atoms a, b at one target, or None
-        self._pairs: dict[int, Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {
-            key: None if entry is None else (entry[0].atoms, entry[1].atoms[::-1])
-            for key, entry in struct._lcm_table.items()
-        }
+        # the structure's table: (comp_a, reversed comp_b) or None per pair
+        self._lcm_table = table = struct._lcm_table
         # per atom b, (a, comp_a, reversed comp_b) for the atoms a below b
         # that have a left-lcm with b, in increasing order
         self._below: list[list[tuple]] = [
             [
-                (a,) + self._pairs[a * n + b]
+                (a,) + table[a * n + b]
                 for a in self.candidates[struct.atom_target[b]]
-                if ranks[a] < ranks[b] and self._pairs[a * n + b] is not None
+                if ranks[a] < ranks[b] and table[a * n + b] is not None
             ]
             for b in range(n)
         ]
@@ -619,15 +600,16 @@ class WordKernel:
         right-divide x.
 
         With c the last atom of x (its least divisor), a can divide x only
-        if c <= a.  An atom a above c divides x exactly when the left-lcm
-        comp_a*a = comp_c*c does, and then x/a = (parent/comp_c)*comp_a.
+        if c <= a; no atom ranks above an identity's.  An atom a above c
+        divides x exactly when the left-lcm comp_a*a = comp_c*c does, and
+        then x/a = (parent/comp_c)*comp_a.
         """
         c = self.last[x]
         if c == a:
             return self.parent[x]
-        if c < 0 or self.ranks[a] < self.ranks[c]:
+        if self.ranks[a] < self.ranks[c]:
             return -1
-        entry = self._pairs.get(a * self.n_atoms + c)
+        entry = self._lcm_table.get(a * self.n_atoms + c)
         if entry is None:  # different targets, or no common multiple
             return -1
         comp_a, comp_c_rev = entry
@@ -725,7 +707,7 @@ class WordKernel:
                 src = struct.atom_source[b]
                 res = (self.mul(src, b), src)
         else:
-            entry = self._pairs.get(b * self.n_atoms + self.last[x])
+            entry = self._lcm_table.get(b * self.n_atoms + self.last[x])
             if entry is not None:  # else different targets, or no common multiple
                 comp_b, comp_c_rev = entry
                 cur, p = self.parent[x], self.src[x]

@@ -57,23 +57,22 @@ def compute_homology(
 def format_group(group: HomologyGroup, system: CoefficientSystem) -> str:
     if system.kind == "laurent":
         return _format_laurent(group, system)
-    parts = []
-    if group.free_rank == 1:
-        parts.append("Z")
-    elif group.free_rank > 1:
-        parts.append(f"Z^{group.free_rank}")
+    parts = _free_part("Z", group.free_rank)
     parts.extend(f"Z_{d}" for d in group.torsion)
     return " x ".join(parts) if parts else "0"
 
 
+def _free_part(ring: str, rank: int) -> list[str]:
+    """The free module of this rank over the ring: no part, "R" or "R^r"."""
+    if rank == 0:
+        return []
+    return [ring if rank == 1 else f"{ring}^{rank}"]
+
+
 def _format_laurent(group: HomologyGroup, system: CoefficientSystem) -> str:
     field = system.field
-    ring = f"{field.name}[t,t^-1]"
-    parts = []
-    if group.free_rank == 1:
-        parts.append(ring)
-    elif group.free_rank > 1:
-        parts.append(f"{ring}^{group.free_rank}")
+    ring = system.describe()
+    parts = _free_part(ring, group.free_rank)
     for _, d in group.torsion:
         factors = cyclotomic_factorization(d, field)
         shown = poly_str(field, d)

@@ -49,23 +49,22 @@ complement enumeration recorded, p*w is the left-lcm of w and x (from the
 word kernel's memos, which live on the structure, one kernel per
 ordering), so a row never forms w*lcm.  A row also holds what a step onto
 it needs: the rank of p's last atom, which refuses most g without a
-division, the cell [a, cell] and the atoms of y = p*w/x.  A term's rows
-are made once and shared by every tail and leading term that meets it.
-Each term keeps a bound, the highest rank among its rows' p (an identity p
-ranking above every atom), and each tail the highest bound of its terms.
-A p whose last atom ranks below g's least divisor does not divide g, so
-a term whose bound is below that rank is skipped unread, and a step does
-not push a tail whose bound is below it.  An identity g reads ranks[-1],
-an arbitrary rank, as its least divisor's; that is harmless, as only an
-identity p divides it, and a term holding one has a bound above every
-rank.  So each step pushes at most one item onto the work stack and walks
-rows prepared once per term.  On a table that is not Gaussian that lcm can
-miss a multiple of the cell's; the row then holds no cell (x*lcm does not
-end in a), and a contraction that steps onto it raises ConsistencyError.  Each
-term of a reduction precedes the term it reduces, so the leading term of a
-boundary survives; where a table breaks that, building the boundary raises
-ConsistencyError too.  No contraction steps onto a cell of the top
-enumerated dimension, so those cells get no tail.
+division, the cell [a, cell] and the atoms of y = p*w/x.  Every rank is
+read from the kernel's `ranks`, where an identity, whose last atom is -1,
+ranks above every atom.  A term's rows are made once and shared by every
+tail and leading term that meets it.  Each term keeps a bound, the
+highest rank among its rows' p, and each tail the highest bound of its
+terms.  A p that ranks below g does not divide g, so a term whose bound
+is below g's rank is skipped unread, and a step does not push a tail
+whose bound is below it.  So each step pushes at most one item onto the
+work stack and walks rows prepared once per term.  On a table that is not
+Gaussian that lcm can miss a multiple of the cell's; the row then holds no
+cell (x*lcm does not end in a), and a contraction that steps onto it
+raises ConsistencyError.  Each term of a reduction precedes the term it
+reduces, so the leading term of a boundary survives; where a table breaks
+that, building the boundary raises ConsistencyError too.  No contraction
+steps onto a cell of the top enumerated dimension, so those cells get no
+tail.
 """
 
 from __future__ import annotations
@@ -130,9 +129,8 @@ class OrderResolution:
     (`_lower`), and per cell below the top dimension that a contraction
     steps onto, its boundary's tail as those terms, with the highest of
     their bounds (`_tail`).  A contraction skips a term, and a step skips
-    a tail, whose bound is below the rank of the coefficient's least
-    divisor; an identity coefficient reads an arbitrary rank, which skips
-    no term holding an identity p, the only kind that divides it.
+    a tail, whose bound is below the coefficient's rank, read from
+    `kernel.ranks`: an identity ranks above every atom.
     """
 
     def __init__(
@@ -188,13 +186,13 @@ class OrderResolution:
         return cell.src
 
     def _enumerate(self, max_dim: int) -> list[list[Cell]]:
-        ranks = self.ordering.ranks
         kernel = self.kernel
+        ranks = kernel.ranks
         dims = [[self.zero_cell(x) for x in range(len(self.struct.object_names))]]
         for _ in range(max_dim):
             layer = []
             for cell in dims[-1]:
-                bound = ranks[cell.atoms[0]] if cell.atoms else len(ranks)
+                bound = ranks[cell.atoms[0]] if cell.atoms else ranks[-1]
                 lcm = self._cell_lcm(cell)
                 above = []
                 for alpha in kernel.candidates[self.cell_target(cell)]:
@@ -257,12 +255,11 @@ class OrderResolution:
         rank, new_cell, ys) per entry (alpha, x, new_cell) of the cell's
         `_above` whose x has a left-lcm with w, in increasing order of
         alpha, where p*w*L = lcm(alpha, w*L), y*x = p*w, ys are y's atoms
-        and rank is the rank of p's last atom (-1 when p is an identity).
-        bound is the highest rank among the rows' p, an identity p ranking
-        above every atom (-1 without rows): no p of a term divides a g
-        whose least divisor ranks above it.  Built on the first request
-        and kept per term, so every tail and leading term that meets it
-        shares one tuple of rows.  The first atom divides L, so g*w[cell]
+        and rank is p's rank in `kernel.ranks` (an identity p ranks above
+        every atom).  bound is the highest rank among the rows' p (-1
+        without rows): no p of a term divides a g that ranks above it.
+        Built on the first request and kept per term, so every tail and
+        leading term that meets it shares one tuple of rows.  The first atom divides L, so g*w[cell]
         is reducible exactly when some p right-divides g (cancel w*L on
         the right); for the first one, g = h*p, its least divisor is alpha
         and g*w = h*y*x.  For a zero cell L is the identity and x = alpha,
@@ -274,7 +271,7 @@ class OrderResolution:
         if kept is not None:
             return kept
         kernel = self.kernel
-        parent, last, ranks, n_objects = kernel.parent, kernel.last, self.ordering.ranks, kernel.n_objects
+        parent, last, ranks, n_objects = kernel.parent, kernel.last, kernel.ranks, kernel.n_objects
         rows = []
         bound = -1
         for _, x, new_cell in self._above[cell]:
@@ -286,8 +283,8 @@ class OrderResolution:
             while y >= n_objects:
                 ys.append(last[y])
                 y = parent[y]
-            rank = ranks[last[p]] if p >= n_objects else -1
-            bound = max(bound, rank if rank >= 0 else len(ranks))
+            rank = ranks[last[p]]
+            bound = max(bound, rank)
             rows.append((p, rank, new_cell, tuple(reversed(ys))))
         kept = self._rows[(w, cell)] = (bound, tuple(rows))
         return kept
@@ -315,21 +312,19 @@ class OrderResolution:
         """Add mult times the contracting homotopy of g times a chain, given
         as prepared terms (see `_tail`), to acc, term by term; g*w is not
         formed.  A term contracts to 0 when no p of its rows right-divides
-        g.  A p whose last atom ranks below g's least divisor cannot, so a
-        term whose bound is below that rank is skipped unread, and in the
-        other terms such a row is skipped in place; an identity p divides
-        every g.  An identity g reads ranks[-1], an arbitrary rank, as its
-        least divisor's: that is harmless, since only an identity p
-        divides it, and a term holding one has a bound above every rank,
-        while divide refuses any other p.  With g = h*p for the first p
-        that divides, the term is (h*y*x)[C], alpha its least divisor: it
-        contracts to (h*y)[alpha, C] plus the contraction of h*y times the
-        reduction of x[C], which is x[C] minus the boundary of [alpha, C]:
-        that cell's tail, negated.  Each (g, terms, mult) is one item of a
-        work stack, and a step pushes (h*y, that tail, -step) rather than
-        recursing, so the steps take no frames however long their chain.
-        A step pushes nothing when the tail's bound is below the rank of
-        h*y's least divisor, as every term of it would be skipped; an
+        g.  A node's rank is its last atom's in `kernel.ranks`, an identity
+        ranking above every atom, and a p that ranks below g cannot divide
+        it.  So a term whose bound is below g's rank is skipped unread, and
+        in the other terms such a row is skipped in place; `divide` decides
+        the rest, an identity p dividing every g.  With g = h*p for the
+        first p that divides, the term is (h*y*x)[C], alpha its least
+        divisor: it contracts to (h*y)[alpha, C] plus the contraction of
+        h*y times the reduction of x[C], which is x[C] minus the boundary
+        of [alpha, C]: that cell's tail, negated.  Each (g, terms, mult) is
+        one item of a work stack, and a step pushes (h*y, that tail,
+        -step) rather than recursing, so the steps take no frames however
+        long their chain.  A step pushes nothing when the tail's bound is
+        below the rank of h*y, as every term of it would be skipped; an
         empty tail's bound, -1, is below every rank."""
         kernel = self.kernel
         ranks, last, divide, mul, memo, n = kernel.ranks, kernel.last, kernel.divide, kernel.mul, kernel._mul, kernel.n_atoms
@@ -344,15 +339,12 @@ class OrderResolution:
                     continue
                 for p, rank, cell, ys in rows:
                     if rank < g_rank:
-                        if rank >= 0:
-                            continue
-                        h = g
-                    else:
-                        h = quotients.get(p)
-                        if h is None:
-                            h = quotients[p] = divide(g, p)
-                        if h < 0:
-                            continue
+                        continue
+                    h = quotients.get(p)
+                    if h is None:
+                        h = quotients[p] = divide(g, p)
+                    if h < 0:
+                        continue
                     tail = tails.get(cell)
                     if tail is None:
                         tail = self._tail(cell)

@@ -436,8 +436,8 @@ def serialize_structure(struct: GaussianStructure) -> str:
                 "LCM {} {} COMPL {} {}".format(
                     names[0],
                     names[1],
-                    _word_token(struct.word_names(comp_a)),
-                    _word_token(struct.word_names(comp_b)),
+                    _word_token([struct.atom_names[d] for d in comp_a]),
+                    _word_token([struct.atom_names[d] for d in comp_b]),
                 )
             )
     if struct.basepoint is not None:

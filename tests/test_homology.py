@@ -99,7 +99,7 @@ def _rows_and_reports(orderings):
         system = make_system(*kind)
         result = compute_homology(make(arg), system, ordering)
         rows.append([format_group(g, system) for g in result.groups])
-    reports = [s.validate().violations for s in (circulating_structure("G13"), dual_typeA_structure(3))]
+    reports = [s.validate() for s in (circulating_structure("G13"), dual_typeA_structure(3))]
     return rows, reports
 
 

@@ -658,7 +658,7 @@ def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
             gw = kernel.product(g, w)
             hits = []
             for p, rank, new_cell, ys in res._lower(w, cell)[1]:
-                assert rank == (ranks[kernel.last[p]] if p >= kernel.n_objects else -1)
+                assert rank == (ranks[kernel.last[p]] if p >= kernel.n_objects else len(ranks))
                 h = kernel.divide(g, p)
                 if 0 <= rank < ranks[kernel.last[g]]:
                     assert h < 0, (name, w, cell, g, p)
@@ -753,9 +753,11 @@ def test_contraction_divides_by_an_identity_p():
     # a row of _lower whose p is an identity (alpha already divides w*L)
     # divides every g, so the contraction must never skip it, whatever
     # rank g's last atom has.  The boundary of a cell of dimension >= 2
-    # meets such rows in the leading term of its rest's boundary.  Under
-    # the reversed ordering ranks[-1], the rank an identity's last atom
-    # (-1) would read, is the lowest, so every g taken here ranks above it
+    # meets such rows in the leading term of its rest's boundary.  Such a
+    # p ranks kernel.ranks[-1], above every atom.  Under the reversed
+    # ordering the ordering's own ranks[-1] is the lowest rank, so every
+    # g taken here ranks above it: a row whose identity p read its rank
+    # from the ordering instead would be skipped
     checked = 0
     for struct in [artin_named("A3"), artin_named("H3"), dual_typeA_structure(3)]:
         n = struct.n_atoms
@@ -810,7 +812,7 @@ def test_bounds_never_hide_a_row_that_fires(two_cycle_category, cospan_category)
 
         reached = []
         for (w, _), (bound, rows) in res._rows.items():
-            assert bound == max((len(ranks) if rank < 0 else rank for _, rank, _, _ in rows), default=-1), name
+            assert bound == max((rank for _, rank, _, _ in rows), default=-1), name
             for g in by_target[kernel.src[w]]:
                 if bound < ranks[kernel.last[g]]:
                     assert not fires(g, rows), (name, w, g)
@@ -865,8 +867,9 @@ def lower_rows(res, w, cell):
     atom alpha below the cell's first one (every atom at a zero cell's
     target, where L is the identity), reverse w*L against alpha for p
     with p*w*L = lcm(alpha, w*L), then y = p*w/x with x*L = lcm(alpha, L);
-    the row holds p, the rank of p's last atom (-1 for an identity), the
-    cell [alpha, C] when it is one, and y spelled."""
+    the row holds p, the rank of p's last atom (len(ranks), above every
+    atom's, for an identity), the cell [alpha, C] when it is one, and y
+    spelled."""
     kernel = res.kernel
     lcm = res._cell_lcm(cell)
     wl = kernel.product(w, lcm)
@@ -880,7 +883,7 @@ def lower_rows(res, w, cell):
             y = kernel.divide(kernel.product(p, w), x)
             atoms = (alpha,) + cell.atoms
             new_cell = res.make_cell(atoms) if is_cell(res, atoms) else None
-            rank = res.ordering.rank(kernel.word(p).atoms[-1]) if p >= kernel.n_objects else -1
+            rank = res.ordering.rank(kernel.word(p).atoms[-1]) if p >= kernel.n_objects else len(res.ordering.ranks)
             rows.append((p, rank, new_cell, kernel.word(y).atoms))
     return tuple(rows)
 

@@ -43,10 +43,10 @@ def test_coxeter_matrix_validation():
 
 def test_artin_relation_words():
     a2 = artin_named("A2")
-    [(_, _, pair)] = a2.lcm_entries()
+    [(_, _, (comp_a, comp_b))] = a2.lcm_entries()
     # complement * atom reproduces the braid relation word on both sides
-    side_a = Word(pair[0].src, pair[0].atoms + (0,))
-    side_b = Word(pair[1].src, pair[1].atoms + (1,))
+    side_a = a2.word(comp_a + (0,))
+    side_b = a2.word(comp_b + (1,))
     assert a2.word_names(side_a) == ["a", "b", "a"]
     assert a2.word_names(side_b) == ["b", "a", "b"]
     assert same_morphism(a2, side_a, side_b)
@@ -110,7 +110,7 @@ def test_dual_typeA_small():
             assert d2.word_length(lcm) == 2
     d3 = dual_typeA_structure(3)
     assert d3.n_atoms == 6
-    assert d3.validate().ok
+    assert d3.validate() == []
     with pytest.raises(PreconditionError):
         dual_typeA_structure(9)
 
@@ -275,7 +275,7 @@ def test_nolcm_roundtrip(cospan_category):
 def test_artin_generic_matrix():
     # a rank-3 matrix with an m=2 pair builds and validates
     struct = artin_structure(CoxeterMatrix([[1, 4, 2], [4, 1, 3], [2, 3, 1]]))
-    assert struct.validate().ok
+    assert struct.validate() == []
 
 
 def _cli_errors(tmp_path, text):
