@@ -74,7 +74,7 @@ def cmd_cells(args) -> int:
             else:
                 lines.append(f"{mode}: " + " ".join(str(c) for c in counts))
     else:
-        ordering = resolve_ordering(struct, args.order)
+        ordering = resolve_ordering(struct, args.order or "auto")
         res = OrderResolution(struct, ordering, args.max_dim)
         counts = res.cell_counts()
         if args.format == "csv":
@@ -168,13 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_builtin = sub.add_parser("builtin", help="emit a builtin as a structure file")
     for p in (p_cells, p_bounds, p_order, p_hom, p_val, p_builtin):
         p.add_argument("--structure", required=True, help="builtin:<kind:name> or a file path")
-    for p in (p_cells, p_hom):
-        p.add_argument("--order", default="auto", choices=["auto", "declared", "identity"])
+    # cells reads --order or --compare-orderings, never both; its --order
+    # defaults to None, read as auto, as the group overlooks a given default
+    cells_mode = p_cells.add_mutually_exclusive_group()
+    for p, default in ((cells_mode, None), (p_hom, "auto")):
+        p.add_argument("--order", default=default, choices=["auto", "declared", "identity"])
     for p in (p_cells, p_order, p_hom):
         p.add_argument("--max-dim", type=int, default=None)
     for p in (p_cells, p_bounds, p_order, p_hom):
         p.add_argument("--format", default="text", choices=["text", "csv"])
-    p_cells.add_argument("--compare-orderings", action="store_true")
+    cells_mode.add_argument("--compare-orderings", action="store_true")
     p_hom.add_argument("--coeffs", default="trivial", choices=["trivial", "sign", "laurent"])
     p_hom.add_argument("--field", default=None, choices=["Q", "Fp"])
     p_hom.add_argument("--p", type=int, default=None, help="prime for --field Fp")

@@ -59,7 +59,17 @@ class GaussianError(Exception):
 
 
 class PreconditionError(GaussianError):
-    """An operation was called on arguments violating its contract."""
+    """An operation was called on arguments violating its contract.
+
+    `record` names the record `GaussianStructure` refuses: ("object", i),
+    ("atom", i) or ("lcm", i) for the i-th of that argument, ("basepoint",),
+    ("path_length", object name) or ("order",); None for any other error,
+    one about the records together (a missing lcm pair) included.
+    """
+
+    def __init__(self, message: str, record: Optional[tuple] = None):
+        super().__init__(message)
+        self.record = record
 
 
 class ConsistencyError(GaussianError):
@@ -172,14 +182,33 @@ def _reverse(table: dict, n: int, u: tuple, v: tuple) -> Optional[list[int]]:
     return done
 
 
+def _add_name(index: dict, kind: str, name, i: int) -> None:
+    """Give the i-th object or atom name its id, refusing a repeated name
+    and one a structure file cannot spell: names are nonempty words without
+    '#', and an atom's has no '.' and is not '-', which join a complement's
+    atoms and spell the empty one."""
+    atom = kind == "atom"
+    if not isinstance(name, str) or name.split() != [name] or "#" in name or atom and ("." in name or name == "-"):
+        rule = "nonempty, no whitespace, '#' or '.', not '-'" if atom else "nonempty, no whitespace or '#'"
+        raise PreconditionError(f"{kind} name {name!r} cannot be written in a structure file ({rule})", (kind, i))
+    if name in index:
+        raise PreconditionError(f"duplicate {kind} name {name!r}", (kind, i))
+    index[name] = i
+
+
 class GaussianStructure:
     """Immutable presentation data with word arithmetic on top.
 
     Construction takes name-based data (mirroring the interchange file
-    format) and resolves it to dense integer ids.  Cheap structural checks
-    (referential integrity, composability, table coverage) run here; the
-    entry and cube checks run when the first word kernel is built, and
-    :meth:`validate` reports them.
+    format) and resolves it to dense integer ids.  It holds every rule on
+    what the records say, for builtins, library callers and structure files
+    alike: names are unique and spellable (`_add_name`), every name a record
+    uses is known, atoms have length >= 1, an lcm entry pairs two atoms at
+    one target once and its complements compose with them, every such pair
+    has an entry, and a declared order lists every atom once.  A refused
+    record is named by the PreconditionError's `record`.  The entry and cube
+    checks run when the first word kernel is built, and :meth:`validate`
+    reports them.
     """
 
     def __init__(
@@ -193,30 +222,26 @@ class GaussianStructure:
         label: str = "",
     ):
         self.object_names = list(objects)
-        if len(set(self.object_names)) != len(self.object_names):
-            raise PreconditionError("duplicate object names")
-        self.object_index = {name: i for i, name in enumerate(self.object_names)}
+        self.object_index: dict[str, int] = {}
+        for i, name in enumerate(self.object_names):
+            _add_name(self.object_index, "object", name, i)
 
         self.atom_names: list[str] = []
         self.atom_source: list[int] = []
         self.atom_target: list[int] = []
         self.atom_length: list[int] = []
-        seen_atom_names: set[str] = set()
-        for name, src, tgt, length in atoms:
-            if name in seen_atom_names:
-                raise PreconditionError(f"duplicate atom name {name!r}")
-            seen_atom_names.add(name)
-            if src not in self.object_index:
-                raise PreconditionError(f"atom {name!r} references unknown object {src!r}")
-            if tgt not in self.object_index:
-                raise PreconditionError(f"atom {name!r} references unknown object {tgt!r}")
+        self.atom_index: dict[str, int] = {}
+        for i, (name, src, tgt, length) in enumerate(atoms):
+            _add_name(self.atom_index, "atom", name, i)
+            for obj in (src, tgt):
+                if obj not in self.object_index:
+                    raise PreconditionError(f"atom {name!r} references unknown object {obj!r}", ("atom", i))
             if length < 1:
-                raise PreconditionError(f"atom {name!r} must have length >= 1")
+                raise PreconditionError(f"atom {name!r} must have length >= 1", ("atom", i))
             self.atom_names.append(name)
             self.atom_source.append(self.object_index[src])
             self.atom_target.append(self.object_index[tgt])
             self.atom_length.append(length)
-        self.atom_index = {name: i for i, name in enumerate(self.atom_names)}
         self.n_atoms = len(self.atom_names)
 
         self.atoms_by_target: list[tuple[int, ...]] = [
@@ -230,40 +255,37 @@ class GaussianStructure:
         # both reversals read; both orientations are stored.
         n = self.n_atoms
         self._lcm_table: dict[int, Optional[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-        for item in lcms:
-            a_name, b_name, comps = item
-            if a_name not in self.atom_index or b_name not in self.atom_index:
-                raise PreconditionError(f"lcm entry references unknown atom ({a_name!r}, {b_name!r})")
+        for i, (a_name, b_name, comps) in enumerate(lcms):
+            record = ("lcm", i)
+            for name in (a_name, b_name):
+                if name not in self.atom_index:
+                    raise PreconditionError(f"lcm entry references unknown atom {name!r}", record)
             a, b = self.atom_index[a_name], self.atom_index[b_name]
             if a == b:
-                raise PreconditionError(f"lcm entry for atom {a_name!r} with itself")
+                raise PreconditionError(f"lcm entry for atom {a_name!r} with itself", record)
             if self.atom_target[a] != self.atom_target[b]:
-                raise PreconditionError(f"lcm entry for atoms with different targets ({a_name!r}, {b_name!r})")
+                raise PreconditionError(f"lcm entry for atoms with different targets ({a_name!r}, {b_name!r})", record)
             if a * n + b in self._lcm_table:
-                raise PreconditionError(f"duplicate lcm entry for ({a_name!r}, {b_name!r})")
+                raise PreconditionError(f"duplicate lcm entry for ({a_name!r}, {b_name!r})", record)
             if comps is None:
                 self._lcm_table[a * n + b] = self._lcm_table[b * n + a] = None
                 continue
-            wa_names, wb_names = comps
-            wa = self._resolve_word(wa_names, endpoint=a, context=f"LCM({a_name},{b_name})")
-            wb = self._resolve_word(wb_names, endpoint=b, context=f"LCM({a_name},{b_name})")
+            context = f"LCM({a_name},{b_name})"
+            wa = self._resolve_word(comps[0], a, context, record)
+            wb = self._resolve_word(comps[1], b, context, record)
             self._lcm_table[a * n + b] = (wa, wb[::-1])
             self._lcm_table[b * n + a] = (wb, wa[::-1])
 
-        for x in range(len(self.object_names)):
-            here = self.atoms_by_target[x]
-            for i in range(len(here)):
-                for j in range(i + 1, len(here)):
-                    if here[i] * n + here[j] not in self._lcm_table:
-                        raise PreconditionError(
-                            "missing lcm entry for atoms "
-                            f"({self.atom_names[here[i]]!r}, {self.atom_names[here[j]]!r})"
-                        )
+        for here in self.atoms_by_target:
+            for a, b in itertools.combinations(here, 2):
+                if a * n + b not in self._lcm_table:
+                    missing = (self.atom_names[a], self.atom_names[b])
+                    raise PreconditionError(f"missing lcm entry for atoms {missing!r}")
 
         self.basepoint: Optional[int] = None
         if basepoint is not None:
             if basepoint not in self.object_index:
-                raise PreconditionError(f"unknown basepoint object {basepoint!r}")
+                raise PreconditionError(f"unknown basepoint object {basepoint!r}", ("basepoint",))
             self.basepoint = self.object_index[basepoint]
 
         self.path_lengths: Optional[tuple[int, ...]] = None
@@ -271,7 +293,7 @@ class GaussianStructure:
             lengths = [None] * len(self.object_names)
             for obj, val in path_lengths.items():
                 if obj not in self.object_index:
-                    raise PreconditionError(f"path length for unknown object {obj!r}")
+                    raise PreconditionError(f"path length for unknown object {obj!r}", ("path_length", obj))
                 lengths[self.object_index[obj]] = val
             if any(v is None for v in lengths):
                 raise PreconditionError("path lengths must cover every object")
@@ -283,11 +305,12 @@ class GaussianStructure:
 
         self.declared_order: Optional[AtomOrdering] = None
         if declared_order is not None:
-            ids = []
             for name in declared_order:
                 if name not in self.atom_index:
-                    raise PreconditionError(f"declared order references unknown atom {name!r}")
-                ids.append(self.atom_index[name])
+                    raise PreconditionError(f"declared order references unknown atom {name!r}", ("order",))
+            ids = [self.atom_index[name] for name in declared_order]
+            if sorted(ids) != list(range(n)):
+                raise PreconditionError("declared order must list every atom exactly once", ("order",))
             self.declared_order = AtomOrdering.from_sequence(ids)
 
         self.label = label
@@ -297,18 +320,15 @@ class GaussianStructure:
         self._cube: Optional[list[str]] = None  # see _cube_violations
         self._default_ordering = AtomOrdering.identity(self.n_atoms)
 
-    def _resolve_word(self, names: Sequence[str], endpoint: int, context: str) -> tuple[int, ...]:
+    def _resolve_word(self, names: Sequence[str], endpoint: int, context: str, record: tuple) -> tuple[int, ...]:
         """The atoms of a complement word; endpoint is the atom it gets
-        composed with."""
-        ids = []
-        for name in names:
-            if name not in self.atom_index:
-                raise PreconditionError(f"{context}: unknown atom {name!r} in complement")
-            ids.append(self.atom_index[name])
-        src = self.atom_source[ids[0]] if ids else self.atom_source[endpoint]
-        ids = tuple(ids)
-        if self._check_word(Word(src, ids)) != self.atom_source[endpoint]:
-            raise PreconditionError(f"{context}: complement does not compose with its atom")
+        composed with, and record the lcm entry it belongs to."""
+        ids = tuple([self.atom_index.get(name, -1) for name in names])
+        if -1 in ids:
+            raise PreconditionError(f"{context}: unknown atom {names[ids.index(-1)]!r} in complement", record)
+        ends = ids + (endpoint,)
+        if any(self.atom_target[x] != self.atom_source[y] for x, y in zip(ends, ends[1:])):
+            raise PreconditionError(f"{context}: complement does not compose with its atom", record)
         return ids
 
     def _check_word(self, w: Word) -> int:
@@ -764,12 +784,10 @@ class WordKernel:
         return node
 
     def intern(self, w: Word) -> int:
-        """The canonical node of a word."""
-        node = w.src
-        atom_source, mul = self.struct.atom_source, self.mul
+        """The canonical node of a word; PreconditionError if it does not compose."""
+        self.struct._check_word(w)
+        node, mul = w.src, self.mul
         for a in w.atoms:
-            if atom_source[a] != self.target(node):
-                raise PreconditionError(f"word {w} is not composable")
             node = mul(node, a)
         return node
 

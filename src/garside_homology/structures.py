@@ -292,17 +292,18 @@ def _split_word(token: str) -> list[str]:
 
 
 def parse_structure(text: str) -> GaussianStructure:
-    """Parse the line-oriented interchange format; see serialize_structure."""
+    """Parse the line-oriented interchange format; see serialize_structure.
+
+    The parser reads syntax: the header, each directive's fields, and a
+    repeated BASEOBJECT, ORDER or PATHLEN for one object.  Records may come
+    in any order after the header.  What they say is checked by
+    GaussianStructure, and a record it refuses is reported at its line."""
     objects: list[str] = []
     atoms: list[tuple[str, str, str, int]] = []
     lcms: list[tuple] = []
-    basepoint = None
+    basepoint = order = None
     path_lengths: dict[str, int] = {}
-    order: Optional[list[str]] = None
-    order_line = 0
-    seen_objects: set[str] = set()
-    seen_atoms: dict[str, tuple[str, str]] = {}
-    seen_pairs: set[frozenset] = set()
+    lines: dict[tuple, int] = {}  # PreconditionError.record -> line
     header_seen = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -319,65 +320,32 @@ def parse_structure(text: str) -> GaussianStructure:
         if kind == "OBJECT":
             if len(fields) != 2:
                 raise ParseError(lineno, "OBJECT takes exactly one name")
-            if fields[1] in seen_objects:
-                raise ParseError(lineno, f"object {fields[1]!r} declared twice")
-            seen_objects.add(fields[1])
+            lines["object", len(objects)] = lineno
             objects.append(fields[1])
         elif kind == "ATOM":
             if len(fields) != 5:
                 raise ParseError(lineno, "ATOM takes name, source, target, length")
-            name, src, tgt, length = fields[1:]
-            if name in seen_atoms:
-                raise ParseError(lineno, f"atom {name!r} declared twice")
-            for obj in (src, tgt):
-                if obj not in seen_objects:
-                    raise ParseError(lineno, f"atom {name!r} references undeclared object {obj!r}")
+            lines["atom", len(atoms)] = lineno
             try:
-                length_val = int(length)
+                atoms.append((fields[1], fields[2], fields[3], int(fields[4])))
             except ValueError:
-                raise ParseError(lineno, f"bad atom length {length!r}") from None
-            if length_val < 1:
-                raise ParseError(lineno, "atom length must be >= 1")
-            seen_atoms[name] = (src, tgt)
-            atoms.append((name, src, tgt, length_val))
+                raise ParseError(lineno, f"bad atom length {fields[4]!r}") from None
         elif kind in ("LCM", "NOLCM"):
-            if kind == "NOLCM":
-                if len(fields) != 3:
-                    raise ParseError(lineno, "NOLCM takes two atom names")
-                a, b, comps = fields[1], fields[2], None
-            else:
-                if len(fields) != 6 or fields[3] != "COMPL":
-                    raise ParseError(lineno, "LCM takes: atomA atomB COMPL word word")
-                a, b = fields[1], fields[2]
-                comps = (_split_word(fields[4]), _split_word(fields[5]))
-                for word in comps:
-                    for atom in word:
-                        if atom not in seen_atoms:
-                            raise ParseError(lineno, f"complement uses undeclared atom {atom!r}")
-            for atom in (a, b):
-                if atom not in seen_atoms:
-                    raise ParseError(lineno, f"lcm entry references undeclared atom {atom!r}")
-            if a == b:
-                raise ParseError(lineno, "lcm entry needs two distinct atoms")
-            if seen_atoms[a][1] != seen_atoms[b][1]:
-                raise ParseError(lineno, f"atoms {a!r} and {b!r} have different targets")
-            pair = frozenset((a, b))
-            if pair in seen_pairs:
-                raise ParseError(lineno, f"duplicate lcm entry for ({a!r}, {b!r})")
-            seen_pairs.add(pair)
-            for word, atom in zip(comps or (), (a, b)):
-                ends = [seen_atoms[x] for x in word] + [seen_atoms[atom]]
-                if any(ends[i][1] != ends[i + 1][0] for i in range(len(ends) - 1)):
-                    raise ParseError(lineno, f"LCM({a},{b}): complement does not compose with its atom")
-            lcms.append((a, b, comps))
+            if kind == "NOLCM" and len(fields) != 3:
+                raise ParseError(lineno, "NOLCM takes two atom names")
+            if kind == "LCM" and (len(fields) != 6 or fields[3] != "COMPL"):
+                raise ParseError(lineno, "LCM takes: atomA atomB COMPL word word")
+            lines["lcm", len(lcms)] = lineno
+            comps = (_split_word(fields[4]), _split_word(fields[5])) if kind == "LCM" else None
+            lcms.append((fields[1], fields[2], comps))
         elif kind == "BASEOBJECT":
-            if len(fields) != 2 or fields[1] not in seen_objects:
+            if len(fields) != 2:
                 raise ParseError(lineno, "BASEOBJECT takes one declared object")
             if basepoint is not None:
                 raise ParseError(lineno, "BASEOBJECT given twice")
-            basepoint = fields[1]
+            basepoint, lines[("basepoint",)] = fields[1], lineno
         elif kind == "PATHLEN":
-            if len(fields) != 3 or fields[1] not in seen_objects:
+            if len(fields) != 3:
                 raise ParseError(lineno, "PATHLEN takes a declared object and an integer")
             if fields[1] in path_lengths:
                 raise ParseError(lineno, f"path length of object {fields[1]!r} given twice")
@@ -385,20 +353,16 @@ def parse_structure(text: str) -> GaussianStructure:
                 path_lengths[fields[1]] = int(fields[2])
             except ValueError:
                 raise ParseError(lineno, f"bad path length {fields[2]!r}") from None
+            lines["path_length", fields[1]] = lineno
         elif kind == "ORDER":
             if order is not None:
                 raise ParseError(lineno, "ORDER given twice")
-            order, order_line = fields[1:], lineno
-            for atom in order:
-                if atom not in seen_atoms:
-                    raise ParseError(lineno, f"ORDER references undeclared atom {atom!r}")
+            order, lines[("order",)] = fields[1:], lineno
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
 
     if not header_seen:
         raise ParseError(1, "empty input; expected header 'GAUSSIAN-STRUCTURE v1'")
-    if order is not None and sorted(order) != sorted(seen_atoms):
-        raise ParseError(order_line, "ORDER must list every atom exactly once")
     try:
         return GaussianStructure(
             objects,
@@ -409,7 +373,7 @@ def parse_structure(text: str) -> GaussianStructure:
             declared_order=order,
         )
     except PreconditionError as exc:
-        raise ParseError(None, str(exc)) from exc
+        raise ParseError(lines.get(exc.record), str(exc)) from exc
 
 
 def serialize_structure(struct: GaussianStructure) -> str:

@@ -237,6 +237,29 @@ def test_options_a_command_does_not_read_exit_2(capsys, command, option):
     assert "unrecognized arguments: " + " ".join(option) in err
 
 
+@pytest.mark.parametrize("order", ["auto", "declared", "identity"])
+@pytest.mark.parametrize("first", [True, False])
+def test_compare_orderings_excludes_order(capsys, order, first):
+    # --compare-orderings prints its own two orderings, so an --order next
+    # to it would go unread
+    options = ["--compare-orderings", "--order", order] if first else ["--order", order, "--compare-orderings"]
+    with pytest.raises(SystemExit) as exc:
+        main(["cells", "--structure", "builtin:artin:A3", *options])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
+def test_cells_order_defaults_to_auto():
+    # G13 has fewer cells under auto than under declaration order
+    for options in ([], ["--order", "auto"]):
+        assert run_cli(["cells", "--structure", "builtin:circ:G13", *options]) == (0, "1 3 2 0\n", "")
+    assert run_cli(["cells", "--structure", "builtin:circ:G13", "--order", "identity"]) == (0, "1 3 3 1\n", "")
+    code, out, _ = run_cli(["cells", "--structure", "builtin:circ:G13", "--compare-orderings"])
+    assert (code, out) == (0, "identity: 1 3 3 1\noptimized: 1 3 2 0\n")
+
+
 def test_declared_order_from_file(tmp_path):
     code, text, _ = run_cli(["builtin", "--structure", "builtin:circ:G13"])
     path = tmp_path / "g13.gs"

@@ -272,10 +272,12 @@ REDECLARED = [
 ]
 
 
-def _redeclared(text, rng):
+def _redeclared(text, rng, mixed=False):
     """The same table declared anew: its OBJECT lines and its ATOM lines
     permuted, and its LCM/NOLCM rows shuffled, each flipped with
-    probability 1/2 (LCM b a COMPL v u for LCM a b COMPL u v)."""
+    probability 1/2 (LCM b a COMPL v u for LCM a b COMPL u v).  When
+    mixed, the record lines are then shuffled across kinds as well, so an
+    ATOM may come before its OBJECT and ORDER before the atoms it lists."""
     header, *lines = text.splitlines()
     objects, atoms, rows, rest = [], [], [], []
     for line in lines:
@@ -290,7 +292,10 @@ def _redeclared(text, rng):
             if fields[0] == "LCM":
                 fields[4:6] = fields[5:3:-1]
             rows[i] = " ".join(fields)
-    return "\n".join([header, *objects, *atoms, *rows, *rest]) + "\n"
+    lines = [*objects, *atoms, *rows, *rest]
+    if mixed:
+        rng.shuffle(lines)
+    return "\n".join([header, *lines]) + "\n"
 
 
 def _rows(struct, system):
@@ -304,17 +309,17 @@ def _rows(struct, system):
 @pytest.mark.parametrize("spec", REDECLARED)
 def test_redeclared_tables_keep_their_rows(spec):
     # the rows are invariants of the table, whatever order its file lists
-    # objects, atoms and lcm rows in and whichever atom of a pair it names
-    # first; the cells may differ, as the auto ordering reads the
-    # declaration order
+    # objects, atoms and lcm rows in, within a kind of record or across
+    # kinds, and whichever atom of a pair it names first; the cells may
+    # differ, as the auto ordering reads the declaration order
     categories = {"two-cycle": FREE_CATEGORY_TWO_CYCLE, "cospan": FREE_CATEGORY_COSPAN}
     struct = parse_structure(categories[spec]) if spec in categories else builtin_structure(spec)
     text = serialize_structure(struct)
     systems = [make_system("trivial"), make_system("sign"), make_system("laurent", "Q")]
     expected = [_rows(struct, system) for system in systems]
     rng, redeclared = random.Random(spec), []
-    while len(redeclared) < 2:  # two draws that differ from the builtin's text
-        again = _redeclared(text, rng)
+    while len(redeclared) < 4:  # draws that differ from the text: two within kinds, two across
+        again = _redeclared(text, rng, mixed=len(redeclared) >= 2)
         if again != text:
             redeclared.append(again)
     for again in redeclared:

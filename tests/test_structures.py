@@ -329,6 +329,13 @@ def test_parse_reports_the_order_line():
     assert err.value.line == 6
 
 
+_RECORDS = (
+    "GAUSSIAN-STRUCTURE v1\nOBJECT x\nOBJECT y\n"
+    "ATOM a x x 1\nATOM b x x 1\nATOM c x y 1\n"
+    "LCM a b COMPL b.a a.b\n"
+)
+
+
 @pytest.mark.parametrize(
     "extra, line, message",
     [
@@ -339,11 +346,7 @@ def test_parse_reports_the_order_line():
 )
 def test_parse_rejects_repeated_directives(extra, line, message):
     # each would otherwise silently take the last value
-    text = (
-        "GAUSSIAN-STRUCTURE v1\nOBJECT x\nOBJECT y\n"
-        "ATOM a x x 1\nATOM b x x 1\nATOM c x y 1\n"
-        "LCM a b COMPL b.a a.b\n" + extra
-    )
+    text = _RECORDS + extra
     with pytest.raises(ParseError) as err:
         parse_structure(text)
     assert err.value.line == line
@@ -360,3 +363,82 @@ def test_parse_keeps_single_directives():
     assert struct.object_names[struct.basepoint] == "x"
     assert list(struct.path_lengths) == [0, 1]
     assert serialize_structure(struct).endswith("ORDER c b a\n")
+
+
+@pytest.mark.parametrize(
+    "extra, line, message",
+    [
+        ("OBJECT x\n", 8, "duplicate object name 'x'"),
+        ("ATOM a x x 1\n", 8, "duplicate atom name 'a'"),
+        ("LCM b a COMPL a.b b.a\n", 8, "duplicate lcm entry for ('b', 'a')"),
+        ("ATOM d x z 1\n", 8, "atom 'd' references unknown object 'z'"),
+        ("LCM a z COMPL b.a a.b\n", 8, "lcm entry references unknown atom 'z'"),
+        ("ATOM d x x 1\nLCM a d COMPL z d\n", 9, "LCM(a,d): unknown atom 'z' in complement"),
+        ("BASEOBJECT z\n", 8, "unknown basepoint object 'z'"),
+        ("BASEOBJECT x\nPATHLEN x 0\nPATHLEN z 1\nPATHLEN y 1\n", 10, "path length for unknown object 'z'"),
+        ("ATOM d x y 0\n", 8, "atom 'd' must have length >= 1"),
+        ("LCM a a COMPL b b\n", 8, "lcm entry for atom 'a' with itself"),
+        ("LCM a c COMPL c a\n", 8, "lcm entry for atoms with different targets ('a', 'c')"),
+        ("ATOM d x x 1\nLCM a d COMPL c c\n", 9, "LCM(a,d): complement does not compose with its atom"),
+        ("ORDER a b z\n", 8, "declared order references unknown atom 'z'"),
+        ("ORDER a b\n", 8, "declared order must list every atom exactly once"),
+        ("ORDER a c a\n", 8, "declared order must list every atom exactly once"),
+    ],
+)
+def test_record_rules_report_the_record_line(tmp_path, extra, line, message):
+    # unlike a repeated directive, these are GaussianStructure's refusals:
+    # it names the record, and the parser reports that record's line
+    text = _RECORDS + extra
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.__cause__.record is not None
+    assert _cli_errors(tmp_path, text) == (2, f"error: line {line}: {message}\n")
+
+
+def test_records_parse_in_any_order():
+    in_order = _RECORDS + "BASEOBJECT x\nPATHLEN x 0\nPATHLEN y 1\nORDER c b a\n"
+    shuffled = (
+        "GAUSSIAN-STRUCTURE v1\nORDER c b a\nATOM a x x 1\nPATHLEN y 1\nLCM a b COMPL b.a a.b\n"
+        "ATOM b x x 1\nOBJECT x\nBASEOBJECT x\nATOM c x y 1\nPATHLEN x 0\nOBJECT y\n"
+    )
+    assert serialize_structure(parse_structure(in_order)) == in_order
+    assert serialize_structure(parse_structure(shuffled)) == in_order
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a\tb", "a#b", "#"])
+def test_object_names_a_file_cannot_spell_are_refused(name):
+    with pytest.raises(PreconditionError, match="cannot be written in a structure file") as err:
+        GaussianStructure(["x", name], [], [])
+    assert err.value.record == ("object", 1)
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a\nb", "a#b", "a.b", ".", "-"])
+def test_atom_names_a_file_cannot_spell_are_refused(name):
+    with pytest.raises(PreconditionError, match="cannot be written in a structure file") as err:
+        GaussianStructure(["*"], [("c", "*", "*", 1), (name, "*", "*", 1)], [])
+    assert err.value.record == ("atom", 1)
+
+
+def test_spellable_names_round_trip(tmp_path, two_cycle_category, cospan_category):
+    # an object may be named '-' or 'x.y': no word spells objects
+    struct = GaussianStructure(["-", "x.y"], [("a-b", "-", "x.y", 1), ("c", "x.y", "-", 1)], [])
+    text = serialize_structure(struct)
+    assert serialize_structure(parse_structure(text)) == text
+    # the atom '-' with 'LCM - c COMPL c -' would read back with an empty
+    # complement, and 'a.b' as two atoms, so neither gets in from a file
+    for atom, line in (("-", 3), ("a.b", 3)):
+        bad = f"GAUSSIAN-STRUCTURE v1\nOBJECT *\nATOM {atom} * * 1\nATOM c * * 1\nLCM {atom} c COMPL c {atom}\n"
+        with pytest.raises(ParseError) as err:
+            parse_structure(bad)
+        assert err.value.line == line
+        code, stderr = _cli_errors(tmp_path, bad)
+        assert code == 2 and stderr.startswith(f"error: line {line}: atom name {atom!r} cannot be written")
+    specs = [f"artin:{name}" for name in ["A2", "A3", "A5", "B3", "B5", "D4", "D6", "E6", "E8", "F4", "H3", "H4"]]
+    specs += ["artin:I2(5)", "artin:I2(12)"] + [f"circ:G{k}" for k in (7, 11, 12, 13, 15, 19, 22)]
+    specs += [f"dual:A{n}" for n in (1, 2, 3, 4)]
+    structs = [builtin_structure(spec) for spec in specs] + [two_cycle_category, cospan_category]
+    for struct in structs:
+        text = serialize_structure(struct)
+        assert serialize_structure(parse_structure(text)) == text, struct
