@@ -124,7 +124,7 @@ def _element(system: CoefficientSystem, domain, terms: dict[int, int]):
     return domain.from_exponents(terms)
 
 
-def specialize(res: OrderResolution, system: CoefficientSystem) -> list[Optional[ScalarMatrix]]:
+def specialize(res: OrderResolution, system: CoefficientSystem) -> list[ScalarMatrix]:
     """Matrices of the differentials over the coefficient ring.
 
     Entry (B, A) of matrix n is the sum over the terms f[B] of the boundary
@@ -134,15 +134,15 @@ def specialize(res: OrderResolution, system: CoefficientSystem) -> list[Optional
     objects and no path lengths unless the action is trivial, and on a
     Laurent entry whose exponents span more than MAX_LAURENT_SPAN before
     its coefficient list is made; ConsistencyError on a term whose facet is
-    not an enumerated cell.  Index 0 of the returned list is None:
-    degree zero has no outgoing differential here, the resolution continues
-    by the augmentation.
+    not an enumerated cell.  Index n of the returned list is the map
+    leaving C_n; at index 0 it is the zero map with no rows, as the
+    resolution continues by the augmentation.
     """
     cells = res.cells
     # every cell of dimension >= 1 has a term; without one nothing is transported
     exponent = node_exponent(res.kernel, system) if len(cells) > 1 and cells[1] else None
-    mats: list[Optional[ScalarMatrix]] = [None]
     domain = system.domain()
+    mats = [ScalarMatrix.zero(0, len(cells[0]), domain)]
     for n in range(1, len(cells)):
         rows, cols = cells[n - 1], cells[n]
         row_index = {cell: i for i, cell in enumerate(rows)}

@@ -356,8 +356,12 @@ class GaussianStructure:
         return w
 
     def word_from_names(self, names: Sequence[str], src_name: Optional[str] = None) -> Word:
-        ids = [self.atom_index[n] for n in names]
-        src = None if src_name is None else self.object_index[src_name]
+        ids = [self.atom_index.get(n, -1) for n in names]
+        if -1 in ids:
+            raise PreconditionError(f"unknown atom {names[ids.index(-1)]!r}")
+        src = None if src_name is None else self.object_index.get(src_name)
+        if src_name is not None and src is None:
+            raise PreconditionError(f"unknown object {src_name!r}")
         return self.word(ids, src)
 
     def word_length(self, w: Word) -> int:
@@ -479,10 +483,13 @@ class GaussianStructure:
 
     def kernel(self, ordering: Optional[AtomOrdering] = None) -> "WordKernel":
         """The canonical words and their arithmetic under an ordering
-        (default: declaration order)."""
+        (default: declaration order); PreconditionError for an ordering of
+        another number of atoms."""
         ordering = ordering or self._default_ordering
         kernel = self._kernels.get(ordering.ranks)
         if kernel is None:
+            if len(ordering.ranks) != self.n_atoms:
+                raise PreconditionError("ordering does not cover the atoms")
             kernel = self._kernels[ordering.ranks] = WordKernel(self, ordering)
         return kernel
 

@@ -37,7 +37,7 @@ def compute_homology(
 
     Cells are enumerated one dimension beyond max_dim so that the incoming
     boundary at the top degree is present.  In degree 0 the outgoing map is
-    absent (the resolution continues by the augmentation, which imposes no
+    zero (the resolution continues by the augmentation, which imposes no
     relations on homology), so H_0 is the cokernel of the first boundary.
     """
     if max_dim is None:
@@ -46,8 +46,7 @@ def compute_homology(
         raise PreconditionError(f"max_dim must be >= 0, got {max_dim}")
     res = build_complex(struct, ordering, max_dim + 1)
     mats = specialize(res, system)
-    domain = system.domain()
-    groups = [homology_at(mats[n + 1], mats[n], len(res.cells[n]), domain) for n in range(max_dim + 1)]
+    groups = [homology_at(mats[n + 1], mats[n]) for n in range(max_dim + 1)]
     return HomologyResult(system, res, groups)
 
 

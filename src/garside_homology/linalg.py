@@ -3,8 +3,9 @@
 The two supported domains are arbitrary-precision integers and Laurent
 polynomials F[t, t^-1] over a field (rationals or a prime field).  Both are
 principal ideal domains, and the chain groups are free, so the kernel of a
-boundary is a direct summand: homology in degree n is read off the ranks of
-the two boundaries at C_n and the invariant factors of the incoming one.
+boundary is a direct summand: homology in degree n is read off the two
+boundaries at C_n alone, their ranks and the invariant factors of the
+incoming one (degree 0 leaves by the zero map with no rows).
 No transforms are needed, only the diagonal of the Smith normal form, and
 each matrix is reduced once: `ScalarMatrix.factors` keeps its invariant
 factors, so d_{n+1} serves degree n (its factors) and degree n+1 (its rank).
@@ -15,13 +16,14 @@ coefficient height), to keep intermediate entries small, and among those
 the one of least Markowitz product (row nonzeros - 1) * (column nonzeros -
 1), to keep fill-in small (Markowitz, Management Sci. 3, 1957).
 
-Each row update a - q * c is one fused `sub_mul`, and so are sums (a - (-1)
-* b) and negatives (0 - 1 * a).  Over F[t, t^-1] it scales the operands to
-integers over one common denominator, runs the dense multiply-add loop of
-`rings.mul_add` on ints, and divides (over Q) or reduces (over F_p) once per
-output coefficient; Euclidean division runs the same loop through
-`rings.poly_divmod`.  No coefficient is added, subtracted or negated
-anywhere else, so a field needs no `add`, `sub` or `neg`.
+Each row update a - q * c is one fused `sub_mul`, and so is each term of
+the check that consecutive boundaries compose to zero, and so are sums
+(a - (-1) * b) and negatives (0 - 1 * a).  Over F[t, t^-1] it scales the
+operands to integers over one common denominator, runs the dense
+multiply-add loop of `rings.mul_add` on ints, and divides (over Q) or
+reduces (over F_p) once per output coefficient; Euclidean division runs the
+same loop through `rings.poly_divmod`.  No coefficient is added, subtracted
+or negated anywhere else, so a field needs no `add`, `sub` or `neg`.
 """
 
 from __future__ import annotations
@@ -226,35 +228,6 @@ class ScalarMatrix:
     def copy(self) -> "ScalarMatrix":
         return ScalarMatrix(self.rows, self.cols, [row[:] for row in self.entries], self.domain)
 
-    def mul(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        if self.cols != other.rows or self.domain != other.domain:
-            raise PreconditionError("matrix shapes or domains do not match")
-        dom = self.domain
-        # accumulate the negated product, so that an entry that sums to zero,
-        # as every entry of a composite of boundaries does, is never negated
-        out = ScalarMatrix.zero(self.rows, other.cols, dom)
-        for i in range(self.rows):
-            row = self.entries[i]
-            for k in range(self.cols):
-                a = row[k]
-                if dom.is_zero(a):
-                    continue
-                other_row = other.entries[k]
-                out_row = out.entries[i]
-                for j in range(other.cols):
-                    b = other_row[j]
-                    if not dom.is_zero(b):
-                        out_row[j] = dom.sub_mul(out_row[j], a, b)
-        for out_row in out.entries:
-            for j, e in enumerate(out_row):
-                if not dom.is_zero(e):
-                    out_row[j] = dom.neg(e)
-        return out
-
-    def is_zero(self) -> bool:
-        dom = self.domain
-        return all(dom.is_zero(e) for row in self.entries for e in row)
-
     @cached_property
     def factors(self) -> list:
         """The invariant factors (see `invariant_factors`), computed once."""
@@ -358,37 +331,39 @@ class HomologyGroup(NamedTuple):
         return self.free_rank == 0 and not self.torsion
 
 
-def homology_at(
-    boundary_in: Optional[ScalarMatrix],
-    boundary_out: Optional[ScalarMatrix],
-    dim_n: int,
-    domain,
-) -> HomologyGroup:
+def homology_at(boundary_in: ScalarMatrix, boundary_out: ScalarMatrix) -> HomologyGroup:
     """Homology at C_n: kernel of boundary_out modulo image of boundary_in.
 
-    boundary_out is the map leaving C_n (pass None in degree 0, where the
-    resolution continues by the augmentation and contributes no relations),
-    boundary_in the one entering from C_{n+1} (None when there are no cells
-    above).  Shapes are checked against dim_n.  Over a principal ideal
-    domain the kernel of boundary_out is a direct summand of the free C_n,
-    so H_n is free of rank dim_n - rank(out) - rank(in) plus the quotients
-    by the non-unit invariant factors of boundary_in; the check that the
-    composite vanishes is what puts the image inside the kernel.  Ranks and
-    factors are read from the matrices' `factors`, so a matrix passed as
-    boundary_in here and as boundary_out in the next degree is reduced once
-    for the two.
+    boundary_out is the map leaving C_n (in degree 0 the zero map with no
+    rows: the resolution continues by the augmentation, which contributes
+    no relations), boundary_in the one entering from C_{n+1} (with no
+    columns when there are no cells above).  dim C_n and the domain are
+    read off the matrices, which must agree on both.  Over a principal
+    ideal domain the kernel of boundary_out is a direct summand of the free
+    C_n, so H_n is free of rank dim C_n - rank(out) - rank(in) plus the
+    quotients by the non-unit invariant factors of boundary_in; the check
+    that the composite vanishes is what puts the image inside the kernel;
+    it accumulates each row of boundary_out * boundary_in negated, by
+    `sub_mul`, and builds no product matrix.  Ranks and factors are read from
+    the matrices' `factors`, so a matrix passed as boundary_in here and as
+    boundary_out in the next degree is reduced once for the two.
     """
-    if boundary_out is None:
-        boundary_out = ScalarMatrix.zero(0, dim_n, domain)
-    if boundary_in is None:
-        boundary_in = ScalarMatrix.zero(dim_n, 0, domain)
-    if boundary_out.cols != dim_n or boundary_in.rows != dim_n:
-        raise PreconditionError("matrix shapes do not match the cell count")
-    if boundary_out.domain != domain or boundary_in.domain != domain:
+    dom = boundary_in.domain
+    if boundary_out.cols != boundary_in.rows:
+        raise PreconditionError("matrix shapes do not match")
+    if boundary_out.domain != dom:
         raise PreconditionError("matrix domain mismatch")
-    if not boundary_out.mul(boundary_in).is_zero():
-        raise ConsistencyError("composite of consecutive boundaries is nonzero")
+    for out_row in boundary_out.entries:
+        acc = [dom.zero] * boundary_in.cols
+        for a, in_row in zip(out_row, boundary_in.entries):
+            if dom.is_zero(a):
+                continue
+            for j, b in enumerate(in_row):
+                if not dom.is_zero(b):
+                    acc[j] = dom.sub_mul(acc[j], a, b)
+        if not all(map(dom.is_zero, acc)):
+            raise ConsistencyError("composite of consecutive boundaries is nonzero")
 
     factors_in = boundary_in.factors
-    torsion = [d for d in factors_in if not domain.is_unit(d)]
-    return HomologyGroup(dim_n - len(boundary_out.factors) - len(factors_in), torsion, domain)
+    torsion = [d for d in factors_in if not dom.is_unit(d)]
+    return HomologyGroup(boundary_in.rows - len(boundary_out.factors) - len(factors_in), torsion, dom)

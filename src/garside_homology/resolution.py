@@ -141,8 +141,6 @@ class OrderResolution:
     ):
         self.struct = struct
         self.ordering = ordering if ordering is not None else struct.default_ordering()
-        if len(self.ordering.ranks) != struct.n_atoms:
-            raise PreconditionError("ordering does not cover the atoms")
         self.kernel = struct.kernel(self.ordering)
         self._cells: dict[tuple[int, ...], tuple[int, int, Cell]] = {}  # atoms of [alpha, C] -> (lcm, u, C)
         # cell C below the top dimension -> (alpha, x, [alpha, C] or None) per atom

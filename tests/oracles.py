@@ -215,7 +215,7 @@ def salvetti_homology(coxeter, system):
     0..rank, with coefficients in the CoefficientSystem."""
     m, n, domain = coxeter.m, coxeter.n, system.domain()
     cells = [list(itertools.combinations(range(n), k)) for k in range(n + 1)]
-    mats = [None]
+    mats = [ScalarMatrix.zero(0, 1, domain)]
     for k in range(1, n + 1):
         row_of = {face: r for r, face in enumerate(cells[k - 1])}
         mat = ScalarMatrix.zero(len(cells[k - 1]), len(cells[k]), domain)
@@ -226,10 +226,8 @@ def salvetti_homology(coxeter, system):
                 entry = _entry(_exact_div(whole, poincare(m, face)), system, domain)
                 mat.entries[row_of[face]][col] = domain.neg(entry) if pos % 2 else entry
         mats.append(mat)
-    return [
-        homology_at(mats[k + 1] if k < n else None, mats[k], len(cells[k]), domain)
-        for k in range(n + 1)
-    ]
+    mats.append(ScalarMatrix.zero(1, 0, domain))
+    return [homology_at(mats[k + 1], mats[k]) for k in range(n + 1)]
 
 
 def _scalar(terms, system, domain):
@@ -271,7 +269,7 @@ def fox_homology(gens, relations, system):
                     if letter == a:
                         terms[i] = terms.get(i, 0) + sign
             d2.entries[row][col] = _scalar(terms, system, domain)
-    return [homology_at(d1, None, 1, domain), homology_at(d2, d1, len(gens), domain)]
+    return [homology_at(d1, ScalarMatrix.zero(0, 1, domain)), homology_at(d2, d1)]
 
 
 def rank_two_homology(name, system):

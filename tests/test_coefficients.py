@@ -1,5 +1,6 @@
 """Coefficient systems, specialization, prime fields, cyclotomic arithmetic."""
 
+import functools
 import math
 import random
 
@@ -144,6 +145,17 @@ def test_specialized_edge_column(two_cycle_category):
         assert sorted(col) == [-1, 1]
 
 
+def product_is_zero(a, b):
+    """Whether the matrix product a * b vanishes, in the domain's own
+    arithmetic."""
+    dom = a.domain
+    return all(
+        dom.is_zero(functools.reduce(dom.add, (dom.mul(x, row[j]) for x, row in zip(a_row, b.entries)), dom.zero))
+        for a_row in a.entries
+        for j in range(b.cols)
+    )
+
+
 def test_specialized_products_vanish(builtins):
     for name, struct in builtins.items():
         cx = build_complex(struct)
@@ -152,7 +164,7 @@ def test_specialized_products_vanish(builtins):
                 continue
             mats = specialize(cx, system)
             for n in range(1, len(mats) - 1):
-                assert mats[n].mul(mats[n + 1]).is_zero(), (name, system.kind, n)
+                assert product_is_zero(mats[n], mats[n + 1]), (name, system.kind, n)
 
 
 def test_specialized_laurent_entries(two_cycle_category):
@@ -183,7 +195,7 @@ def test_unit_change_of_basis_does_not_change_homology(builtins):
     for name in ("A3", "G12", "dualA3"):
         cx = build_complex(builtins[name])
         mats = specialize(cx, system)
-        scaled = [None] + [m.copy() for m in mats[1:]]
+        scaled = [m.copy() for m in mats]
         for n, cells in enumerate(cx.cells):
             for j in range(len(cells)):
                 k = rng.randint(-3, 3)
@@ -194,8 +206,7 @@ def test_unit_change_of_basis_does_not_change_homology(builtins):
                     row = scaled[n + 1].entries[j]
                     row[:] = [dom.mul(e, dom.from_exponents({-k: 1})) for e in row]
         for n in range(len(cx.cells) - 1):
-            args = [(b[n + 1] if n + 1 < len(b) else None, b[n] if n >= 1 else None) for b in (mats, scaled)]
-            before, after = (homology_at(b_in, b_out, len(cx.cells[n]), dom) for b_in, b_out in args)
+            before, after = (homology_at(b[n + 1], b[n]) for b in (mats, scaled))
             assert (before.free_rank, before.torsion) == (after.free_rank, after.torsion), (name, n)
         assert scaled != mats
 

@@ -14,6 +14,7 @@ from garside_homology import (
     AtomOrdering,
     ConsistencyError,
     GaussianStructure,
+    OrderResolution,
     PreconditionError,
     Word,
     artin_named,
@@ -509,6 +510,32 @@ def test_ordering_validation():
     with pytest.raises(PreconditionError):
         AtomOrdering.from_sequence([0, 2])
     assert AtomOrdering.identity(3).sorted_atoms([2, 0, 1]) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("sequence", [[0], [2, 1, 0]])
+def test_ordering_of_another_size_is_refused(sequence):
+    # A2 has two atoms: the kernel refuses an ordering of one or three
+    # before ranking anything, and every caller gets the refusal from it
+    struct = artin_named("A2")
+    ordering = AtomOrdering.from_sequence(sequence)
+    word = struct.word_from_names(["a", "b"])
+    for refused in (
+        lambda: struct.kernel(ordering),
+        lambda: struct.canonical_form(word, ordering),
+        lambda: OrderResolution(struct, ordering),
+    ):
+        with pytest.raises(PreconditionError, match="ordering does not cover the atoms"):
+            refused()
+    assert ordering.ranks not in struct._kernels
+
+
+def test_word_from_unknown_names_is_refused():
+    struct = artin_named("A2")
+    with pytest.raises(PreconditionError, match="unknown atom 'z'"):
+        struct.word_from_names(["a", "z"])
+    with pytest.raises(PreconditionError, match="unknown object 'nowhere'"):
+        struct.word_from_names(["a"], "nowhere")
+    assert struct.word_from_names(["b"], "*") == Word(0, (1,))
 
 
 # -- the interned word kernel against the rewriting oracle --------------------
