@@ -5,8 +5,9 @@ by 1), sign (atoms of length 1 act by -1), and Laurent (they act by t).  On a
 category with several objects the action is transported to the group at the
 basepoint through chosen connecting paths; only their lengths matter, so a
 structure file ships a path length per object rather than the paths.  A
-morphism thus acts by its exponent alone, which `node_exponent` reads off
-the word kernel's node, its length and its endpoints, without spelling it.
+morphism thus acts by its exponent alone, which `node_exponent` sums up
+the word kernel's trie from one transported weight per atom, without
+spelling it.
 
 Specializing a resolution turns each chain-valued differential into a
 matrix over the integers or over the Laurent ring F[t, t^-1] itself, whose
@@ -64,49 +65,53 @@ class CoefficientSystem:
         return f"CoefficientSystem(kind={self.kind!r}, field={self.field!r})"
 
     def domain(self):
-        if self.kind == "laurent":
-            return LaurentDomain(self.field)
-        return IntegerDomain()
+        return LaurentDomain(self.field) if self.kind == "laurent" else IntegerDomain()
 
     def describe(self) -> str:
-        if self.kind == "trivial":
-            return "Z (trivial action)"
-        if self.kind == "sign":
-            return "Z (sign action)"
-        return f"{self.field.name}[t,t^-1]"
+        return f"{self.field.name}[t,t^-1]" if self.kind == "laurent" else f"Z ({self.kind} action)"
 
 
 def make_system(kind: str, field: Optional[str] = None, p: Optional[int] = None) -> CoefficientSystem:
     if p is not None and field != "Fp":
         raise PreconditionError("--p only makes sense with field Fp")
-    if kind != "laurent":
-        if field is not None:
-            raise PreconditionError(f"{kind} coefficients take no field")
-        return CoefficientSystem(kind)
-    if field in (None, "Q"):
-        return CoefficientSystem("laurent", Rationals())
-    if field == "Fp":
-        if p is None:
-            raise PreconditionError("field Fp needs a prime p")
-        return CoefficientSystem("laurent", PrimeField(p))
-    raise PreconditionError(f"unknown field {field!r}")
+    if kind == "laurent":
+        if field in (None, "Q"):
+            field = Rationals()
+        elif field == "Fp":
+            if p is None:
+                raise PreconditionError("field Fp needs a prime p")
+            field = PrimeField(p)
+        else:
+            raise PreconditionError(f"unknown field {field!r}")
+    return CoefficientSystem(kind, field)
 
 
 def node_exponent(kernel: WordKernel, system: CoefficientSystem) -> Callable[[int], int]:
     """The exponent each node acts by, as a function of the node: its
-    length transported to the basepoint, len(u_src) + length - len(u_tgt),
-    which may be negative on categories; 0 for the trivial action, which
-    needs no transport."""
-    length = kernel.length
+    length transported to the basepoint, which may be negative on
+    categories; 0 for the trivial action, which needs no transport.  An
+    atom a weighs path[src a] + len(a) - path[tgt a] (path 0 on one
+    object), and h*a's exponent is h's plus a's weight, summed in node
+    order (parents first) into a list grown to the trie's end on demand:
+    not an array, as sign coefficients may take atom lengths over 2^63."""
     if system.kind == "trivial":
         return lambda node: 0
-    if kernel.n_objects == 1:
-        return length.__getitem__
-    path = kernel.struct.path_lengths
-    if path is None:
+    struct = kernel.struct
+    if struct.path_lengths is None and kernel.n_objects > 1:
         raise PreconditionError("structure has several objects but no basepoint path lengths for transport")
-    src, target = kernel.src, kernel.target
-    return lambda node: length[node] + path[src[node]] - path[target(node)]
+    path = struct.path_lengths or (0,)
+    weight = [path[s] + n - path[t] for s, n, t in zip(struct.atom_source, struct.atom_length, struct.atom_target)]
+    parent, last = kernel.parent, kernel.last
+    exponents = [0] * kernel.n_objects
+
+    def exponent(node: int) -> int:
+        if node >= len(exponents):
+            append = exponents.append
+            for x in range(len(exponents), len(last)):
+                append(exponents[parent[x]] + weight[last[x]])
+        return exponents[node]
+
+    return exponent
 
 
 def _element(system: CoefficientSystem, domain, terms: dict[int, int]):
@@ -234,10 +239,4 @@ def cyclotomic_factorization(poly: Poly, field) -> Optional[list[tuple[int, int]
 
 
 def format_cyclotomic(factors: list[tuple[int, int]]) -> str:
-    if not factors:
-        return "1"
-    parts = []
-    for n, mult in factors:
-        base = f"Phi_{n}"
-        parts.append(base if mult == 1 else f"{base}^{mult}")
-    return "*".join(parts)
+    return "*".join(f"Phi_{n}" if mult == 1 else f"Phi_{n}^{mult}" for n, mult in factors) or "1"

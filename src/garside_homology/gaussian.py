@@ -18,7 +18,7 @@ Inside, morphisms are canonical words: under an atom ordering, canon(f) =
 canon(f/a)*a with a the least atom right-dividing f.  Canonical words are
 closed under prefixes, so each ordering has a `WordKernel` holding them in a
 prefix trie of int ids, where the last atom of a node is its least divisor.
-The trie is stored flat, in arrays and lists indexed by node, and the
+The trie is stored flat, as a parent and a last atom per node, and the
 product memo is a dense table of n_atoms slots per node.
 Its three primitives, `div` (divide by an atom), `mul` (multiply by an atom)
 and `lcm` (left-lcm with an atom, as both complements), return canonical
@@ -535,25 +535,20 @@ class WordKernel:
 
     Canonical words are closed under prefixes, so they are interned in a
     prefix trie: ids 0..n_objects-1 are the identities, and every other
-    node stores its parent, its last atom, its source and its length (the
-    sum of its atoms' lengths; identities have length 0).  A node is a
-    morphism, and its last atom is its least right-divisor.  `mul` is the
-    only place that creates nodes.
+    node stores only its parent and its last atom, its least
+    right-divisor.  A parent precedes its children, and the rest is read
+    up the trie: `word` spells a node, `source` and `target` give its
+    ends.  `mul` is the only place that creates nodes.
 
-    The trie is stored flat, one entry per node in each field.  `_mul`,
-    the product memo and the trie's child table in one, is a dense
-    `array('i')` of n_atoms slots per node: `_mul[x * n_atoms + b]` is the
-    canonical node of x*b, or 0 while that product is unknown.  0 is safe
-    as "absent" because no product is an identity, so node 0 is never a
-    product.  `src` is an `array('i')` too.  A new node appends to every
-    field, and n_atoms zero slots to `_mul`.  `parent`, `last` and
-    `length` stay lists.  `parent` and `last` are the hottest reads, and
+    The trie is stored flat.  `_mul`, the product memo and the trie's
+    child table in one, is a dense `array('i')` of n_atoms slots per node:
+    `_mul[x * n_atoms + b]` is the canonical node of x*b, or 0 while that
+    product is unknown (no product is an identity, so node 0 is never
+    one).  `parent` and `last` are lists: they are the hottest reads, and
     the interpreter reads a list faster than an array, which also boxes a
     new int for every node id it hands back.  A `parent` list pays for
-    that with an int object kept for most nodes, about 30 B each.  The
-    entries of `last` are atoms, small ints that Python shares, so that
-    list costs one pointer per node.  Lengths sum atom lengths, which may
-    exceed a C int.
+    that with an int object kept for most nodes, about 30 B each; `last`
+    holds atoms, small ints that Python shares, at one pointer per node.
 
     Two primitives, which call each other directly, make up the arithmetic:
     `div` divides a node by an atom and `mul` multiplies it by one, both
@@ -614,8 +609,6 @@ class WordKernel:
         ]
         self.parent: list[int] = [-1] * n_obj
         self.last: list[int] = [-1] * n_obj
-        self.src = array("i", range(n_obj))
-        self.length: list[int] = [0] * n_obj
         # one node's row of _mul: n_atoms products, none known yet
         self._no_products = array("i", [0]) * n
         self._mul = self._no_products * n_obj
@@ -697,8 +690,6 @@ class WordKernel:
             memo.extend(self._no_products)
             parent.append(h)
             last.append(a)
-            self.src.append(self.src[h])
-            self.length.append(self.length[h] + self.struct.atom_length[a])
         memo[key] = res
         return res
 
@@ -727,7 +718,7 @@ class WordKernel:
         q = self.div(x, b)
         res = None
         if q >= 0:
-            res = (self.src[x], q)
+            res = (self.source(x), q)
         elif x < self.n_objects:
             struct = self.struct
             if struct.atom_target[b] == x:
@@ -737,7 +728,7 @@ class WordKernel:
             entry = self._lcm_table.get(b * self.n_atoms + self.last[x])
             if entry is not None:  # else different targets, or no common multiple
                 comp_b, comp_c_rev = entry
-                cur, p = self.parent[x], self.src[x]
+                cur, p = self.parent[x], self.source(x)
                 lcm, product = self.lcm, self.product
                 self._lcm[key] = None  # in progress: a nested call that meets it reads None
                 try:
@@ -768,7 +759,7 @@ class WordKernel:
         off `lcm`'s pair.
         """
         parent, last, n_objects, lcm, product = self.parent, self.last, self.n_objects, self.lcm, self.product
-        p, y = self.src[w], w
+        p, y = self.source(w), w
         while x >= n_objects:
             step = lcm(y, last[x])
             if step is None:
@@ -807,6 +798,13 @@ class WordKernel:
             node = parent[node]
         atoms.reverse()
         return Word(node, tuple(atoms))
+
+    def source(self, node: int) -> int:
+        """The identity a node's trie path starts at: its source object."""
+        parent, n_objects = self.parent, self.n_objects
+        while node >= n_objects:
+            node = parent[node]
+        return node
 
     def target(self, node: int) -> int:
         return node if node < self.n_objects else self.struct.atom_target[self.last[node]]

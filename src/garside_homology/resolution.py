@@ -19,8 +19,8 @@ recursion a coefficient is a node of the ordering's word kernel (see
 gaussian.py): an int id that is the morphism itself, since the kernel
 interns canonical words only.  Every method of `OrderResolution`,
 `differential` included, takes and returns node-keyed chains, and
-specialization reads them as they are: a node's length is kept in the
-kernel.  Only `OrderResolution.boundaries`, a view for readers outside the
+specialization reads them as they are: it sums each node's exponent up
+the trie.  Only `OrderResolution.boundaries`, a view for readers outside the
 computation, spells the chains out with `Word` coefficients.  A boundary
 is built in one accumulator: `_contract(g, entries, acc, mult)` adds mult
 times its terms straight into the caller's chain acc, deleting entries
@@ -173,7 +173,7 @@ class OrderResolution:
         record = self._cells.get(atoms)
         if record is None:
             raise PreconditionError(f"{atoms} is not an enumerated cell")
-        return Cell(atoms, self.kernel.src[record[0]])
+        return Cell(atoms, self.kernel.source(record[0]))
 
     def _cell_lcm(self, cell: Cell) -> int:
         return self._cells[cell.atoms][0] if cell.atoms else cell.src
@@ -205,7 +205,7 @@ class OrderResolution:
                     joined = kernel.mul(y, alpha)
                     new = None
                     if kernel.last[joined] == alpha:
-                        new = Cell((alpha,) + cell.atoms, kernel.src[joined])
+                        new = Cell((alpha,) + cell.atoms, kernel.source(joined))
                         self._cells[new.atoms] = (joined, x, cell)
                         layer.append(new)
                     above.append((alpha, x, new))
@@ -231,7 +231,7 @@ class OrderResolution:
             w, facet = next(iter(self._differential(rest)))
             self._contract(u, ((1,) + self._lower(w, facet),) + self._tail(rest)[1], out, -1)
         else:
-            src = self.kernel.src[u]
+            src = self.kernel.source(u)
             out[(src, self.zero_cell(src))] = -1
         # every term of the reduction precedes u[rest], so it stays first
         if next(iter(out.items()), None) != ((u, rest), 1):

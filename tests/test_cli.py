@@ -432,6 +432,14 @@ def test_laurent_entry_span_over_the_limit_exits_2(tmp_path):
     ]
     # trivial coefficients hold no exponents, so they take any length
     assert run_cli(commuting(10**23)[:-2])[0] == 0
+    # the sign action reads only an exponent's parity, so an atom of length
+    # 10^23, past a C integer, acts as one of length 2 does
+    rows = []
+    for length in (10**23, 2):
+        code, out, _ = run_cli(commuting(length)[:-1] + ["sign"])
+        assert code == 0, length
+        rows.append(out.splitlines()[1:])
+    assert rows[0] == rows[1] == ["H_0 = Z_2", "H_1 = Z_2", "H_2 = 0"]
 
 
 def _table(lines):

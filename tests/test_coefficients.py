@@ -46,6 +46,13 @@ def test_system_construction():
         CoefficientSystem("sign", QQ)
     with pytest.raises(PreconditionError):
         CoefficientSystem("frobnicate")
+    # make_system hands a field to CoefficientSystem, whose rule refuses it
+    # on trivial and sign, and an unknown kind before its field
+    for kind, field in (("sign", "Q"), ("trivial", "Fp"), ("sign", "R7")):
+        with pytest.raises(PreconditionError, match=f"^{kind} coefficients take no field$"):
+            make_system(kind, field)
+    with pytest.raises(PreconditionError, match="^unknown coefficient system 'bogus'$"):
+        make_system("bogus", "Q")
     # systems compare, hash and print by their kind and field
     assert make_system("laurent", "Fp", 5) == CoefficientSystem("laurent", PrimeField(5))
     assert len({make_system("laurent", "Q"), CoefficientSystem("laurent", QQ), make_system("laurent", "Fp", 5)}) == 2

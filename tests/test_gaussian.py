@@ -628,26 +628,31 @@ def test_dense_product_table_matches_oracle(two_cycle_category, cospan_category)
     # every product of a node shorter than 5 with an atom, every filled
     # slot _mul[x * n + b] is a node spelling a word equal to x*b.  mul,
     # the only place that creates nodes, files each new node x under its
-    # parent's slot for last[x] and gives it its parent's source and its
-    # parent's length plus its last atom's
+    # parent's slot for last[x], where last[x] starts at its parent's
+    # target, so x has its parent's source and its parent's length plus
+    # its last atom's
     for struct in [artin_named("E6"), two_cycle_category, cospan_category]:
         kernel = build_complex(struct, optimize_ordering(struct)).kernel
         n, parent, last = kernel.n_atoms, kernel.parent, kernel.last
         assert len(kernel._mul) == n * len(last), struct
         for x in range(kernel.n_objects, len(last)):
             assert kernel._mul[parent[x] * n + last[x]] == x, (struct, x)
-            assert kernel.src[x] == kernel.src[parent[x]], (struct, x)
-            assert kernel.length[x] == kernel.length[parent[x]] + struct.atom_length[last[x]], (struct, x)
+            assert kernel.target(parent[x]) == struct.atom_source[last[x]], (struct, x)
+            assert kernel.source(x) == kernel.source(parent[x]) == kernel.word(x).src, (struct, x)
+            length = struct.word_length(kernel.word(x))
+            assert length == struct.word_length(kernel.word(parent[x])) + struct.atom_length[last[x]], (struct, x)
     for name, struct in KERNEL_STRUCTS.items():
         letters = rewriting.PRESENTATIONS[name][0]
         struct = parse_structure(serialize_structure(struct))  # cold kernels
+        # unit atom lengths: a node's depth in the trie is its length
+        assert set(struct.atom_length) == {1}, name
         for order in (letters, letters[::-1]):
             ordering = AtomOrdering.from_sequence([struct.atom_index[a] for a in order])
             kernel = build_complex(struct, ordering).kernel
             n = kernel.n_atoms
             x = 0
             while x < len(kernel.last):  # the trie grows under the loop
-                if kernel.length[x] < 5:
+                if len(kernel.word(x).atoms) < 5:
                     for b in range(n):
                         kernel.mul(x, b)
                 x += 1
@@ -690,7 +695,7 @@ def test_left_lcm_absent_between_nodes(cospan_category):
     kernel = s.kernel()
     p, q = (kernel.intern(s.word_from_names([n])) for n in ("p", "q"))
     assert kernel.left_lcm(p, q) is None
-    assert kernel.left_lcm(p, kernel.target(p)) == (kernel.src[p], p)
+    assert kernel.left_lcm(p, kernel.target(p)) == (kernel.source(p), p)
 
 
 def test_e8_delta_squared_canonicalizes_within_depth_bound():

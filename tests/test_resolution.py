@@ -15,6 +15,7 @@ import oracles
 import rewriting
 from test_cli import INCONSISTENT_TABLES
 from garside_homology import gaussian
+from garside_homology.coefficients import node_exponent
 from garside_homology import (
     AtomOrdering,
     ConsistencyError,
@@ -357,7 +358,7 @@ def reduce_elem(res, f, cell):
     f's source on a zero cell, otherwise its contraction of f times the
     boundary of the cell."""
     if not cell.atoms:
-        src = res.kernel.src[f]
+        src = res.kernel.source(f)
         return {(src, Cell((), src)): 1}
     acc = {}
     res._contract(f, prepared(res, cell), acc, 1)
@@ -383,7 +384,7 @@ def contracting_chain(res, chain):
             alpha, x, g = least_over(res, f, cell)
             if alpha == cell.atoms[0]:
                 continue
-            term[(g, Cell((alpha,) + cell.atoms, kernel.src[x]))] = 1
+            term[(g, Cell((alpha,) + cell.atoms, kernel.source(x)))] = 1
             chain_iadd(term, contracting_chain(res, act(res, g, reduce_elem(res, x, cell))))
         chain_iadd(acc, term, m)
     return acc
@@ -411,7 +412,7 @@ def left_divides(kernel, u, w):
     is a search, meant for checks and small structures.
     """
     lu = node_length(kernel, u)
-    if kernel.src[u] != kernel.src[w] or lu > node_length(kernel, w):
+    if kernel.source(u) != kernel.source(w) or lu > node_length(kernel, w):
         return False
     struct = kernel.struct
     seen = {w}
@@ -654,7 +655,7 @@ def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
     })
     assert terms
     for w, cell in terms:
-        for g in rng.sample(by_target[kernel.src[w]], min(4, len(by_target[kernel.src[w]]))):
+        for g in rng.sample(by_target[kernel.source(w)], min(4, len(by_target[kernel.source(w)]))):
             gw = kernel.product(g, w)
             hits = []
             for p, rank, new_cell, ys in res._lower(w, cell)[1]:
@@ -663,12 +664,12 @@ def test_lower_table_skips_exactly_the_irreducible_terms(name, data, rng):
                 if 0 <= rank < ranks[kernel.last[g]]:
                     assert h < 0, (name, w, cell, g, p)
                 if h >= 0:
-                    hits.append((new_cell, kernel.product(h, kernel.intern(Word(kernel.src[p], ys)))))
+                    hits.append((new_cell, kernel.product(h, kernel.intern(Word(kernel.source(p), ys)))))
             assert (not hits) == irreducible(res, gw, cell), (name, w, cell, g)
             if hits:
                 # only the first hit is a step, so only its [alpha, C] must be a cell
                 alpha, x, quotient = least_over(res, gw, cell)
-                assert hits[0] == (Cell((alpha,) + cell.atoms, kernel.src[x]), quotient), (name, w, cell, g)
+                assert hits[0] == (Cell((alpha,) + cell.atoms, kernel.source(x)), quotient), (name, w, cell, g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -694,7 +695,7 @@ def test_reductions_match_the_reference_contraction(name, data):
         if rest.atoms:
             expected = contracting_chain(res, act(res, u, res._differential(rest)))
         else:
-            src = res.kernel.src[u]
+            src = res.kernel.source(u)
             expected = {(src, Cell((), src)): 1}
         assert chain_sub({(u, rest): 1}, d) == expected, (name, cell)
 
@@ -719,7 +720,7 @@ def test_contraction_adds_into_the_given_chain(name, data):
     res._contract(g, entries, fresh, 1)
     # the start cancels some terms of m times the contraction, shifts
     # others, and holds one term the contraction cannot reach
-    acc = {(kernel.src[g], Cell((), kernel.src[g])): 7}
+    acc = {(kernel.source(g), Cell((), kernel.source(g))): 7}
     for key, k in fresh.items():
         start = data.draw(st.sampled_from([-m * k, 0, 1]))
         if start:
@@ -768,7 +769,7 @@ def test_contraction_divides_by_an_identity_p():
             if identity_row is None:
                 continue
             for g in range(kernel.n_objects, min(len(kernel.last), 300)):
-                if kernel.target(g) != kernel.src[w] or ranks[kernel.last[g]] <= ranks[n - 1]:
+                if kernel.target(g) != kernel.source(w) or ranks[kernel.last[g]] <= ranks[n - 1]:
                     continue
                 # g*w[cell] contracts through the identity row when its alpha is least
                 gw = kernel.product(g, w)
@@ -813,7 +814,7 @@ def test_bounds_never_hide_a_row_that_fires(two_cycle_category, cospan_category)
         reached = []
         for (w, _), (bound, rows) in res._rows.items():
             assert bound == max((rank for _, rank, _, _ in rows), default=-1), name
-            for g in by_target[kernel.src[w]]:
+            for g in by_target[kernel.source(w)]:
                 if bound < ranks[kernel.last[g]]:
                     assert not fires(g, rows), (name, w, g)
                 else:
@@ -972,13 +973,14 @@ def test_e6_word_kernel_bytes():
     # what the word kernel allocates while E6's complex is built, measured
     # when each boundary still divided out its leading complement: 855,260 B
     # at 7,237 trie nodes with _mul and src arrays, 879,396 with src a list,
-    # 1,286,720 with _mul a dict and every field a list.  About 271 KB of
-    # them are the _lcm memo's keys, dict and pairs, which do not scale with
-    # the trie, so the bytes are bounded, not bytes per node, and a smaller
-    # trie does not tighten the test.  The bound, 120 B for each of those
-    # 7,237 nodes, sits between the flat layout and the dict one; traced
-    # bytes include spare capacity, which follows the interpreter's growth
-    # policy, so the types are checked on their own
+    # 1,286,720 with _mul a dict and every field a list.  At 7,010 nodes it
+    # read 851,432 B with a source and a length kept per node, and 762,088
+    # with only parent, last and _mul.  About 271 KB of them are the _lcm
+    # memo's keys, dict and pairs, which do not scale with the trie, so the
+    # bytes are bounded, not bytes per node.  The bound keeps 2% over the
+    # last measurement; traced bytes include spare capacity, which follows
+    # the interpreter's growth policy, so the type of _mul is checked on
+    # its own
     struct = artin_named("E6")
     ordering = optimize_ordering(struct)
     tracemalloc.start()
@@ -988,8 +990,8 @@ def test_e6_word_kernel_bytes():
     finally:
         tracemalloc.stop()
     traced = sum(stat.size for stat in snapshot.statistics("filename"))
-    assert traced <= 868_440
-    assert isinstance(res.kernel._mul, array) and isinstance(res.kernel.src, array)
+    assert traced <= 777_000
+    assert isinstance(res.kernel._mul, array)
 
 
 def test_e7_complex_work_bound():
@@ -1015,14 +1017,18 @@ def test_h4_complex_work_bound():
 
 
 def test_kernel_lengths_match_spelled_words(builtins, two_cycle_category):
-    # every node the kernel creates carries its length, which atom lengths
-    # other than 1 (the two-cycle category's are 2 and 1) set apart from
-    # its depth in the trie
+    # every node's Laurent exponent, summed up the trie from its atoms'
+    # weights, is its spelled word's length transported to the basepoint
+    # (plain length on one object), which atom lengths other than 1 (the
+    # two-cycle category's are 2 and 1) set apart from its depth in the trie
     for name, struct in [*builtins.items(), ("two-cycle", two_cycle_category)]:
         kernel = build_complex(struct).kernel
-        assert len(kernel.length) == len(kernel.last), name
+        exponent = node_exponent(kernel, make_system("laurent", "Q"))
+        path = struct.path_lengths or (0,)
         for node in range(len(kernel.last)):
-            assert kernel.length[node] == struct.word_length(kernel.word(node)), (name, node)
+            w = kernel.word(node)
+            expected = path[w.src] + struct.word_length(w) - path[kernel.target(node)]
+            assert exponent(node) == expected, (name, node)
 
 
 def rewriting_euler(name):
@@ -1065,7 +1071,7 @@ def test_cells_satisfy_the_graded_euler_identity():
             series = {}
             for n, layer in enumerate(res.cells):
                 for cell in layer:
-                    e = res.kernel.length[res._cell_lcm(cell)]
+                    e = struct.word_length(res.kernel.word(res._cell_lcm(cell)))
                     series[e] = series.get(e, 0) + (-1) ** n
             assert {e: c for e, c in series.items() if c} == expected, (name, order)
 

@@ -25,6 +25,7 @@ from garside_homology import (
     builtin_structure,
     circulating_structure,
     compute_homology,
+    dual_typeA_structure,
     format_group,
     make_system,
     optimize_ordering,
@@ -211,7 +212,6 @@ def test_laurent_q_rows_of_a6_and_e6(name):
 def test_dual_a4_laurent_row_under_a_shuffled_ordering():
     # random.Random(1)'s shuffle of the atoms gives cells 1 10 33 43 19
     # against 1 10 30 35 14 on the auto ordering; the homology must agree
-    from garside_homology import dual_typeA_structure
     from garside_homology.gaussian import AtomOrdering
 
     struct = dual_typeA_structure(4)
@@ -238,6 +238,25 @@ def test_rows_match_the_salvetti_complex(name, system):
     expected = oracles.salvetti_homology(coxeter_matrix(name), system)
     result = compute_homology(artin_named(name), system)
     assert groups_data(result) == [(g.free_rank, list(g.torsion)) for g in expected]
+
+
+DUAL_SYSTEMS = {**SALVETTI_SYSTEMS, "laurent-F3": ("laurent", "Fp", 3)}
+
+
+@pytest.mark.parametrize("system", sorted(DUAL_SYSTEMS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dual_rows_match_the_salvetti_complex(n, system):
+    # the dual braid monoid of type A_n (Bessis) has the Artin group of A_n
+    # as its group, so its full row, over a complex whose cells are not the
+    # Salvetti complex's, must equal that complex's (tests/oracles.py) up
+    # to rank n, and print 0 in every degree enumerated past it
+    system = make_system(*DUAL_SYSTEMS[system])
+    expected = oracles.salvetti_homology(coxeter_matrix(f"A{n}"), system)
+    struct = dual_typeA_structure(n)
+    result = compute_homology(struct, system, optimize_ordering(struct))
+    assert len(result.groups) > n + 1
+    assert groups_data(result)[: n + 1] == [(g.free_rank, list(g.torsion)) for g in expected]
+    assert [format_group(g, system) for g in result.groups[n + 1 :]] == ["0"] * (len(result.groups) - n - 1)
 
 
 FOX_SYSTEMS = {
